@@ -15,8 +15,8 @@ from .harness import (
     write_metrics,
 )
 from .morph import GrowthEvent, MomentEnsemble, count_added_blocks, grow
-from .netcore import Network, OptState, accuracy, build_network, forward, loss_and_grads, lr_at, sgd_step
+from .netcore import Network, OptState, build_network, forward, loss_and_grads, lr_at, sgd_step
 from .presets import preset_config, preset_names
-from .timing import OrlReading, PolicyState, average_training_epochs, i_max, interval, orl
+from .timing import PolicyState, average_training_epochs, i_max, interval, orl
 
 __version__ = "0.1.0"

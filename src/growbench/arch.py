@@ -61,9 +61,6 @@ class ArchSpec:
     def widths(self) -> tuple[int, ...]:
         return tuple(st.width for st in self.stages)
 
-    def total_blocks(self) -> int:
-        return sum(st.blocks for st in self.stages)
-
     def with_blocks(self, blocks: tuple[int, ...]) -> "ArchSpec":
         if len(blocks) != len(self.stages):
             raise ArchError("block-count tuple does not match stage count")

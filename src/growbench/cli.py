@@ -12,12 +12,10 @@ import argparse
 import dataclasses
 import os
 import re
-import statistics
 import sys
 from dataclasses import dataclass, field, replace
 
 from .harness import (
-    ComparisonTable,
     DataConfig,
     PolicyConfig,
     RunResult,
@@ -49,19 +47,19 @@ class CliConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-# section name -> (target dataclass, description used in echo output)
+# section name -> description used in echo output
 _SECTIONS = {
-    "model": (None, "architecture and growth mechanics"),
-    "policy": (PolicyConfig, "when-to-grow policy"),
-    "data": (DataConfig, "dataset recipe and split"),
-    "train": (None, "optimization schedule"),
-    "output": (OutputConfig, "artifact paths"),
+    "model": "architecture and growth mechanics",
+    "policy": "when-to-grow policy",
+    "data": "dataset recipe and split",
+    "train": "optimization schedule",
+    "output": "artifact paths",
 }
 
-_MODEL_KEYS = ("seed_arch", "target_arch", "where", "init", "moment_decay")
+_MODEL_KEYS = ("seed_arch", "target_arch", "where", "init")
 _TRAIN_KEYS = (
     "total_epochs", "min_finetune_epochs", "lr_base", "momentum",
-    "weight_decay", "batch_size", "run_seed", "eval_train_full",
+    "weight_decay", "batch_size", "run_seed",
 )
 
 
@@ -162,7 +160,7 @@ def render_config(cfg: CliConfig) -> str:
     """Echo the effective config; re-parsing this text reproduces cfg."""
     values = _config_to_values(cfg)
     out = []
-    for section, (_, desc) in _SECTIONS.items():
+    for section, desc in _SECTIONS.items():
         out.append(f"# {desc}")
         out.append(f"[{section}]")
         for key, v in values[section].items():
@@ -282,18 +280,8 @@ def cmd_sweep_alpha(args: argparse.Namespace, overrides: list[str]) -> int:
         (f"alpha={a:g}", replace(base.train, policy=replace(base.train.policy, alpha=a)))
         for a in alphas
     ]
-    seeds = list(range(args.seeds))
-    table = compare(labeled, seeds)
-
-    # normalize wall time to the alpha=4 row when present (else first row)
-    anchor = next((r for r in table.rows if r.label == "alpha=4"), table.rows[0])
-    if anchor.time_pct:
-        scale = 100.0 / anchor.time_pct
-        table = ComparisonTable(
-            rows=[replace(r, time_pct=(r.time_pct * scale if r.time_pct else None))
-                  for r in table.rows],
-            seeds=table.seeds,
-        )
+    # wall time is relative to the alpha=4 row when there is one
+    table = compare(labeled, list(range(args.seeds)), anchor="alpha=4")
     print(table.to_text())
     csv_text = table.to_csv()
     if args.csv:

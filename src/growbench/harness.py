@@ -4,17 +4,19 @@ One run: train batches each epoch under the two-phase LR schedule; at each
 epoch end evaluate train/val/test, feed the fitting-risk reading to the
 when-to-grow policy, and insert one block when it fires. Once the network
 reaches target size the remaining epochs finetune under cosine decay.
-Runs are single-threaded and bit-deterministic for a fixed (config, seed).
+A batch loss that is not finite stops the run with an error naming the
+epoch and batch. Runs are bit-deterministic for a fixed config, seed and
+BLAS thread count; wide inputs (784 IDX pixels) can round differently at
+another thread count.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .arch import ArchSpec, parse_arch
 from .data import Dataset, SplitSpec, Standardizer, gen_gaussians, load_csv, load_idx, split
@@ -28,6 +30,7 @@ from .morph import (
     resolve_init_rule,
 )
 from .netcore import (
+    BlockKind,
     Network,
     OptState,
     accuracy_and_loss,
@@ -37,17 +40,14 @@ from .netcore import (
     sgd_step,
 )
 from .rng import substream
-from .timing import SHOULD_GROW, OrlReading, PolicyState, average_training_epochs, i_max, refreeze_interval
+from .timing import SHOULD_GROW, PolicyState, average_training_epochs, i_max, orl
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
     name: str = "fragrow"
     alpha: float = 4.0
-    plateau_window: int = 5
-    plateau_eps: float = 0.05
     period_scale: float = 1.0
-    recompute_each_epoch: bool = True
 
     def __post_init__(self) -> None:
         if self.name not in SHOULD_GROW:
@@ -73,7 +73,6 @@ class DataConfig:
     label_noise: float = 0.0
     data_seed: int = 1234
     val_fraction: float = 0.01
-    standardize: bool = True
     train_images: str = ""
     train_labels: str = ""
     test_images: str = ""
@@ -92,7 +91,6 @@ class TrainConfig:
     target_arch: str = "res:32x3-32x3-32x3"
     where: str = "sequential"
     init: str = "copy"
-    moment_decay: float = 0.99
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     data: DataConfig = field(default_factory=DataConfig)
     total_epochs: int = 66
@@ -102,7 +100,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     batch_size: int = 128
     run_seed: int = 0
-    eval_train_full: bool = True
 
     def __post_init__(self) -> None:
         if self.total_epochs <= self.min_finetune_epochs:
@@ -135,10 +132,6 @@ class EvalReport:
     test_acc: float
     train_loss: float
 
-    @property
-    def orl(self) -> float:
-        return self.train_acc - self.val_acc
-
 
 @dataclass
 class RunResult:
@@ -165,10 +158,8 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
         pool = load_csv(cfg.train_csv)
         test = load_csv(cfg.test_csv)
     train, val = split(pool, SplitSpec(cfg.val_fraction, split_seed=cfg.data_seed))
-    if cfg.standardize:
-        tf = Standardizer.fit(train)
-        train, val, test = tf.apply(train), tf.apply(val), tf.apply(test)
-    return train, val, test
+    tf = Standardizer.fit(train)
+    return tf.apply(train), tf.apply(val), tf.apply(test)
 
 
 def resolve_archs(config: TrainConfig, input_dim: int, num_classes: int) -> tuple[ArchSpec, ArchSpec]:
@@ -192,27 +183,15 @@ def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalR
     return EvalReport(train_acc, val_acc, test_acc, train_loss)
 
 
-class _MomentTracker:
-    """EMA shadow of the block preceding the predicted next growth location."""
-
-    def __init__(self, decay: float) -> None:
-        self.decay = decay
-        self.ensemble: MomentEnsemble | None = None
-        self._block = None
-
-    def retarget(self, net: Network, location: int | None) -> None:
-        self.ensemble = None
-        self._block = None
-        if location is None:
-            return
-        preceding = net.stages[location].blocks[-1]
-        if preceding.kind.value != "downsample":
-            self.ensemble = MomentEnsemble.track(preceding, self.decay)
-            self._block = preceding
-
-    def step(self) -> None:
-        if self.ensemble is not None:
-            self.ensemble.update(self._block)
+def _track_next(net: Network, where: WherePolicy) -> MomentEnsemble | None:
+    """EMA shadow of the block preceding the next growth location, if square."""
+    location = where.peek(net.arch_spec())
+    if location is None:
+        return None
+    preceding = net.stages[location].blocks[-1]
+    if preceding.kind is BlockKind.DOWNSAMPLE:
+        return None
+    return MomentEnsemble.track(preceding)
 
 
 def run(config: TrainConfig) -> RunResult:
@@ -235,17 +214,13 @@ def run(config: TrainConfig) -> RunResult:
             if budget > 0 else 1.0
         ),
         alpha=pol.alpha,
-        plateau_window=pol.plateau_window,
-        plateau_eps=pol.plateau_eps,
         period_scale=pol.period_scale,
-        recompute_each_epoch=pol.recompute_each_epoch,
     )
     should_grow = SHOULD_GROW[pol.name]
 
     where = WherePolicy(config.where, target_arch)
-    tracker = _MomentTracker(config.moment_decay)
-    if config.init == "moment" and budget > 0:
-        tracker.retarget(net, where.peek(net.arch_spec()))
+    # After the last growth the shadow is not retargeted but still updated.
+    ensemble = _track_next(net, where) if config.init == "moment" and budget > 0 else None
 
     growth_done_epoch: int | None = 0 if budget == 0 else None
     metrics: list[EpochMetrics] = []
@@ -255,38 +230,28 @@ def run(config: TrainConfig) -> RunResult:
         lr = lr_at(config.lr_base, epoch, growth_done_epoch, config.total_epochs)
 
         perm = substream(config.run_seed, "shuffle", epoch).permutation(n_train)
-        running_correct = 0
-        running_loss = 0.0
-        for lo in range(0, n_train, config.batch_size):
+        for batch, lo in enumerate(range(0, n_train, config.batch_size)):
             idx = perm[lo : lo + config.batch_size]
-            feats, labels = train.features[idx], train.labels[idx]
-            loss, grads, logits = loss_grads_logits(net, feats, labels)
+            loss, grads, _ = loss_grads_logits(net, train.features[idx], train.labels[idx])
+            if not math.isfinite(loss):
+                raise RuntimeError(
+                    f"training diverged: loss {loss} at epoch {epoch}, batch {batch}"
+                )
             sgd_step(net, grads, opt, lr)
-            tracker.step()
-            running_loss += loss * len(idx)
-            running_correct += int((np.argmax(logits, axis=1) == labels).sum())
+            if ensemble is not None:
+                ensemble.update()
 
-        if config.eval_train_full:
-            report = evaluate(net, train, val, test)
-            train_acc, train_loss = report.train_acc, report.train_loss
-            val_acc, test_acc = report.val_acc, report.test_acc
-        else:
-            # cheap variant: train metrics from the epoch's batch passes
-            train_acc = 100.0 * running_correct / n_train
-            train_loss = running_loss / n_train
-            val_acc, _ = accuracy_and_loss(net, val.features, val.labels)
-            test_acc, _ = accuracy_and_loss(net, test.features, test.labels)
-        reading = OrlReading(train_acc, val_acc)
-        state.record_epoch(epoch, val_acc)
+        report = evaluate(net, train, val, test)
+        orl_pp = orl(report.train_acc, report.val_acc)
+        state.record_epoch(epoch, report.val_acc)
 
         grew = False
-        if state.remaining > 0 and should_grow(state, epoch, reading):
+        if state.remaining > 0 and should_grow(state, epoch, orl_pp):
             location = where.advance(net.arch_spec())
             if location is None:
                 raise RuntimeError("policy fired with no unsaturated stage")
             rule = resolve_init_rule(net, location, config.init)
             rng = substream(config.run_seed, "grow", len(state.events))
-            ensemble = tracker.ensemble if rule == "moment" else None
             grow(net, opt, location, rule, rng=rng, ensemble=ensemble)
             event = GrowthEvent(
                 epoch=epoch + 1,
@@ -296,20 +261,19 @@ def run(config: TrainConfig) -> RunResult:
             )
             state.record_growth(event)
             state.last_growth_epoch = epoch
-            refreeze_interval(state, reading)
             if state.remaining == 0:
                 growth_done_epoch = epoch + 1
             elif config.init == "moment":
-                tracker.retarget(net, where.peek(net.arch_spec()))
+                ensemble = _track_next(net, where)
             grew = True
 
         metrics.append(EpochMetrics(
             epoch=epoch,
-            train_acc=train_acc,
-            val_acc=val_acc,
-            test_acc=test_acc,
-            train_loss=train_loss,
-            orl=reading.orl,
+            train_acc=report.train_acc,
+            val_acc=report.val_acc,
+            test_acc=report.test_acc,
+            train_loss=report.train_loss,
+            orl=orl_pp,
             lr=lr,
             blocks=net.blocks_per_stage(),
             grew=grew,
@@ -348,7 +312,7 @@ def _metric_line(m: EpochMetrics) -> str:
         "lr": m.lr,
         "blocks": list(m.blocks),
         "grew": m.grew,
-    })
+    }, allow_nan=False)
 
 
 def _footer_line(result: RunResult) -> str:
@@ -361,7 +325,7 @@ def _footer_line(result: RunResult) -> str:
         "final_test_error": result.final_test_error,
         "final_train_error": result.final_train_error,
         "wall_seconds": result.wall_seconds,
-    })
+    }, allow_nan=False)
 
 
 def write_metrics(result: RunResult, path: str) -> None:
@@ -474,11 +438,13 @@ def _spread(values: list[float]) -> float | None:
     return max(values) - min(values)
 
 
-def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int]) -> ComparisonTable:
+def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
+            anchor: str | None = None) -> ComparisonTable:
     """Run every config for every seed; report per-config medians.
 
-    Training time is normalized so the first zero-growth ("vanilla")
-    config's median is 100%; without one, the first config anchors.
+    Training time is normalized so the median of the row labelled
+    `anchor` is 100%. When no row has that label, the first zero-growth
+    ("vanilla") config anchors, and without one the first config.
     A failed run annotates its row and is excluded from the medians.
     """
     if not configs:
@@ -497,12 +463,10 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int]) -> Compari
             except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
                 errors[label].append(f"seed {seed}: {exc}")
 
-    anchor_label = configs[0][0]
-    for label, cfg in configs:
-        if config_added_blocks(cfg) == 0:
-            anchor_label = label
-            break
-    anchor_times = [r.wall_seconds for r in results[anchor_label]]
+    if anchor not in results:
+        anchor = next((label for label, cfg in configs if config_added_blocks(cfg) == 0),
+                      configs[0][0])
+    anchor_times = [r.wall_seconds for r in results[anchor]]
     anchor_median = statistics.median(anchor_times) if anchor_times else None
 
     rows = []

@@ -9,18 +9,19 @@ boundaries of the seed network.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import ArchSpec, ArchError, check_compatible
+from .arch import ArchSpec, check_compatible
 from .netcore import Block, BlockKind, Network, OptState, ParamPair, he_weight
 
 # "zero" is test-only: it makes a residual block an exact identity, which
 # pins the growth-is-non-destructive invariant. It is not offered in configs.
 USER_INIT_RULES = ("copy", "moment", "random")
 ALL_INIT_RULES = USER_INIT_RULES + ("zero",)
+
+EMA_DECAY = 0.99
 
 
 class GrowthError(ValueError):
@@ -85,31 +86,28 @@ def init_copy_preceding(preceding: Block) -> Block:
 
 @dataclass
 class MomentEnsemble:
-    """Exponential moving average of one block's parameters.
+    """Exponential moving average of one tracked block's parameters.
 
     The shadow starts as a copy of the tracked block and is refreshed once
-    per optimizer step: shadow <- decay*shadow + (1-decay)*current.
+    per optimizer step: shadow <- d*shadow + (1-d)*current, d = EMA_DECAY.
     """
 
-    kind: BlockKind
+    block: Block
     shadow: ParamPair
-    decay: float = 0.99
     updates: int = 0
 
     @classmethod
-    def track(cls, block: Block, decay: float = 0.99) -> "MomentEnsemble":
+    def track(cls, block: Block) -> "MomentEnsemble":
         if block.kind is BlockKind.DOWNSAMPLE:
             raise GrowthError("moment ensembles track square blocks only")
-        if not 0.0 < decay < 1.0:
-            raise GrowthError(f"EMA decay must be in (0, 1), got {decay}")
-        return cls(block.kind, ParamPair(block.weight.copy(), block.bias.copy()), decay)
+        return cls(block, ParamPair(block.weight.copy(), block.bias.copy()))
 
-    def update(self, block: Block) -> None:
-        d = self.decay
+    def update(self) -> None:
+        d = EMA_DECAY
         self.shadow.weight *= d
-        self.shadow.weight += (1.0 - d) * block.weight
+        self.shadow.weight += (1.0 - d) * self.block.weight
         self.shadow.bias *= d
-        self.shadow.bias += (1.0 - d) * block.bias
+        self.shadow.bias += (1.0 - d) * self.block.bias
         self.updates += 1
 
 
@@ -117,7 +115,7 @@ def init_moment(ensemble: MomentEnsemble) -> Block:
     """New block from the EMA shadow of its predecessor."""
     if ensemble.updates < 1:
         raise GrowthError("moment ensemble has never been updated")
-    return Block(ensemble.kind, ensemble.shadow.weight.copy(), ensemble.shadow.bias.copy())
+    return Block(ensemble.block.kind, ensemble.shadow.weight.copy(), ensemble.shadow.bias.copy())
 
 
 def _square_kind(family: str) -> BlockKind:

@@ -1,6 +1,8 @@
 """Staged feed-forward network engine with exact manual backpropagation.
 
-Everything runs in float64 on a single thread. A network is a sequence of
+Everything runs in float64; results are bit-identical for a fixed seed
+and BLAS thread count (matrix products with a wide inner dimension can
+round differently at another thread count). A network is a sequence of
 stages; each stage is a run of blocks sharing one width. Block kinds:
 
     plain:      y = relu(W x + b)            (in_width == out_width)
@@ -89,9 +91,6 @@ class Network:
 
     def blocks_per_stage(self) -> tuple[int, ...]:
         return tuple(len(st.blocks) for st in self.stages)
-
-    def total_blocks(self) -> int:
-        return sum(len(st.blocks) for st in self.stages)
 
     def arch_spec(self) -> ArchSpec:
         """Reconstruct the static descriptor of the live network."""
@@ -201,14 +200,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def batch_loss(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy without gradients."""
-    labels = _check_labels(labels, net.num_classes)
-    logits, _, _ = _forward_cached(net, batch)
-    ls = _log_softmax(logits)
-    return float(-ls[np.arange(len(labels)), labels].mean())
-
-
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -228,7 +219,7 @@ def loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray) -> tuple
 
 def loss_grads_logits(net: Network, batch: np.ndarray,
                       labels: np.ndarray) -> tuple[float, GradSet, np.ndarray]:
-    """loss_and_grads plus the forward logits (for running train metrics)."""
+    """loss_and_grads plus the forward logits."""
     labels = _check_labels(labels, net.num_classes)
     logits, feats, caches = _forward_cached(net, batch)
     n = logits.shape[0]
@@ -305,24 +296,9 @@ def lr_at(lr_base: float, epoch: int, growth_done_epoch: int | None, total_epoch
     return lr_base * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def predict(net: Network, features: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Argmax class per row, evaluated in chunks; ties go to the lowest index."""
-    out = np.empty(len(features), dtype=np.int64)
-    for i in range(0, len(features), chunk):
-        out[i : i + chunk] = np.argmax(forward(net, features[i : i + chunk]), axis=1)
-    return out
-
-
-def accuracy(net: Network, features: np.ndarray, labels: np.ndarray) -> float:
-    """Percent of rows whose argmax logit matches the label."""
-    if len(features) == 0:
-        raise ValueError("accuracy of an empty dataset is undefined")
-    return 100.0 * float((predict(net, features) == labels).mean())
-
-
 def accuracy_and_loss(net: Network, features: np.ndarray, labels: np.ndarray,
                       chunk: int = 4096) -> tuple[float, float]:
-    """Full-pass (accuracy %, mean cross-entropy) in one sweep."""
+    """Full-pass (accuracy %, mean cross-entropy); argmax ties go to the lowest class."""
     if len(features) == 0:
         raise ValueError("evaluation of an empty dataset is undefined")
     labels = _check_labels(labels, net.num_classes)

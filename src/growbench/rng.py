@@ -12,8 +12,6 @@ import hashlib
 
 import numpy as np
 
-PRNG_ALGORITHM = "PCG64"
-
 
 def _name_key(name: str) -> tuple[int, ...]:
     digest = hashlib.sha256(name.encode("utf-8")).digest()

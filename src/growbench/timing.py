@@ -26,21 +26,14 @@ from .morph import GrowthEvent
 # exp() overflows float64 near 709; clamping keeps interval() total.
 _EXP_CLAMP = 700.0
 
+# Convergent baseline: a plateau is PLATEAU_WINDOW epochs whose best
+# validation accuracy beats the best before them by at most PLATEAU_EPS pp.
+PLATEAU_WINDOW = 5
+PLATEAU_EPS = 0.05
+
 
 class PolicyError(ValueError):
     """Invalid policy inputs (out-of-range accuracies, bad budgets, ...)."""
-
-
-@dataclass(frozen=True)
-class OrlReading:
-    """End-of-epoch fitting-risk reading, all in percentage points."""
-
-    train_acc: float
-    val_acc: float
-
-    @property
-    def orl(self) -> float:
-        return orl(self.train_acc, self.val_acc)
 
 
 def orl(train_acc: float, val_acc: float) -> float:
@@ -112,10 +105,7 @@ class PolicyState:
     """Mutable when-to-grow state owned by the training loop.
 
     `val_history` holds one (epoch, val_acc) pair per completed epoch and
-    must be current before the policy is consulted. `frozen_interval` is
-    only used when `recompute_each_epoch` is False: the interval is then
-    fixed from the reading at the previous growth (or first reading)
-    instead of tracking the latest orl.
+    must be current before the policy is consulted.
     """
 
     total_epochs: int
@@ -123,14 +113,10 @@ class PolicyState:
     remaining: int
     max_interval: float
     alpha: float = 4.0
-    plateau_window: int = 5
-    plateau_eps: float = 0.05
     period_scale: float = 1.0
-    recompute_each_epoch: bool = True
     last_growth_epoch: int = 0
     events: list[GrowthEvent] = field(default_factory=list)
     val_history: list[tuple[int, float]] = field(default_factory=list)
-    frozen_interval: float | None = None
 
     def record_epoch(self, epoch: int, val_acc: float) -> None:
         self.val_history.append((epoch, val_acc))
@@ -146,29 +132,17 @@ class PolicyState:
         return epoch >= self.total_epochs - self.min_finetune_epochs - self.remaining
 
 
-def fragrow_should_grow(state: PolicyState, epoch: int, reading: OrlReading) -> bool:
+def fragrow_should_grow(state: PolicyState, epoch: int, orl_pp: float) -> bool:
     """Fitting-risk-aware rule: grow once the dynamic interval has elapsed.
 
-    The interval is re-evaluated from the latest orl each epoch (or frozen
-    at growth time, see PolicyState), floored at one epoch, and always
-    bounded by max_interval, so this policy never grows slower than the
-    periodic baseline.
+    The interval is re-evaluated from the latest orl each epoch, floored
+    at one epoch, and always bounded by max_interval, so this policy
+    never grows slower than the periodic baseline.
     """
     if state.deadline_reached(epoch):
         return True
-    if state.recompute_each_epoch:
-        needed = interval(state.max_interval, state.alpha, reading.orl)
-    else:
-        if state.frozen_interval is None:
-            state.frozen_interval = interval(state.max_interval, state.alpha, reading.orl)
-        needed = state.frozen_interval
+    needed = interval(state.max_interval, state.alpha, orl_pp)
     return epoch - state.last_growth_epoch >= max(1.0, needed)
-
-
-def refreeze_interval(state: PolicyState, reading: OrlReading) -> None:
-    """After a growth in frozen mode, pin the next interval to this reading."""
-    if not state.recompute_each_epoch:
-        state.frozen_interval = interval(state.max_interval, state.alpha, reading.orl)
 
 
 def periodic_period(state: PolicyState) -> int:
@@ -191,27 +165,28 @@ def periodic_should_grow(state: PolicyState, epoch: int) -> bool:
 def convergent_should_grow(state: PolicyState, epoch: int) -> bool:
     """Plateau rule: grow when validation accuracy has stagnated.
 
-    Stagnation means the best val accuracy of the last `plateau_window`
+    Stagnation means the best val accuracy of the last PLATEAU_WINDOW
     epochs does not beat the best seen before that window by more than
-    `plateau_eps` pp. Requires a full window since the last growth and a
+    PLATEAU_EPS pp. Requires a full window since the last growth and a
     non-empty history before the window.
     """
     if state.deadline_reached(epoch):
         return True
-    p = state.plateau_window
+    p = PLATEAU_WINDOW
     if epoch - state.last_growth_epoch < p:
         return False
     if len(state.val_history) <= p:
         return False
     window = [acc for _, acc in state.val_history[-p:]]
     before = [acc for _, acc in state.val_history[:-p]]
-    return max(window) <= max(before) + state.plateau_eps
+    return max(window) <= max(before) + PLATEAU_EPS
 
 
+# Every entry takes (state, epoch, orl_pp).
 SHOULD_GROW = {
-    "fragrow": lambda state, epoch, reading: fragrow_should_grow(state, epoch, reading),
-    "periodic": lambda state, epoch, reading: periodic_should_grow(state, epoch),
-    "convergent": lambda state, epoch, reading: convergent_should_grow(state, epoch),
+    "fragrow": fragrow_should_grow,
+    "periodic": lambda state, epoch, orl_pp: periodic_should_grow(state, epoch),
+    "convergent": lambda state, epoch, orl_pp: convergent_should_grow(state, epoch),
 }
 
 POLICY_NAMES = tuple(SHOULD_GROW)

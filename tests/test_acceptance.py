@@ -9,7 +9,6 @@ line per criterion.
 """
 
 import json
-import math
 import statistics
 from dataclasses import replace
 
@@ -23,7 +22,9 @@ from growbench.harness import DataConfig, run, write_metrics
 from growbench.morph import GrowthEvent
 from growbench.netcore import build_network, loss_and_grads
 from growbench.presets import preset_config
-from growbench.timing import average_training_epochs, i_max, interval, orl, periodic_period, round_half_up
+from growbench.timing import average_training_epochs, i_max, interval, orl, round_half_up
+
+pytestmark = pytest.mark.slow
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -5,7 +5,6 @@ import pytest
 from growbench.cli import (
     CliConfig,
     ConfigError,
-    OutputConfig,
     _apply_env_seed,
     load_config,
     main,
@@ -60,6 +59,17 @@ def test_unknown_key_reports_line():
     text = "[policy]\nname = fragrow\nalhpa = 4\n"
     with pytest.raises(ConfigError, match=r"cfg:3: unknown key policy\.alhpa"):
         parse_config_text(text, "cfg")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("model", "moment_decay"), ("policy", "plateau_window"), ("policy", "plateau_eps"),
+    ("policy", "recompute_each_epoch"), ("data", "standardize"), ("train", "eval_train_full"),
+])
+def test_removed_key_reports_file_and_line(tmp_path, section, key):
+    p = tmp_path / "old.cfg"
+    p.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=rf"old\.cfg:2: unknown key {section}\.{key}$"):
+        load_config(str(p))
 
 
 def test_unknown_section_reports_line():

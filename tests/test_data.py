@@ -15,7 +15,7 @@ from growbench.data import (
     split,
     write_idx,
 )
-from growbench.netcore import OptState, accuracy, build_network, loss_and_grads, sgd_step
+from growbench.netcore import OptState, accuracy_and_loss, build_network, loss_and_grads, sgd_step
 
 
 # --- gen_gaussians ------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_separable_task_is_learnable_quickly():
     for _ in range(50):
         _, grads = loss_and_grads(net, ds.features, ds.labels)
         sgd_step(net, grads, opt, lr=0.05)
-    assert accuracy(net, ds.features, ds.labels) > 99.0
+    assert accuracy_and_loss(net, ds.features, ds.labels)[0] > 99.0
 
 
 # --- split ----------------------------------------------------------------------

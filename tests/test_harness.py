@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from growbench.data import gen_gaussians
 from growbench.harness import (
     DataConfig,
     PolicyConfig,
@@ -204,7 +203,20 @@ def test_evaluate_chance_level_and_degenerate_val():
     report = evaluate(net, train, val, test)
     assert abs(report.test_acc - 100.0 / 3) < 10.0
     same = evaluate(net, train, train, test)
-    assert same.orl == 0.0
+    assert same.train_acc == same.val_acc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_raises_naming_epoch_and_batch():
+    with pytest.raises(RuntimeError, match=r"diverged: loss nan at epoch 1, batch 1$"):
+        run(tiny_config(lr_base=50.0))
+
+
+def test_write_metrics_rejects_non_finite_values(tmp_path):
+    res = run(tiny_config())
+    res.metrics[0] = replace(res.metrics[0], train_loss=float("nan"))
+    with pytest.raises(ValueError):
+        write_metrics(res, str(tmp_path / "m.jsonl"))
 
 
 def test_run_propagates_dataset_errors():
@@ -247,6 +259,15 @@ def test_compare_vanilla_anchor_is_100():
     assert rows["vanilla"].time_pct == pytest.approx(100.0)
 
 
+def test_compare_named_anchor_is_100():
+    vanilla = tiny_config(seed_arch="res:8x2-8x2")
+    table = compare([("vanilla", vanilla), ("grow", tiny_config())], seeds=[0],
+                    anchor="grow")
+    rows = {r.label: r for r in table.rows}
+    assert rows["grow"].time_pct == pytest.approx(100.0)
+    assert rows["vanilla"].time_pct != pytest.approx(100.0)
+
+
 def test_compare_single_seed_empty_spread():
     table = compare([("a", tiny_config()), ("b", tiny_config())], seeds=[0])
     assert table.rows[0].test_error_spread is None
@@ -263,3 +284,14 @@ def test_compare_marks_failed_runs():
     assert rows["bad"].test_error_median is None
     assert rows["ok"].n_failed == 0
     assert "failed" in table.to_text()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_counts_diverged_seeds_as_failed():
+    table = compare([("ok", tiny_config()), ("diverged", tiny_config(lr_base=50.0))],
+                    seeds=[0, 1])
+    rows = {r.label: r for r in table.rows}
+    assert rows["diverged"].n_failed == 2
+    assert rows["diverged"].test_error_median is None
+    assert all("diverged" in e for e in rows["diverged"].errors)
+    assert rows["ok"].n_failed == 0

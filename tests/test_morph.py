@@ -126,9 +126,9 @@ def test_resolve_init_rule_falls_back_to_random():
 def test_moment_fixed_point_on_constant_source():
     net = build_network(arch((2,)), 5)
     blk = net.stages[0].blocks[1]
-    ens = MomentEnsemble.track(blk, decay=0.99)
+    ens = MomentEnsemble.track(blk)
     for _ in range(10):
-        ens.update(blk)
+        ens.update()
     new = init_moment(ens)
     np.testing.assert_allclose(new.weight, blk.weight, atol=1e-12)
 
@@ -137,9 +137,9 @@ def test_moment_single_update_recurrence():
     net = build_network(arch((2,)), 5)
     blk = net.stages[0].blocks[1]
     s0 = blk.weight.copy()
-    ens = MomentEnsemble.track(blk, decay=0.99)
+    ens = MomentEnsemble.track(blk)
     blk.weight[:] = s0 + 2.0
-    ens.update(blk)
+    ens.update()
     np.testing.assert_allclose(ens.shadow.weight, 0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_second_growth_tracks_new_preceding_block():
     first = grow(net, opt, 0, "zero")
     # re-tracking after growth must shadow the block just inserted
     ens = MomentEnsemble.track(net.stages[0].blocks[-1])
-    ens.update(net.stages[0].blocks[-1])
+    ens.update()
     second = init_moment(ens)
     np.testing.assert_array_equal(second.weight, first.weight)
 

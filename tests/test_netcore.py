@@ -9,7 +9,7 @@ from growbench.netcore import (
     Block,
     BlockKind,
     OptState,
-    accuracy,
+    accuracy_and_loss,
     build_network,
     forward,
     loss_and_grads,
@@ -296,9 +296,9 @@ def test_accuracy_all_correct_and_tie_rule():
     feats = np.random.default_rng(0).normal(size=(10, 4))
     labels = np.zeros(10, dtype=np.int64)
     # identical logits everywhere: ties resolve to class 0
-    assert accuracy(net, feats, labels) == 100.0
+    assert accuracy_and_loss(net, feats, labels)[0] == 100.0
     labels_mixed = np.array([0, 0, 1, 2, 0, 1, 0, 0, 2, 0])
-    assert accuracy(net, feats, labels_mixed) == pytest.approx(60.0)
+    assert accuracy_and_loss(net, feats, labels_mixed)[0] == pytest.approx(60.0)
 
 
 def test_error_accuracy_complement():
@@ -308,7 +308,7 @@ def test_error_accuracy_complement():
 def test_accuracy_empty_rejected():
     net = build_network(small_arch(), 0)
     with pytest.raises(ValueError):
-        accuracy(net, np.zeros((0, 5)), np.zeros(0, dtype=np.int64))
+        accuracy_and_loss(net, np.zeros((0, 5)), np.zeros(0, dtype=np.int64))
 
 
 # --- training sanity --------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from growbench.morph import GrowthEvent
 from growbench.timing import (
-    OrlReading,
     PolicyError,
     PolicyState,
     average_training_epochs,
@@ -16,7 +15,6 @@ from growbench.timing import (
     orl,
     periodic_period,
     periodic_should_grow,
-    refreeze_interval,
     round_half_up,
 )
 
@@ -122,47 +120,35 @@ def test_round_half_up():
 
 def test_fragrow_waits_for_dynamic_interval():
     state = make_state()
-    reading = OrlReading(train_acc=79.25, val_acc=74.95)  # orl 4.30 -> I ~ 3.59
+    orl_pp = orl(79.25, 74.95)  # 4.30 -> I ~ 3.59
     state.last_growth_epoch = 10
-    assert not fragrow_should_grow(state, 13, reading)  # 3 elapsed
-    assert fragrow_should_grow(state, 14, reading)  # 4 elapsed
+    assert not fragrow_should_grow(state, 13, orl_pp)  # 3 elapsed
+    assert fragrow_should_grow(state, 14, orl_pp)  # 4 elapsed
 
 
 def test_fragrow_saturated_interval():
     state = make_state()
-    reading = OrlReading(train_acc=98.88, val_acc=67.53)  # orl 31.35 -> I ~ 6.25
+    orl_pp = orl(98.88, 67.53)  # 31.35 -> I ~ 6.25
     state.last_growth_epoch = 0
-    assert not fragrow_should_grow(state, 6, reading)
-    assert fragrow_should_grow(state, 7, reading)
+    assert not fragrow_should_grow(state, 6, orl_pp)
+    assert fragrow_should_grow(state, 7, orl_pp)
 
 
 def test_fragrow_floor_one_epoch():
     state = make_state()
-    reading = OrlReading(train_acc=50.0, val_acc=50.0)  # orl 0 -> tiny I
+    orl_pp = orl(50.0, 50.0)  # 0 -> tiny I
     state.last_growth_epoch = 5
-    assert not fragrow_should_grow(state, 5, reading)
-    assert fragrow_should_grow(state, 6, reading)
+    assert not fragrow_should_grow(state, 5, orl_pp)
+    assert fragrow_should_grow(state, 6, orl_pp)
 
 
 def test_fragrow_forced_completion_deadline():
     state = make_state(remaining=3)
-    reading = OrlReading(train_acc=99.0, val_acc=50.0)  # would wait ~6.25
+    orl_pp = orl(99.0, 50.0)  # would wait ~6.25
     state.last_growth_epoch = 146
     assert 180 - 30 - 3 == 147
-    assert not fragrow_should_grow(state, 146, reading)
-    assert fragrow_should_grow(state, 147, reading)
-
-
-def test_fragrow_frozen_interval_mode():
-    state = make_state(recompute_each_epoch=False)
-    state.last_growth_epoch = 0
-    hot = OrlReading(train_acc=98.88, val_acc=67.53)  # I ~ 6.25 when frozen
-    cold = OrlReading(train_acc=50.0, val_acc=50.0)
-    assert not fragrow_should_grow(state, 2, hot)  # freezes ~6.25 here
-    assert not fragrow_should_grow(state, 4, cold)  # ignores the new reading
-    assert fragrow_should_grow(state, 7, cold)
-    refreeze_interval(state, cold)
-    assert state.frozen_interval == pytest.approx(interval(6.25, 4.0, 0.0))
+    assert not fragrow_should_grow(state, 146, orl_pp)
+    assert fragrow_should_grow(state, 147, orl_pp)
 
 
 # --- periodic -----------------------------------------------------------------
@@ -219,7 +205,7 @@ def test_convergent_needs_full_window_since_growth():
 
 
 def test_convergent_tolerates_small_wiggle():
-    state = make_state(remaining=4, plateau_eps=0.05)
+    state = make_state(remaining=4)  # PLATEAU_EPS is 0.05
     _with_history(state, [60.0, 60.0, 60.0, 60.04, 60.02, 60.01, 60.03, 60.0])
     state.last_growth_epoch = 0
     assert convergent_should_grow(state, 7)
@@ -253,8 +239,8 @@ def test_fragrow_never_slower_than_periodic_interval():
     state = make_state(max_interval=5.0)
     rng = np.random.default_rng(1)
     for _ in range(300):
-        reading = OrlReading(*sorted(rng.uniform(0, 100, size=2))[::-1])
-        assert interval(state.max_interval, state.alpha, reading.orl) <= 5.0
+        orl_pp = orl(*sorted(rng.uniform(0, 100, size=2))[::-1])
+        assert interval(state.max_interval, state.alpha, orl_pp) <= 5.0
 
 
 def test_budget_invariant_via_record_growth():
