@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from growbench.harness import DataConfig, PolicyConfig, TrainConfig, run
+from growbench.presets import preset_config
 
 POLICIES = ("fragrow", "periodic", "convergent")
 INITS = ("copy", "moment", "random")
@@ -103,3 +104,17 @@ PINNED = {
 @pytest.mark.parametrize("case", list(itertools.product(*AXES)), ids="-".join)
 def test_run_fingerprint_is_pinned(case):
     assert fingerprint(run(case_config(*case))) == PINNED[case]
+
+
+# The two preset runs, seed 0, about 5 s each. Their inputs are at most
+# 40 wide, and the pins hold at 1 and at 2 OpenBLAS threads.
+PRESET_PINNED = {
+    "underfit": "bc86c5a086cc6e68",
+    "overfit": "53208efaae72ad39",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset", sorted(PRESET_PINNED))
+def test_preset_fingerprint_is_pinned(preset):
+    assert fingerprint(run(preset_config(preset))) == PRESET_PINNED[preset]
