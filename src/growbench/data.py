@@ -200,15 +200,26 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str,
 
 
 def load_csv(path: str) -> Dataset:
-    """CSV with a header row; the final column is the integer class label."""
+    """CSV with a header row; the final column is the integer class label.
+
+    A row of the wrong width or a cell that is no number names `path:line`.
+    """
+    features, labels = [], []
     with open(path, newline="") as f:
         reader = _csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty CSV")
-        rows = list(reader)
-    if not rows:
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
+            try:
+                features.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    features = np.array([[float(v) for v in r[:-1]] for r in rows], dtype=np.float64)
-    labels = np.array([int(r[-1]) for r in rows], dtype=np.int64)
-    return Dataset(features, labels, int(labels.max()) + 1)
+    labels = np.array(labels, dtype=np.int64)
+    return Dataset(np.array(features, dtype=np.float64), labels, int(labels.max()) + 1)

@@ -16,7 +16,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .arch import ArchSpec, parse_arch
 from .data import Dataset, SplitSpec, Standardizer, gen_gaussians, load_csv, load_idx, split
@@ -32,7 +32,6 @@ from .morph import (
 from .netcore import (
     BlockKind,
     Network,
-    OptState,
     accuracy_and_loss,
     build_network,
     loss_grads_logits,
@@ -202,7 +201,6 @@ def run(config: TrainConfig) -> RunResult:
     budget = count_added_blocks(seed_arch, target_arch)
 
     net = build_network(seed_arch, config.run_seed)
-    opt = OptState.for_network(net, config.momentum, config.weight_decay)
 
     pol = config.policy
     state = PolicyState(
@@ -232,12 +230,12 @@ def run(config: TrainConfig) -> RunResult:
         perm = substream(config.run_seed, "shuffle", epoch).permutation(n_train)
         for batch, lo in enumerate(range(0, n_train, config.batch_size)):
             idx = perm[lo : lo + config.batch_size]
-            loss, grads, _ = loss_grads_logits(net, train.features[idx], train.labels[idx])
+            loss, _ = loss_grads_logits(net, train.features[idx], train.labels[idx])
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: loss {loss} at epoch {epoch}, batch {batch}"
                 )
-            sgd_step(net, grads, opt, lr)
+            sgd_step(net, lr, config.momentum, config.weight_decay)
             if ensemble is not None:
                 ensemble.update()
 
@@ -252,7 +250,7 @@ def run(config: TrainConfig) -> RunResult:
                 raise RuntimeError("policy fired with no unsaturated stage")
             rule = resolve_init_rule(net, location, config.init)
             rng = substream(config.run_seed, "grow", len(state.events))
-            grow(net, opt, location, rule, rng=rng, ensemble=ensemble)
+            grow(net, location, rule, rng=rng, ensemble=ensemble)
             event = GrowthEvent(
                 epoch=epoch + 1,
                 stage=location,
@@ -302,17 +300,7 @@ def run(config: TrainConfig) -> RunResult:
 # --- metrics file I/O -------------------------------------------------------
 
 def _metric_line(m: EpochMetrics) -> str:
-    return json.dumps({
-        "epoch": m.epoch,
-        "train_acc": m.train_acc,
-        "val_acc": m.val_acc,
-        "test_acc": m.test_acc,
-        "train_loss": m.train_loss,
-        "orl": m.orl,
-        "lr": m.lr,
-        "blocks": list(m.blocks),
-        "grew": m.grew,
-    }, allow_nan=False)
+    return json.dumps(asdict(m), allow_nan=False)  # field order; blocks as a list
 
 
 def _footer_line(result: RunResult) -> str:
@@ -339,43 +327,52 @@ def write_metrics(result: RunResult, path: str) -> None:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 
 
+_EVENT_KEYS = ("epoch", "stage", "block_index", "init")
+
+
+def _values(rec, keys, where: str) -> list:
+    """rec's values for `keys`; ValueError naming `where` if it is no object or lacks one."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+    missing = [k for k in keys if k not in rec]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
+    return [rec[k] for k in keys]
+
+
 def read_metrics(path: str) -> RunResult:
-    """Reconstruct a RunResult from a metrics file written by write_metrics."""
+    """Reconstruct a RunResult from a metrics file written by write_metrics.
+
+    Invalid JSON, a record that is no object or lacks a key, and a value
+    of the wrong type raise ValueError("<path>:<line>: ...").
+    """
+    records = []
     try:
         with open(path) as f:
-            lines = [json.loads(line) for line in f if line.strip()]
+            for lineno, line in enumerate(f, 1):
+                try:
+                    if line.strip():
+                        records.append((f"{path}:{lineno}", json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
     except OSError as exc:
         raise OSError(f"cannot read metrics from {path}: {exc}") from exc
-    if not lines or "events" not in lines[-1]:
+    if not records or not isinstance(records[-1][1], dict) or "events" not in records[-1][1]:
         raise ValueError(f"{path}: missing footer line")
-    footer = lines[-1]
-    metrics = [
-        EpochMetrics(
-            epoch=rec["epoch"],
-            train_acc=rec["train_acc"],
-            val_acc=rec["val_acc"],
-            test_acc=rec["test_acc"],
-            train_loss=rec["train_loss"],
-            orl=rec["orl"],
-            lr=rec["lr"],
-            blocks=tuple(rec["blocks"]),
-            grew=rec["grew"],
-        )
-        for rec in lines[:-1]
-    ]
-    events = [
-        GrowthEvent(epoch=e["epoch"], stage=e["stage"],
-                    block_index=e["block_index"], init_rule=e["init"])
-        for e in footer["events"]
-    ]
-    return RunResult(
-        metrics=metrics,
-        events=events,
-        e_bar=footer["e_bar"],
-        final_test_error=footer["final_test_error"],
-        final_train_error=footer["final_train_error"],
-        wall_seconds=footer["wall_seconds"],
-    )
+    epoch_keys = [f.name for f in fields(EpochMetrics)]
+    where = path
+    try:
+        metrics = []
+        for where, rec in records[:-1]:
+            *values, blocks, grew = _values(rec, epoch_keys, where)
+            metrics.append(EpochMetrics(*values, tuple(blocks), grew))
+        where, footer = records[-1]
+        events, *summary = _values(footer, [f.name for f in fields(RunResult)][1:], where)
+        events = [GrowthEvent(*_values(e, _EVENT_KEYS, f"{where}: event {i}"))
+                  for i, e in enumerate(events)]
+    except TypeError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    return RunResult(metrics, events, *summary)
 
 
 # --- multi-run comparison ---------------------------------------------------

@@ -1,8 +1,8 @@
 """Growth bookkeeping and execution.
 
 Where-to-grow policies pick the stage; init rules build the new block's
-weights; `grow` splices the block into the live network and keeps the
-optimizer state aligned. New blocks are always appended at the end of a
+weights; `grow` splices the block into the network's flat parameter
+store with zero momentum. New blocks are always appended at the end of a
 stage and are never downsample blocks: downsampling exists only at stage
 boundaries of the seed network.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchSpec, check_compatible
-from .netcore import Block, BlockKind, Network, OptState, ParamPair, he_weight
+from .netcore import Block, BlockKind, Network, he_weight
 
 # "zero" is test-only: it makes a residual block an exact identity, which
 # pins the growth-is-non-destructive invariant. It is not offered in configs.
@@ -88,26 +88,25 @@ def init_copy_preceding(preceding: Block) -> Block:
 class MomentEnsemble:
     """Exponential moving average of one tracked block's parameters.
 
-    The shadow starts as a copy of the tracked block and is refreshed once
-    per optimizer step: shadow <- d*shadow + (1-d)*current, d = EMA_DECAY.
+    The shadow starts as a copy of the block's `params` slice and is
+    refreshed once per optimizer step: shadow <- d*shadow + (1-d)*current,
+    d = EMA_DECAY, reading the slice through the block, which growth re-points.
     """
 
     block: Block
-    shadow: ParamPair
+    shadow: np.ndarray
     updates: int = 0
 
     @classmethod
     def track(cls, block: Block) -> "MomentEnsemble":
         if block.kind is BlockKind.DOWNSAMPLE:
             raise GrowthError("moment ensembles track square blocks only")
-        return cls(block, ParamPair(block.weight.copy(), block.bias.copy()))
+        return cls(block, block.params.copy())
 
     def update(self) -> None:
         d = EMA_DECAY
-        self.shadow.weight *= d
-        self.shadow.weight += (1.0 - d) * self.block.weight
-        self.shadow.bias *= d
-        self.shadow.bias += (1.0 - d) * self.block.bias
+        self.shadow *= d
+        self.shadow += (1.0 - d) * self.block.params
         self.updates += 1
 
 
@@ -115,19 +114,21 @@ def init_moment(ensemble: MomentEnsemble) -> Block:
     """New block from the EMA shadow of its predecessor."""
     if ensemble.updates < 1:
         raise GrowthError("moment ensemble has never been updated")
-    return Block(ensemble.block.kind, ensemble.shadow.weight.copy(), ensemble.shadow.bias.copy())
+    blk, shadow = ensemble.block, ensemble.shadow
+    n = blk.weight.size
+    return Block(blk.kind, shadow[:n].reshape(blk.weight.shape).copy(), shadow[n:].copy())
 
 
 def _square_kind(family: str) -> BlockKind:
     return BlockKind.RESIDUAL if family == "res" else BlockKind.PLAIN
 
 
-def grow(net: Network, opt: OptState, stage: int, init_rule: str,
+def grow(net: Network, stage: int, init_rule: str,
          rng: np.random.Generator | None = None,
          ensemble: MomentEnsemble | None = None) -> Block:
-    """Append one block to `stage` and zero-init its momentum buffers.
+    """Append one block to `stage`, with zero momentum.
 
-    All pre-existing parameters and buffers are left untouched. The new
+    All pre-existing parameter and momentum values keep their bits. The new
     block's input width equals the stage width, so it is always square.
     Returns the inserted block.
     """
@@ -145,8 +146,6 @@ def grow(net: Network, opt: OptState, stage: int, init_rule: str,
         if ensemble is None:
             raise GrowthError("moment init requires an ensemble")
         block = init_moment(ensemble)
-        if block.out_width != width:
-            raise GrowthError("ensemble shape does not match the stage width")
     elif init_rule == "random":
         if rng is None:
             raise GrowthError("random init requires a generator")
@@ -154,12 +153,11 @@ def grow(net: Network, opt: OptState, stage: int, init_rule: str,
     else:  # zero (test-only)
         block = Block(_square_kind(net.family), np.zeros((width, width)), np.zeros(width))
 
-    if block.in_width != width or block.out_width != width:
+    if block.weight.shape != (width, width):
         raise GrowthError(
             f"new block shape {block.weight.shape} does not fit stage width {width}"
         )
-    st.blocks.append(block)
-    opt.stages[stage].append(ParamPair.zeros_like(block.weight, block.bias))
+    net.insert_block(stage, block)
     return block
 
 

@@ -10,9 +10,15 @@ stages; each stage is a run of blocks sharing one width. Block kinds:
     downsample: y = relu(W x + b)            (first block of a stage whose
                                               width differs from the input)
 
-A linear classifier maps the last stage's width to class logits. The
+A linear classifier maps the last stage's width to class logits.
+
+Parameters, gradients and SGD momentum are one contiguous float64 vector
+each, laid out in `iter_params` order; block weights and biases, the
+classifier's and `Network.grad_views` are reshaped views into them. The
 optimizer is SGD with momentum and weight decay folded into the momentum
-buffer: v <- mu*v + g + wd*theta; theta <- theta - lr*v.
+buffer, v <- mu*v + g + wd*theta; theta <- theta - lr*v, applied as one
+chain of in-place ufuncs over the whole vector. It is elementwise, so it
+rounds exactly as a per-block update would.
 """
 
 from __future__ import annotations
@@ -33,11 +39,14 @@ class BlockKind(enum.Enum):
     DOWNSAMPLE = "downsample"
 
 
-@dataclass
+@dataclass(eq=False)
 class Block:
     kind: BlockKind
     weight: np.ndarray  # (out_width, in_width)
     bias: np.ndarray  # (out_width,)
+    # In a Network: this block's slice of Network.params, of which weight
+    # and bias are views. None until the block is inserted.
+    params: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.weight.ndim != 2 or self.bias.ndim != 1:
@@ -47,14 +56,6 @@ class Block:
         if self.kind is not BlockKind.DOWNSAMPLE and self.weight.shape[0] != self.weight.shape[1]:
             raise ValueError(f"{self.kind.value} block must be square, got {self.weight.shape}")
 
-    @property
-    def in_width(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_width(self) -> int:
-        return self.weight.shape[0]
-
 
 @dataclass
 class Stage:
@@ -62,25 +63,13 @@ class Stage:
     blocks: list[Block]
 
 
-@dataclass
-class ParamPair:
-    """A (weight, bias) pair of arrays; used for gradients and momentum."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, weight: np.ndarray, bias: np.ndarray) -> "ParamPair":
-        return cls(np.zeros_like(weight), np.zeros_like(bias))
+def _split(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, bias) views of one weight-then-bias slice."""
+    n = shape[0] * shape[1]
+    return flat[:n].reshape(shape), flat[n:]
 
 
-@dataclass
-class GradSet:
-    stages: list[list[ParamPair]]
-    classifier: ParamPair
-
-
-@dataclass
+@dataclass(eq=False)
 class Network:
     family: str  # "plain" | "res"
     input_dim: int
@@ -88,6 +77,49 @@ class Network:
     stages: list[Stage]
     clf_weight: np.ndarray  # (num_classes, last_width)
     clf_bias: np.ndarray  # (num_classes,)
+    params: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
+    momentum: np.ndarray = field(init=False, repr=False)
+    grad_views: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        """Copy the given arrays into one flat vector; momentum starts at 0."""
+        self.params = np.concatenate([a.ravel() for _, w, b in self.iter_params() for a in (w, b)])
+        self.momentum = np.zeros_like(self.params)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Re-point every view at the current vectors; grads start at 0."""
+        self.grads = np.zeros_like(self.params)
+        self.grad_views = self.views(self.grads)
+        off = 0
+        for blk in self.blocks():
+            blk.params = self.params[off : off + blk.weight.size + blk.bias.size]
+            blk.weight, blk.bias = _split(blk.params, blk.weight.shape)
+            off += blk.params.size
+        self.clf_weight, self.clf_bias = _split(self.params[off:], self.clf_weight.shape)
+
+    def insert_block(self, stage: int, block: Block) -> None:
+        """Reallocate with `block`'s values after `stage`'s last block; its momentum is 0."""
+        off = sum(b.params.size for st in self.stages[: stage + 1] for b in st.blocks)
+        new = np.concatenate((block.weight.ravel(), block.bias))
+        self.params = np.concatenate((self.params[:off], new, self.params[off:]))
+        self.momentum = np.concatenate((self.momentum[:off], np.zeros_like(new), self.momentum[off:]))
+        self.stages[stage].blocks.append(block)
+        self._bind()
+
+    def blocks(self) -> list[Block]:
+        """Every block in forward order."""
+        return [blk for st in self.stages for blk in st.blocks]
+
+    def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views of a vector laid out like `params`, in iter_params order."""
+        out, off = [], 0
+        for _, w, b in self.iter_params():
+            n = w.size + b.size
+            out.append(_split(flat[off : off + n], w.shape))
+            off += n
+        return out
 
     def blocks_per_stage(self) -> tuple[int, ...]:
         return tuple(len(st.blocks) for st in self.stages)
@@ -104,27 +136,7 @@ class Network:
         for s, st in enumerate(self.stages):
             for b, blk in enumerate(st.blocks):
                 yield (s, b), blk.weight, blk.bias
-            # classifier last
         yield ("clf",), self.clf_weight, self.clf_bias
-
-
-@dataclass
-class OptState:
-    """SGD-with-momentum state mirroring the network's parameter tree."""
-
-    momentum: float
-    weight_decay: float
-    stages: list[list[ParamPair]] = field(default_factory=list)
-    classifier: ParamPair | None = None
-
-    @classmethod
-    def for_network(cls, net: Network, momentum: float = 0.9, weight_decay: float = 0.0) -> "OptState":
-        stages = [
-            [ParamPair.zeros_like(blk.weight, blk.bias) for blk in st.blocks]
-            for st in net.stages
-        ]
-        clf = ParamPair.zeros_like(net.clf_weight, net.clf_bias)
-        return cls(momentum=momentum, weight_decay=weight_decay, stages=stages, classifier=clf)
 
 
 def he_weight(rng: np.random.Generator, out_width: int, in_width: int) -> np.ndarray:
@@ -163,36 +175,44 @@ def build_network(arch: ArchSpec, rng_seed: int) -> Network:
     return Network(arch.family, arch.input_dim, arch.num_classes, stages, clf_w, clf_b)
 
 
-def _block_forward(blk: Block, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (output, pre-activation) for one block on a B x in_width batch."""
-    z = x @ blk.weight.T + blk.bias
-    a = np.maximum(z, 0.0)
-    if blk.kind is BlockKind.RESIDUAL:
-        return x + a, z
-    return a, z
+def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
+    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
+        raise ValueError(f"batch has shape {batch.shape}, expected (B, {net.input_dim})")
+    return np.asarray(batch, dtype=np.float64)
 
 
 def _forward_cached(net: Network, batch: np.ndarray):
     """Forward pass keeping per-block inputs and pre-activations."""
-    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
-        raise ValueError(
-            f"batch has shape {batch.shape}, expected (B, {net.input_dim})"
-        )
-    x = np.asarray(batch, dtype=np.float64)
+    x = _check_batch(net, batch)
     caches = []  # (block, input, pre-activation) in forward order
-    for st in net.stages:
-        for blk in st.blocks:
-            y, z = _block_forward(blk, x)
-            caches.append((blk, x, z))
-            x = y
+    for blk in net.blocks():
+        z = x @ blk.weight.T + blk.bias
+        a = np.maximum(z, 0.0)
+        caches.append((blk, x, z))
+        x = x + a if blk.kind is BlockKind.RESIDUAL else a
     logits = x @ net.clf_weight.T + net.clf_bias
     return logits, x, caches
 
 
+def _forward_buffered(net: Network, batch: np.ndarray, bufs: np.ndarray) -> np.ndarray:
+    """Logits by `_forward_cached`'s operations, in place in bufs[0] and bufs[1] by turns."""
+    x = _check_batch(net, batch)
+    n = len(x)
+    for k, blk in enumerate(net.blocks()):
+        width = blk.weight.shape[0]
+        y = bufs[k % 2, : n * width].reshape(n, width)
+        np.matmul(x, blk.weight.T, out=y)
+        y += blk.bias
+        np.maximum(y, 0.0, out=y)
+        if blk.kind is BlockKind.RESIDUAL:
+            y += x
+        x = y
+    return x @ net.clf_weight.T + net.clf_bias
+
+
 def forward(net: Network, batch: np.ndarray) -> np.ndarray:
     """Logits (B x num_classes) for a batch; pure function of (net, batch)."""
-    logits, _, _ = _forward_cached(net, batch)
-    return logits
+    return _forward_cached(net, batch)[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -207,19 +227,13 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels
 
 
-def loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray) -> tuple[float, GradSet]:
-    """Mean cross-entropy loss and exact analytic gradients.
-
-    The backward pass mirrors the forward block structure; the ReLU
-    subgradient at exactly 0 is taken as 0.
-    """
-    loss, grads, _ = loss_grads_logits(net, batch, labels)
-    return loss, grads
-
-
 def loss_grads_logits(net: Network, batch: np.ndarray,
-                      labels: np.ndarray) -> tuple[float, GradSet, np.ndarray]:
-    """loss_and_grads plus the forward logits."""
+                      labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and the logits; exact gradients go into `net.grads`.
+
+    The backward pass mirrors the forward block structure and stops at the
+    first block's parameter gradients. The ReLU subgradient at 0 is 0.
+    """
     labels = _check_labels(labels, net.num_classes)
     logits, feats, caches = _forward_cached(net, batch)
     n = logits.shape[0]
@@ -231,53 +245,32 @@ def loss_grads_logits(net: Network, batch: np.ndarray,
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
 
-    clf_grad = ParamPair(dlogits.T @ feats, dlogits.sum(axis=0))
+    gw, gb = net.grad_views[-1]
+    np.matmul(dlogits.T, feats, out=gw)
+    dlogits.sum(axis=0, out=gb)
     dx = dlogits @ net.clf_weight
 
-    flat_grads: list[ParamPair] = []
-    for blk, x_in, z in reversed(caches):
+    for i in range(len(caches) - 1, -1, -1):
+        blk, x_in, z = caches[i]
+        gw, gb = net.grad_views[i]
         dz = dx * (z > 0.0)
-        g = ParamPair(dz.T @ x_in, dz.sum(axis=0))
+        np.matmul(dz.T, x_in, out=gw)
+        dz.sum(axis=0, out=gb)
+        if i == 0:
+            break
         if blk.kind is BlockKind.RESIDUAL:
             dx = dx + dz @ blk.weight
         else:
             dx = dz @ blk.weight
-        flat_grads.append(g)
-    flat_grads.reverse()
-
-    stages: list[list[ParamPair]] = []
-    i = 0
-    for st in net.stages:
-        stages.append(flat_grads[i : i + len(st.blocks)])
-        i += len(st.blocks)
-    return loss, GradSet(stages=stages, classifier=clf_grad), logits
+    return loss, logits
 
 
-def _step_pair(w: np.ndarray, b: np.ndarray, g: ParamPair, v: ParamPair,
-               lr: float, mu: float, wd: float) -> None:
-    if g.weight.shape != w.shape or v.weight.shape != w.shape:
-        raise ValueError(
-            f"shape mismatch in sgd_step: param {w.shape}, grad {g.weight.shape}, "
-            f"buffer {v.weight.shape} (missed buffer resize after growth?)"
-        )
-    v.weight *= mu
-    v.weight += g.weight + wd * w
-    w -= lr * v.weight
-    v.bias *= mu
-    v.bias += g.bias + wd * b
-    b -= lr * v.bias
-
-
-def sgd_step(net: Network, grads: GradSet, opt: OptState, lr: float) -> None:
-    """One in-place SGD step: v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
-    mu, wd = opt.momentum, opt.weight_decay
-    for st, gst, vst in zip(net.stages, grads.stages, opt.stages):
-        if len(st.blocks) != len(gst) or len(st.blocks) != len(vst):
-            raise ValueError("block count mismatch between net, grads and optimizer state")
-        for blk, g, v in zip(st.blocks, gst, vst):
-            _step_pair(blk.weight, blk.bias, g, v, lr, mu, wd)
-    assert opt.classifier is not None
-    _step_pair(net.clf_weight, net.clf_bias, grads.classifier, opt.classifier, lr, mu, wd)
+def sgd_step(net: Network, lr: float, momentum: float, weight_decay: float) -> None:
+    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in place over the whole store."""
+    v = net.momentum
+    v *= momentum
+    v += net.grads + weight_decay * net.params
+    net.params -= lr * v
 
 
 def lr_at(lr_base: float, epoch: int, growth_done_epoch: int | None, total_epochs: int) -> float:
@@ -302,12 +295,12 @@ def accuracy_and_loss(net: Network, features: np.ndarray, labels: np.ndarray,
     if len(features) == 0:
         raise ValueError("evaluation of an empty dataset is undefined")
     labels = _check_labels(labels, net.num_classes)
+    bufs = np.empty((2, min(chunk, len(features)) * max(st.width for st in net.stages)))
     correct = 0
     loss_sum = 0.0
     for i in range(0, len(features), chunk):
-        f = features[i : i + chunk]
         y = labels[i : i + chunk]
-        logits = forward(net, f)
+        logits = _forward_buffered(net, features[i : i + chunk], bufs)
         correct += int((np.argmax(logits, axis=1) == y).sum())
         ls = _log_softmax(logits)
         loss_sum += float(-ls[np.arange(len(y)), y].sum())

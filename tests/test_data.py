@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from growbench.data import (
     split,
     write_idx,
 )
-from growbench.netcore import OptState, accuracy_and_loss, build_network, loss_and_grads, sgd_step
+from growbench.netcore import accuracy_and_loss, build_network, loss_grads_logits, sgd_step
 
 
 # --- gen_gaussians ------------------------------------------------------------
@@ -68,10 +70,9 @@ def test_separable_task_is_learnable_quickly():
     ds = gen_gaussians(2, 8, 100, sep=10.0, label_noise=0.0, seed=5)
     arch = ArchSpec("res", (StageSpec(8, 1),), input_dim=8, num_classes=2)
     net = build_network(arch, 5)
-    opt = OptState.for_network(net, momentum=0.9)
     for _ in range(50):
-        _, grads = loss_and_grads(net, ds.features, ds.labels)
-        sgd_step(net, grads, opt, lr=0.05)
+        loss_grads_logits(net, ds.features, ds.labels)
+        sgd_step(net, lr=0.05, momentum=0.9, weight_decay=0.0)
     assert accuracy_and_loss(net, ds.features, ds.labels)[0] > 99.0
 
 
@@ -220,3 +221,17 @@ def test_dataset_rejects_nan_and_bad_labels():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("0.5,1.5,0\n0.5,oops,1\n", 3, "could not convert"),
+    ("0.5,1.5,0\n0.5,1.5,1.0\n", 3, "invalid literal"),
+    ("0.5,1.5,0\n0.5,1.5\n", 3, "2 cells, the header has 3"),
+    ("0.5,1.5,0,7\n", 2, "4 cells, the header has 3"),
+    ("0.5,1.5,0\n\n", 3, "0 cells, the header has 3"),
+])
+def test_csv_loader_names_path_and_line(tmp_path, body, line, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("f0,f1,label\n" + body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: .*{message}"):
+        load_csv(str(p))

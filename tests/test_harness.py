@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,7 @@ def test_metrics_file_round_trip(tmp_path):
     path = str(tmp_path / "m.jsonl")
     write_metrics(res, path)
     back = read_metrics(path)
+    assert back == res
     assert back.metrics == res.metrics
     assert back.events == res.events
     assert back.e_bar == res.e_bar
@@ -123,6 +125,47 @@ def test_metrics_file_round_trip(tmp_path):
     rec = json.loads(lines[0])
     assert list(rec) == ["epoch", "train_acc", "val_acc", "test_acc",
                          "train_loss", "orl", "lr", "blocks", "grew"]
+
+
+def _corrupt(tmp_path, edit):
+    """Write a tiny run's metrics file, pass its lines through `edit`, write it back."""
+    path = tmp_path / "m.jsonl"
+    write_metrics(run(tiny_config()), str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return str(path)
+
+
+def _drop_key(line, key):
+    rec = json.loads(line)
+    del rec[key]
+    return json.dumps(rec)
+
+
+def _drop_event_key(line):
+    rec = json.loads(line)
+    del rec["events"][1]["stage"]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda ls: [ls[0], "{not json"] + ls[2:], 2, "invalid JSON"),
+    (lambda ls: [ls[0], _drop_key(ls[1], "val_acc")] + ls[2:], 2, "missing key.s. val_acc"),
+    (lambda ls: ls[:3] + ["[1, 2]"] + ls[4:], 4, "expected a JSON object, got list"),
+    (lambda ls: ls[:-1] + [_drop_key(ls[-1], "e_bar")], 13, "missing key.s. e_bar"),
+    (lambda ls: ls[:-1] + [_drop_event_key(ls[-1])], 13, "event 1: missing key.s. stage"),
+    (lambda ls: [ls[0].replace('"blocks": [1, 1]', '"blocks": 2')] + ls[1:], 1, "'int' object is not iterable"),
+])
+def test_read_metrics_names_path_and_line(tmp_path, edit, line, message):
+    path = _corrupt(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: {message}"):
+        read_metrics(path)
+
+
+def test_read_metrics_requires_footer(tmp_path):
+    path = _corrupt(tmp_path, lambda ls: ls[:-1])
+    with pytest.raises(ValueError, match="missing footer line"):
+        read_metrics(path)
 
 
 def test_metrics_files_byte_identical_sans_wall(tmp_path):

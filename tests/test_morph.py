@@ -3,6 +3,7 @@ import pytest
 
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.morph import (
+    ALL_INIT_RULES,
     GrowthError,
     MomentEnsemble,
     WherePolicy,
@@ -14,7 +15,7 @@ from growbench.morph import (
     next_location_sequential,
     resolve_init_rule,
 )
-from growbench.netcore import BlockKind, OptState, build_network, forward, loss_and_grads
+from growbench.netcore import BlockKind, build_network, forward, loss_grads_logits
 from growbench.rng import substream
 
 
@@ -140,7 +141,20 @@ def test_moment_single_update_recurrence():
     ens = MomentEnsemble.track(blk)
     blk.weight[:] = s0 + 2.0
     ens.update()
-    np.testing.assert_allclose(ens.shadow.weight, 0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
+    np.testing.assert_allclose(ens.shadow[: s0.size].reshape(s0.shape),
+                               0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
+
+
+def test_moment_ensemble_follows_reallocation():
+    net = build_network(arch((2, 2)), 5)
+    blk = net.stages[0].blocks[1]
+    ens = MomentEnsemble.track(blk)
+    s0 = blk.params.copy()
+    grow(net, 1, "zero")  # reallocates the parameter store
+    assert np.shares_memory(blk.params, net.params)
+    blk.params[:] += 2.0
+    ens.update()
+    np.testing.assert_allclose(ens.shadow, 0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
 
 
 def test_moment_requires_an_update():
@@ -152,8 +166,7 @@ def test_moment_requires_an_update():
 
 def test_second_growth_tracks_new_preceding_block():
     net = build_network(arch((2,)), 5)
-    opt = OptState.for_network(net)
-    first = grow(net, opt, 0, "zero")
+    first = grow(net, 0, "zero")
     # re-tracking after growth must shadow the block just inserted
     ens = MomentEnsemble.track(net.stages[0].blocks[-1])
     ens.update()
@@ -165,43 +178,41 @@ def test_second_growth_tracks_new_preceding_block():
 
 def test_grow_zero_init_preserves_function():
     net = build_network(arch((2, 2)), 9)
-    opt = OptState.for_network(net)
     x = np.random.default_rng(0).normal(size=(7, 6))
     before = forward(net, x)
-    grow(net, opt, 1, "zero")
+    grow(net, 1, "zero")
     np.testing.assert_array_equal(forward(net, x), before)
 
 
 def test_grow_increments_counts_and_buffers():
     net = build_network(arch((2, 2)), 9)
-    opt = OptState.for_network(net)
-    grow(net, opt, 0, "copy")
+    grow(net, 0, "copy")
     assert net.blocks_per_stage() == (3, 2)
-    assert len(opt.stages[0]) == 3
-    assert not opt.stages[0][-1].weight.any()
+    assert net.momentum.size == net.grads.size == net.params.size
+    new_w, new_b = net.views(net.momentum)[2]  # stage 0, block 2
+    assert new_w.shape == (8, 8)
+    assert not new_w.any() and not new_b.any()
 
 
 def test_grow_is_non_destructive():
     net = build_network(arch((2, 2)), 9)
-    opt = OptState.for_network(net)
-    opt.stages[0][0].weight[:] = 0.25  # pre-existing momentum survives
+    net.views(net.momentum)[0][0][:] = 0.25  # pre-existing momentum survives
     before = flat_params(net).copy()
-    grow(net, opt, 0, "copy")
+    grow(net, 0, "copy")
     # existing params bit-identical: compare everything except the new block
     after = [a for (path, w, b) in net.iter_params() for a in (w, b)
              if path != (0, 2)]
     np.testing.assert_array_equal(np.concatenate([a.ravel() for a in after]), before)
-    assert opt.stages[0][0].weight[0, 0] == 0.25
+    assert net.views(net.momentum)[0][0][0, 0] == 0.25
 
 
 def test_grow_copy_keeps_training_stable():
     net = build_network(arch((2, 2)), 9)
-    opt = OptState.for_network(net)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(16, 6))
     y = rng.integers(0, 3, size=16)
-    grow(net, opt, 0, "copy")
-    loss, _ = loss_and_grads(net, x, y)
+    grow(net, 0, "copy")
+    loss, _ = loss_grads_logits(net, x, y)
     assert np.isfinite(loss)
     assert np.isfinite(forward(net, x)).all()
 
@@ -210,29 +221,27 @@ def test_grow_random_uses_given_stream():
     net1 = build_network(arch((2, 2)), 9)
     net2 = build_network(arch((2, 2)), 9)
     for net in (net1, net2):
-        grow(net, OptState.for_network(net), 0, "random", rng=substream(4, "grow", 0))
+        grow(net, 0, "random", rng=substream(4, "grow", 0))
     np.testing.assert_array_equal(net1.stages[0].blocks[-1].weight,
                                   net2.stages[0].blocks[-1].weight)
 
 
 def test_grow_rejects_bad_requests():
     net = build_network(arch((2, 2)), 9)
-    opt = OptState.for_network(net)
     with pytest.raises(GrowthError):
-        grow(net, opt, 5, "copy")
+        grow(net, 5, "copy")
     with pytest.raises(GrowthError):
-        grow(net, opt, 0, "sideways")
+        grow(net, 0, "sideways")
     with pytest.raises(GrowthError):
-        grow(net, opt, 0, "random")  # no rng provided
+        grow(net, 0, "random")  # no rng provided
     with pytest.raises(GrowthError):
-        grow(net, opt, 0, "moment")  # no ensemble provided
+        grow(net, 0, "moment")  # no ensemble provided
 
 
 def test_budget_exactness_full_growth():
     seed = arch((1, 1, 1))
     target = arch((4, 3, 2))
     net = build_network(seed, 2)
-    opt = OptState.for_network(net)
     n = count_added_blocks(seed, target)
     policy = WherePolicy("sequential", target)
     events = 0
@@ -241,7 +250,68 @@ def test_budget_exactness_full_growth():
         if loc is None:
             break
         rule = resolve_init_rule(net, loc, "copy")  # stage 0 starts downsample
-        grow(net, opt, loc, rule, rng=substream(0, "grow", events))
+        grow(net, loc, rule, rng=substream(0, "grow", events))
         events += 1
     assert events == n
+    assert net.blocks_per_stage() == target.blocks_per_stage
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def assert_flat_store(net):
+    """Every view lies in its vector, contiguous, back to back in iter_params order."""
+    stores = {
+        "params": (net.params, [(w, b) for _, w, b in net.iter_params()]),
+        "grads": (net.grads, net.grad_views),
+        "momentum": (net.momentum, net.views(net.momentum)),
+    }
+    for name, (vec, views) in stores.items():
+        off = 0
+        for w, b in views:
+            for a in (w, b):
+                assert a.flags.c_contiguous and np.shares_memory(a, vec), name
+                assert _address(a) - _address(vec) == off * vec.itemsize, name
+                off += a.size
+        assert off == vec.size, name
+    for blk in net.blocks():
+        assert np.shares_memory(blk.params, net.params)
+        assert _address(blk.params) == _address(blk.weight)
+        assert blk.params.size == blk.weight.size + blk.bias.size
+
+
+def _snapshot(net):
+    """path -> (weight, bias, momentum weight, momentum bias), copied."""
+    return {path: (w.copy(), b.copy(), mw.copy(), mb.copy())
+            for (path, w, b), (mw, mb) in zip(net.iter_params(), net.views(net.momentum))}
+
+
+@pytest.mark.parametrize("family", ("plain", "res"))
+@pytest.mark.parametrize("where", ("sequential", "circulation"))
+@pytest.mark.parametrize("rule", ALL_INIT_RULES)
+def test_flat_store_views_after_every_growth(rule, where, family):
+    seed, target = arch((1, 1, 1), family), arch((3, 2, 2), family)
+    net = build_network(seed, 4)
+    assert_flat_store(net)
+    policy = WherePolicy(where, target)
+    rng = np.random.default_rng(0)
+    for k in range(count_added_blocks(seed, target)):
+        net.momentum[:] = rng.normal(size=net.momentum.size)
+        loc = policy.advance(net.arch_spec())
+        resolved = resolve_init_rule(net, loc, rule)
+        ensemble = None
+        if resolved == "moment":
+            ensemble = MomentEnsemble.track(net.stages[loc].blocks[-1])
+            ensemble.update()
+        before = _snapshot(net)
+        grow(net, loc, resolved, rng=substream(4, "grow", k), ensemble=ensemble)
+        assert_flat_store(net)
+        after = _snapshot(net)
+        new_path = (loc, len(net.stages[loc].blocks) - 1)
+        assert set(after) == set(before) | {new_path}
+        for path, arrays in before.items():
+            for old, new in zip(arrays, after[path]):
+                assert old.tobytes() == new.tobytes(), path
+        assert not after[new_path][2].any() and not after[new_path][3].any()
     assert net.blocks_per_stage() == target.blocks_per_stage

@@ -6,13 +6,11 @@ import pytest
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.data import gen_gaussians
 from growbench.netcore import (
-    Block,
     BlockKind,
-    OptState,
     accuracy_and_loss,
     build_network,
     forward,
-    loss_and_grads,
+    loss_grads_logits,
     lr_at,
     sgd_step,
 )
@@ -27,19 +25,10 @@ def flatten_params(net):
     return np.concatenate([w.ravel() for _, w, b in net.iter_params() for w in (w, b)])
 
 
-def flatten_grads(net, grads):
-    parts = []
-    for gst in grads.stages:
-        for g in gst:
-            parts.extend([g.weight.ravel(), g.bias.ravel()])
-    parts.extend([grads.classifier.weight.ravel(), grads.classifier.bias.ravel()])
-    return np.concatenate(parts)
-
-
 def numeric_grads(net, feats, labels, eps=1e-5):
     """Central finite differences over every parameter, in place."""
     def loss():
-        l, _ = loss_and_grads(net, feats, labels)
+        l, _ = loss_grads_logits(net, feats, labels)
         return l
 
     out = []
@@ -119,11 +108,13 @@ def test_parse_arch_round_trip():
 # --- forward ----------------------------------------------------------------
 
 def test_residual_zero_block_is_identity():
-    blk = Block(BlockKind.RESIDUAL, np.zeros((5, 5)), np.zeros(5))
     net = build_network(small_arch(widths=(5,), blocks=(1,), input_dim=5), 0)
-    net.stages[0].blocks[0] = blk
-    net.clf_weight = np.eye(3, 5)
-    net.clf_bias = np.zeros(3)
+    blk = net.stages[0].blocks[0]
+    assert blk.kind is BlockKind.RESIDUAL
+    blk.weight[:] = 0.0
+    blk.bias[:] = 0.0
+    net.clf_weight[:] = np.eye(3, 5)
+    net.clf_bias[:] = 0.0
     x = np.arange(10, dtype=float).reshape(2, 5)
     np.testing.assert_array_equal(forward(net, x), x[:, :3])
 
@@ -148,14 +139,14 @@ def test_forward_rejects_dim_mismatch():
         forward(net, np.zeros((2, 4)))
 
 
-# --- loss_and_grads ---------------------------------------------------------
+# --- loss_grads_logits ------------------------------------------------------
 
 def test_uniform_logits_loss_is_log_k():
     arch = ArchSpec("res", (StageSpec(6, 1),), input_dim=6, num_classes=10)
     net = build_network(arch, 0)
     net.clf_weight[:] = 0.0
     net.clf_bias[:] = 0.0
-    loss, _ = loss_and_grads(net, np.random.default_rng(0).normal(size=(4, 6)),
+    loss, _ = loss_grads_logits(net, np.random.default_rng(0).normal(size=(4, 6)),
                              np.array([0, 3, 9, 5]))
     assert loss == pytest.approx(math.log(10), abs=1e-12)
 
@@ -164,9 +155,9 @@ def test_label_out_of_range_rejected():
     net = build_network(small_arch(), 0)
     x = np.zeros((2, 5))
     with pytest.raises(ValueError):
-        loss_and_grads(net, x, np.array([0, 3]))
+        loss_grads_logits(net, x, np.array([0, 3]))
     with pytest.raises(ValueError):
-        loss_and_grads(net, x, np.array([-1, 0]))
+        loss_grads_logits(net, x, np.array([-1, 0]))
 
 
 def test_grads_match_finite_differences_two_stage():
@@ -176,8 +167,8 @@ def test_grads_match_finite_differences_two_stage():
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(4, 5))
     labels = rng.integers(0, 3, size=4)
-    _, grads = loss_and_grads(net, feats, labels)
-    analytic = flatten_grads(net, grads)
+    loss_grads_logits(net, feats, labels)
+    analytic = net.grads.copy()  # numeric_grads overwrites net.grads
     numeric = numeric_grads(net, feats, labels)
     assert max_rel_err(analytic, numeric) < 1e-5
 
@@ -188,8 +179,8 @@ def test_grads_match_finite_differences_plain_family():
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(5, 6))
     labels = rng.integers(0, 4, size=5)
-    _, grads = loss_and_grads(net, feats, labels)
-    assert max_rel_err(flatten_grads(net, grads), numeric_grads(net, feats, labels)) < 1e-5
+    loss_grads_logits(net, feats, labels)
+    assert max_rel_err(net.grads.copy(), numeric_grads(net, feats, labels)) < 1e-5
 
 
 def test_zero_residual_net_classifier_grads_equal_softmax_regression():
@@ -202,7 +193,7 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(6, 5))
     labels = rng.integers(0, 3, size=6)
-    _, grads = loss_and_grads(net, feats, labels)
+    loss_grads_logits(net, feats, labels)
 
     # closed-form softmax regression gradient on raw features
     logits = feats @ net.clf_weight.T + net.clf_bias
@@ -210,47 +201,43 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(6), labels] -= 1.0
     p /= 6.0
-    np.testing.assert_allclose(grads.classifier.weight, p.T @ feats, atol=1e-12)
-    np.testing.assert_allclose(grads.classifier.bias, p.sum(axis=0), atol=1e-12)
+    clf_w, clf_b = net.grad_views[-1]
+    np.testing.assert_allclose(clf_w, p.T @ feats, atol=1e-12)
+    np.testing.assert_allclose(clf_b, p.sum(axis=0), atol=1e-12)
 
 
 # --- sgd_step ---------------------------------------------------------------
 
-def _constant_grads(net, value=0.5):
-    from growbench.netcore import GradSet, ParamPair
-
-    stages = [[ParamPair(np.full_like(b.weight, value), np.full_like(b.bias, value))
-               for b in st.blocks] for st in net.stages]
-    clf = ParamPair(np.full_like(net.clf_weight, value), np.full_like(net.clf_bias, value))
-    return GradSet(stages=stages, classifier=clf)
+def _step(net, g, lr, momentum=0.0, weight_decay=0.0):
+    """One sgd_step with every gradient set to `g`."""
+    net.grads[:] = g
+    sgd_step(net, lr, momentum, weight_decay)
 
 
 def test_sgd_plain_step_without_momentum():
     net = build_network(small_arch(), 0)
-    opt = OptState.for_network(net, momentum=0.0, weight_decay=0.0)
     before = flatten_params(net).copy()
-    sgd_step(net, _constant_grads(net, 0.5), opt, lr=0.1)
+    _step(net, 0.5, lr=0.1)
     np.testing.assert_allclose(flatten_params(net), before - 0.1 * 0.5, atol=1e-15)
 
 
 def test_sgd_zero_lr_updates_buffers_only():
     net = build_network(small_arch(), 0)
-    opt = OptState.for_network(net, momentum=0.9, weight_decay=0.0)
     before = flatten_params(net).copy()
-    sgd_step(net, _constant_grads(net, 1.0), opt, lr=0.0)
+    _step(net, 1.0, lr=0.0, momentum=0.9)
     np.testing.assert_array_equal(flatten_params(net), before)
-    assert opt.classifier.weight.max() == 1.0  # v = g after one step
+    assert net.views(net.momentum)[-1][0].max() == 1.0  # v = g after one step
+    np.testing.assert_array_equal(net.momentum, net.grads)
 
 
 def test_sgd_two_steps_momentum_unrolled():
     # v1 = g, v2 = 0.9 g + g; total delta = -lr (g + 1.9 g)
     net = build_network(small_arch(), 0)
-    opt = OptState.for_network(net, momentum=0.9, weight_decay=0.0)
     g = 0.25
     lr = 0.1
     before = flatten_params(net).copy()
-    sgd_step(net, _constant_grads(net, g), opt, lr)
-    sgd_step(net, _constant_grads(net, g), opt, lr)
+    _step(net, g, lr, momentum=0.9)
+    _step(net, g, lr, momentum=0.9)
     np.testing.assert_allclose(
         flatten_params(net), before - lr * (g + 1.9 * g), atol=1e-14
     )
@@ -258,9 +245,8 @@ def test_sgd_two_steps_momentum_unrolled():
 
 def test_sgd_weight_decay_in_buffer():
     net = build_network(small_arch(), 0)
-    opt = OptState.for_network(net, momentum=0.0, weight_decay=0.1)
     w0 = net.clf_weight.copy()
-    sgd_step(net, _constant_grads(net, 0.0), opt, lr=1.0)
+    _step(net, 0.0, lr=1.0, weight_decay=0.1)
     np.testing.assert_allclose(net.clf_weight, w0 - 0.1 * w0, atol=1e-14)
 
 
@@ -321,11 +307,10 @@ def test_loss_drops_on_separable_task():
         ds = gen_gaussians(2, 8, 60, sep=10.0, label_noise=0.0, seed=seed)
         arch = ArchSpec("res", (StageSpec(8, 1),), input_dim=8, num_classes=2)
         net = build_network(arch, seed)
-        opt = OptState.for_network(net, momentum=0.9, weight_decay=0.0)
-        first, _ = loss_and_grads(net, ds.features, ds.labels)
+        first, _ = loss_grads_logits(net, ds.features, ds.labels)
         for _ in range(50):
-            loss, grads = loss_and_grads(net, ds.features, ds.labels)
-            sgd_step(net, grads, opt, lr=0.05)
-        final, _ = loss_and_grads(net, ds.features, ds.labels)
+            loss_grads_logits(net, ds.features, ds.labels)
+            sgd_step(net, lr=0.05, momentum=0.9, weight_decay=0.0)
+        final, _ = loss_grads_logits(net, ds.features, ds.labels)
         ratios.append(final / first)
     assert sorted(ratios)[1] < 0.1
