@@ -16,7 +16,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .arch import ArchSpec, parse_arch
 from .data import Dataset, SplitSpec, Standardizer, gen_gaussians, load_csv, load_idx, split
@@ -300,7 +300,7 @@ def run(config: TrainConfig) -> RunResult:
 # --- metrics file I/O -------------------------------------------------------
 
 def _metric_line(m: EpochMetrics) -> str:
-    return json.dumps(asdict(m), allow_nan=False)  # field order; blocks as a list
+    return json.dumps(vars(m), allow_nan=False)  # field order; blocks as a list
 
 
 def _footer_line(result: RunResult) -> str:

@@ -6,6 +6,7 @@ import pytest
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.data import gen_gaussians
 from growbench.netcore import (
+    _forward_buffered,
     BlockKind,
     accuracy_and_loss,
     build_network,
@@ -131,6 +132,17 @@ def test_forward_finite_on_random_inputs():
     net = build_network(small_arch(widths=(16, 16), blocks=(3, 3), input_dim=8), 2)
     x = np.random.default_rng(5).normal(size=(64, 8))
     assert np.isfinite(forward(net, x)).all()
+
+
+@pytest.mark.parametrize("family", ("plain", "res"))
+def test_buffered_forward_matches_cached_forward_bitwise(family):
+    # the evaluation pass works in place in two buffers; the training
+    # pass allocates. Both must give the same bits, with a width change.
+    arch = small_arch(family=family, widths=(7, 7, 4), blocks=(2, 1, 2), input_dim=7, classes=4)
+    net = build_network(arch, 3)
+    x = np.random.default_rng(8).normal(size=(20, 7))
+    bufs = np.empty((2, 20 * 7))
+    assert _forward_buffered(net, x, bufs).tobytes() == forward(net, x).tobytes()
 
 
 def test_forward_rejects_dim_mismatch():
