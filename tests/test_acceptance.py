@@ -3,7 +3,7 @@ contracts, and directional mechanism checks on the shipped presets (and,
 for criterion 6, one fixture the test builds itself).
 
 Heavy preset runs are shared across criteria through a lazily filled
-session cache; the full module takes about 4 minutes on a 2-core
+session cache; the full module takes about 3 minutes on a 2-core
 machine. Run with `pytest tests/test_acceptance.py -v -s` to see one
 line per criterion.
 """
