@@ -57,20 +57,6 @@ class ArchSpec:
     def blocks_per_stage(self) -> tuple[int, ...]:
         return tuple(st.blocks for st in self.stages)
 
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(st.width for st in self.stages)
-
-    def with_blocks(self, blocks: tuple[int, ...]) -> "ArchSpec":
-        if len(blocks) != len(self.stages):
-            raise ArchError("block-count tuple does not match stage count")
-        stages = tuple(StageSpec(st.width, b) for st, b in zip(self.stages, blocks))
-        return ArchSpec(self.family, stages, self.input_dim, self.num_classes)
-
-    def arch_string(self) -> str:
-        body = "-".join(f"{st.width}x{st.blocks}" for st in self.stages)
-        return f"{self.family}:{body}"
-
 
 def parse_arch(text: str, input_dim: int, num_classes: int) -> ArchSpec:
     """Parse the textual form, e.g. "res:64x2-64x2-64x2-64x2"."""

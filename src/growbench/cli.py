@@ -81,13 +81,6 @@ def _cast(section: str, key: str, raw: str, where: str) -> object:
     ty = _TYPES[section][key]
     raw = raw.strip()
     try:
-        if ty is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if ty is int:
             return int(raw)
         if ty is float:
@@ -149,8 +142,6 @@ def _config_to_values(cfg: CliConfig) -> dict[str, dict[str, object]]:
 
 
 def _format_value(v: object) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)

@@ -18,7 +18,7 @@ import statistics
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from .arch import ArchSpec, parse_arch
+from .arch import parse_arch
 from .data import Dataset, SplitSpec, Standardizer, gen_gaussians, load_csv, load_idx, split
 from .morph import (
     GrowthEvent,
@@ -161,17 +161,10 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     return tf.apply(train), tf.apply(val), tf.apply(test)
 
 
-def resolve_archs(config: TrainConfig, input_dim: int, num_classes: int) -> tuple[ArchSpec, ArchSpec]:
-    seed = parse_arch(config.seed_arch, input_dim, num_classes)
-    target = parse_arch(config.target_arch, input_dim, num_classes)
-    count_added_blocks(seed, target)  # validates compatibility
-    return seed, target
-
-
 def config_added_blocks(config: TrainConfig) -> int:
     """Growth budget implied by the config (independent of the dataset)."""
-    seed, target = resolve_archs(config, 1, 2)
-    return count_added_blocks(seed, target)
+    return count_added_blocks(parse_arch(config.seed_arch, 1, 2),
+                              parse_arch(config.target_arch, 1, 2))
 
 
 def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalReport:
@@ -184,7 +177,7 @@ def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalR
 
 def _track_next(net: Network, where: WherePolicy) -> MomentEnsemble | None:
     """EMA shadow of the block preceding the next growth location, if square."""
-    location = where.peek(net.arch_spec())
+    location = where.peek(net.blocks_per_stage())
     if location is None:
         return None
     preceding = net.stages[location].blocks[-1]
@@ -197,7 +190,8 @@ def run(config: TrainConfig) -> RunResult:
     """Execute one grow-train-finetune run and collect per-epoch metrics."""
     t_start = time.perf_counter()
     train, val, test = build_datasets(config.data)
-    seed_arch, target_arch = resolve_archs(config, train.dim, train.num_classes)
+    seed_arch = parse_arch(config.seed_arch, train.dim, train.num_classes)
+    target_arch = parse_arch(config.target_arch, train.dim, train.num_classes)
     budget = count_added_blocks(seed_arch, target_arch)
 
     net = build_network(seed_arch, config.run_seed)
@@ -216,7 +210,7 @@ def run(config: TrainConfig) -> RunResult:
     )
     should_grow = SHOULD_GROW[pol.name]
 
-    where = WherePolicy(config.where, target_arch)
+    where = WherePolicy(config.where, target_arch.blocks_per_stage)
     # After the last growth the shadow is not retargeted but still updated.
     ensemble = _track_next(net, where) if config.init == "moment" and budget > 0 else None
 
@@ -241,11 +235,11 @@ def run(config: TrainConfig) -> RunResult:
 
         report = evaluate(net, train, val, test)
         orl_pp = orl(report.train_acc, report.val_acc)
-        state.record_epoch(epoch, report.val_acc)
+        state.val_history.append(report.val_acc)
 
         grew = False
         if state.remaining > 0 and should_grow(state, epoch, orl_pp):
-            location = where.advance(net.arch_spec())
+            location = where.advance(net.blocks_per_stage())
             if location is None:
                 raise RuntimeError("policy fired with no unsaturated stage")
             rule = resolve_init_rule(net, location, config.init)

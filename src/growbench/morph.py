@@ -44,36 +44,6 @@ def count_added_blocks(seed: ArchSpec, target: ArchSpec) -> int:
     return sum(t.blocks - s.blocks for s, t in zip(seed.stages, target.stages))
 
 
-def next_location_sequential(current: ArchSpec, target: ArchSpec) -> int | None:
-    """Lowest unsaturated stage index, or None when current == target.
-
-    Fills stages front to back: a stage receives blocks until it reaches
-    its target count, then growth moves to the next stage.
-    """
-    check_compatible(current, target)
-    for i, (c, t) in enumerate(zip(current.stages, target.stages)):
-        if c.blocks < t.blocks:
-            return i
-    return None
-
-
-def next_location_circulation(last_visited: int | None, current: ArchSpec,
-                              target: ArchSpec) -> int | None:
-    """Cyclic scan over stages starting after `last_visited`.
-
-    Returns the first unsaturated stage encountered, or None when the
-    network is at target size everywhere.
-    """
-    check_compatible(current, target)
-    n_stages = len(current.stages)
-    start = 0 if last_visited is None else (last_visited + 1) % n_stages
-    for k in range(n_stages):
-        i = (start + k) % n_stages
-        if current.stages[i].blocks < target.stages[i].blocks:
-            return i
-    return None
-
-
 def init_copy_preceding(preceding: Block) -> Block:
     """New block with weights and bias deep-copied from its predecessor."""
     if preceding.kind is BlockKind.DOWNSAMPLE:
@@ -178,24 +148,33 @@ def resolve_init_rule(net: Network, stage: int, requested: str) -> str:
 
 @dataclass
 class WherePolicy:
-    """Stateful wrapper over the where-to-grow rules ("sequential"/"circulation")."""
+    """Where-to-grow rule over per-stage block counts ("sequential"/"circulation").
+
+    Both rules scan the stages cyclically for the first one below its
+    target count, or return None when every stage is at target.
+    "sequential" starts the scan at stage 0, so stages fill front to back;
+    "circulation" starts it after the stage it last grew.
+    """
 
     name: str
-    target: ArchSpec
-    last_visited: int | None = None
+    target: tuple[int, ...]
+    last_visited: int = -1
 
     def __post_init__(self) -> None:
         if self.name not in ("sequential", "circulation"):
             raise GrowthError(f"unknown where-policy {self.name!r}")
 
-    def peek(self, current: ArchSpec) -> int | None:
-        if self.name == "sequential":
-            return next_location_sequential(current, self.target)
-        return next_location_circulation(self.last_visited, current, self.target)
+    def peek(self, current: tuple[int, ...]) -> int | None:
+        n = len(self.target)
+        start = self.last_visited + 1 if self.name == "circulation" else 0
+        for i in (k % n for k in range(start, start + n)):
+            if current[i] < self.target[i]:
+                return i
+        return None
 
-    def advance(self, current: ArchSpec) -> int | None:
+    def advance(self, current: tuple[int, ...]) -> int | None:
         """Pick the stage for the growth that is about to happen."""
         loc = self.peek(current)
-        if loc is not None and self.name == "circulation":
+        if loc is not None:
             self.last_visited = loc
         return loc

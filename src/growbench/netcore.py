@@ -124,13 +124,6 @@ class Network:
     def blocks_per_stage(self) -> tuple[int, ...]:
         return tuple(len(st.blocks) for st in self.stages)
 
-    def arch_spec(self) -> ArchSpec:
-        """Reconstruct the static descriptor of the live network."""
-        from .arch import StageSpec
-
-        stages = tuple(StageSpec(st.width, len(st.blocks)) for st in self.stages)
-        return ArchSpec(self.family, stages, self.input_dim, self.num_classes)
-
     def iter_params(self):
         """Yield ((stage, block) | ("clf",), weight, bias) in canonical order."""
         for s, st in enumerate(self.stages):

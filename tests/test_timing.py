@@ -69,6 +69,11 @@ def test_i_max_rejects_degenerate_inputs():
         i_max(30, 30, 4)
     with pytest.raises(PolicyError):
         i_max(30, -1, 4)
+    # more blocks than epochs before the finetuning floor: one growth per
+    # epoch cannot fit them, so the error names all three numbers
+    with pytest.raises(PolicyError, match=r"8 blocks.* 10 epochs.* 5 to finetune"):
+        i_max(10, 5, 8)
+    assert i_max(10, 5, 5) == 1.0  # one growth per epoch is the limit
 
 
 # --- interval -----------------------------------------------------------------
@@ -166,23 +171,22 @@ def test_periodic_period_rounding():
 def test_periodic_grows_on_schedule():
     state = make_state(max_interval=6.25)
     state.last_growth_epoch = 0
-    assert not periodic_should_grow(state, 0)
-    assert not periodic_should_grow(state, 5)
-    assert periodic_should_grow(state, 6)
+    assert not periodic_should_grow(state, 0, 0.0)
+    assert not periodic_should_grow(state, 5, 0.0)
+    assert periodic_should_grow(state, 6, 0.0)
 
 
 def test_periodic_deadline_cascade():
     state = make_state(total_epochs=40, min_finetune_epochs=10, remaining=24,
                        max_interval=0.625)
     state.last_growth_epoch = 6
-    assert periodic_should_grow(state, 6)  # деadline 40-10-24 = 6
+    assert periodic_should_grow(state, 6, 0.0)  # deadline 40-10-24 = 6
 
 
 # --- convergent ---------------------------------------------------------------
 
-def _with_history(state, accs, start_epoch=0):
-    for i, acc in enumerate(accs):
-        state.record_epoch(start_epoch + i, acc)
+def _with_history(state, accs):
+    state.val_history.extend(accs)
     return state
 
 
@@ -190,28 +194,28 @@ def test_convergent_ignores_rising_accuracy():
     state = make_state(remaining=4)
     _with_history(state, [50 + 0.5 * i for i in range(12)])
     state.last_growth_epoch = 0
-    assert not convergent_should_grow(state, 11)
+    assert not convergent_should_grow(state, 11, 0.0)
 
 
 def test_convergent_fires_on_flat_window():
     state = make_state(remaining=4)
     _with_history(state, [60.0] * 6)
     state.last_growth_epoch = 0
-    assert convergent_should_grow(state, 5)
+    assert convergent_should_grow(state, 5, 0.0)
 
 
 def test_convergent_needs_full_window_since_growth():
     state = make_state(remaining=4)
     _with_history(state, [60.0] * 6)
     state.last_growth_epoch = 3
-    assert not convergent_should_grow(state, 5)  # only 2 epochs since growth
+    assert not convergent_should_grow(state, 5, 0.0)  # only 2 epochs since growth
 
 
 def test_convergent_tolerates_small_wiggle():
     state = make_state(remaining=4)  # PLATEAU_EPS is 0.05
     _with_history(state, [60.0, 60.0, 60.0, 60.04, 60.02, 60.01, 60.03, 60.0])
     state.last_growth_epoch = 0
-    assert convergent_should_grow(state, 7)
+    assert convergent_should_grow(state, 7, 0.0)
 
 
 # --- average_training_epochs ----------------------------------------------------
@@ -266,7 +270,7 @@ def simulate(policy, total, finetune, budget, orls, vals, alpha=4.0, period_scal
                         period_scale=period_scale)
     should_grow = SHOULD_GROW[policy]
     for epoch in range(total):
-        state.record_epoch(epoch, vals[epoch])
+        state.val_history.append(vals[epoch])
         if state.remaining > 0 and should_grow(state, epoch, orls[epoch]):
             state.record_growth(GrowthEvent(epoch + 1, 0, 0, "copy"))
             state.last_growth_epoch = epoch
