@@ -211,8 +211,7 @@ def run(config: TrainConfig) -> RunResult:
     should_grow = SHOULD_GROW[pol.name]
 
     where = WherePolicy(config.where, target_arch.blocks_per_stage)
-    # After the last growth the shadow is not retargeted but still updated.
-    ensemble = _track_next(net, where) if config.init == "moment" and budget > 0 else None
+    ensemble = _track_next(net, where) if config.init == "moment" else None
 
     growth_done_epoch: int | None = 0 if budget == 0 else None
     metrics: list[EpochMetrics] = []
@@ -252,11 +251,9 @@ def run(config: TrainConfig) -> RunResult:
                 init_rule=rule,
             )
             state.record_growth(event)
-            state.last_growth_epoch = epoch
             if state.remaining == 0:
                 growth_done_epoch = epoch + 1
-            elif config.init == "moment":
-                ensemble = _track_next(net, where)
+            ensemble = _track_next(net, where) if config.init == "moment" else None
             grew = True
 
         metrics.append(EpochMetrics(

@@ -12,6 +12,9 @@ stages; each stage is a run of blocks sharing one width. Block kinds:
 
 A linear classifier maps the last stage's width to class logits.
 
+Training and evaluation share one forward pass, which writes block outputs
+(and, for training, z > 0 masks) in place into per-call workspace views.
+
 Parameters, gradients and SGD momentum are one contiguous float64 vector
 each, laid out in `iter_params` order; block weights and biases, the
 classifier's and `Network.grad_views` are reshaped views into them. The
@@ -174,38 +177,27 @@ def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
     return np.asarray(batch, dtype=np.float64)
 
 
-def _forward_cached(net: Network, batch: np.ndarray):
-    """Forward pass keeping per-block inputs and pre-activations."""
-    x = _check_batch(net, batch)
-    caches = []  # (block, input, pre-activation) in forward order
-    for blk in net.blocks():
-        z = x @ blk.weight.T + blk.bias
-        a = np.maximum(z, 0.0)
-        caches.append((blk, x, z))
-        x = x + a if blk.kind is BlockKind.RESIDUAL else a
-    logits = x @ net.clf_weight.T + net.clf_bias
-    return logits, x, caches
+def _workspace(net: Network, n: int, count: int, dtype: type) -> list[np.ndarray]:
+    """One (n x width) view per block, cut from one np.empty; block k uses row k % count."""
+    rows = np.empty((count, n * max(st.width for st in net.stages)), dtype)
+    return [rows[k % count, : n * blk.weight.shape[0]].reshape(n, -1)
+            for k, blk in enumerate(net.blocks())]
 
 
-def _forward_buffered(net: Network, batch: np.ndarray, bufs: np.ndarray) -> np.ndarray:
-    """Logits by `_forward_cached`'s operations, in place in bufs[0] and bufs[1] by turns."""
-    x = _check_batch(net, batch)
-    n = len(x)
+def _forward(net: Network, x: np.ndarray, outs: list[np.ndarray],
+             masks: list[np.ndarray] | None = None) -> np.ndarray:
+    """Logits of a checked batch; block k writes outs[k][:len(x)] and z > 0 into masks[k]."""
     for k, blk in enumerate(net.blocks()):
-        width = blk.weight.shape[0]
-        y = bufs[k % 2, : n * width].reshape(n, width)
+        y = outs[k][: len(x)]
         np.matmul(x, blk.weight.T, out=y)
         y += blk.bias
+        if masks is not None:
+            np.greater(y, 0.0, out=masks[k])
         np.maximum(y, 0.0, out=y)
         if blk.kind is BlockKind.RESIDUAL:
             y += x
         x = y
     return x @ net.clf_weight.T + net.clf_bias
-
-
-def forward(net: Network, batch: np.ndarray) -> np.ndarray:
-    """Logits (B x num_classes) for a batch; pure function of (net, batch)."""
-    return _forward_cached(net, batch)[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -228,8 +220,12 @@ def loss_grads_logits(net: Network, batch: np.ndarray,
     first block's parameter gradients. The ReLU subgradient at 0 is 0.
     """
     labels = _check_labels(labels, net.num_classes)
-    logits, feats, caches = _forward_cached(net, batch)
-    n = logits.shape[0]
+    x = _check_batch(net, batch)
+    n = len(x)
+    blocks = net.blocks()
+    outs = _workspace(net, n, len(blocks), np.float64)
+    masks = _workspace(net, n, len(blocks), np.bool_)
+    logits = _forward(net, x, outs, masks)
 
     ls = _log_softmax(logits)
     loss = float(-ls[np.arange(n), labels].mean())
@@ -239,22 +235,18 @@ def loss_grads_logits(net: Network, batch: np.ndarray,
     dlogits /= n
 
     gw, gb = net.grad_views[-1]
-    np.matmul(dlogits.T, feats, out=gw)
+    np.matmul(dlogits.T, outs[-1], out=gw)
     dlogits.sum(axis=0, out=gb)
     dx = dlogits @ net.clf_weight
 
-    for i in range(len(caches) - 1, -1, -1):
-        blk, x_in, z = caches[i]
-        gw, gb = net.grad_views[i]
-        dz = dx * (z > 0.0)
-        np.matmul(dz.T, x_in, out=gw)
+    for k, blk in reversed(list(enumerate(blocks))):
+        gw, gb = net.grad_views[k]
+        dz = dx * masks[k]
+        np.matmul(dz.T, outs[k - 1] if k else x, out=gw)
         dz.sum(axis=0, out=gb)
-        if i == 0:
+        if k == 0:
             break
-        if blk.kind is BlockKind.RESIDUAL:
-            dx = dx + dz @ blk.weight
-        else:
-            dx = dz @ blk.weight
+        dx = dx + dz @ blk.weight if blk.kind is BlockKind.RESIDUAL else dz @ blk.weight
     return loss, logits
 
 
@@ -288,12 +280,13 @@ def accuracy_and_loss(net: Network, features: np.ndarray, labels: np.ndarray,
     if len(features) == 0:
         raise ValueError("evaluation of an empty dataset is undefined")
     labels = _check_labels(labels, net.num_classes)
-    bufs = np.empty((2, min(chunk, len(features)) * max(st.width for st in net.stages)))
+    features = _check_batch(net, features)
+    outs = _workspace(net, min(chunk, len(features)), 2, np.float64)
     correct = 0
     loss_sum = 0.0
     for i in range(0, len(features), chunk):
         y = labels[i : i + chunk]
-        logits = _forward_buffered(net, features[i : i + chunk], bufs)
+        logits = _forward(net, features[i : i + chunk], outs)
         correct += int((np.argmax(logits, axis=1) == y).sum())
         ls = _log_softmax(logits)
         loss_sum += float(-ls[np.arange(len(y)), y].sum())

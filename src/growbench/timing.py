@@ -128,6 +128,7 @@ class PolicyState:
 
     def record_growth(self, event: GrowthEvent) -> None:
         self.events.append(event)
+        self.last_growth_epoch = event.epoch - 1  # decided at the end of that epoch
         self.remaining -= 1
         if self.remaining < 0:
             raise PolicyError("grew more blocks than the budget allows")
@@ -141,8 +142,8 @@ def fragrow_should_grow(state: PolicyState, epoch: int, orl_pp: float) -> bool:
     """Fitting-risk-aware rule: grow once the dynamic interval has elapsed.
 
     The interval is re-evaluated from the latest orl each epoch, floored
-    at one epoch, and always bounded by max_interval, so this policy
-    never grows slower than the periodic baseline.
+    at one epoch and bounded by max_interval: no gap exceeds ceil(max_interval),
+    which is one more than periodic's period at a cap of 2.4 (3 vs 2).
     """
     if state.deadline_reached(epoch):
         return True

@@ -1,9 +1,14 @@
 import json
+import math
+import os
 import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growbench.harness import (
     DataConfig,
@@ -18,7 +23,7 @@ from growbench.harness import (
     write_metrics,
 )
 from growbench.netcore import build_network
-from growbench.arch import ArchSpec, StageSpec
+from growbench.arch import ArchSpec, StageSpec, parse_arch
 from growbench.timing import PolicyError, i_max, round_half_up
 
 
@@ -133,6 +138,65 @@ def test_metrics_file_round_trip(tmp_path):
     rec = json.loads(lines[0])
     assert list(rec) == ["epoch", "train_acc", "val_acc", "test_acc",
                          "train_loss", "orl", "lr", "blocks", "grew"]
+
+
+@st.composite
+def small_configs(draw):
+    """A TrainConfig of 1-3 stages of width <= 8 on tiny Gaussian data."""
+    family = draw(st.sampled_from(("plain", "res")))
+    widths = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    seed = [draw(st.integers(1, 2)) for _ in widths]
+    target = [b + draw(st.integers(0, 2)) for b in seed]
+    budget = sum(target) - sum(seed)
+    finetune = draw(st.integers(0, 3))
+    total = finetune + budget + draw(st.integers(0 if budget else 1, 3))
+    classes = draw(st.integers(2, 3))
+    return TrainConfig(
+        seed_arch=family + ":" + "-".join(f"{w}x{b}" for w, b in zip(widths, seed)),
+        target_arch=family + ":" + "-".join(f"{w}x{b}" for w, b in zip(widths, target)),
+        where=draw(st.sampled_from(("sequential", "circulation"))),
+        init=draw(st.sampled_from(("copy", "moment", "random"))),
+        policy=PolicyConfig(name=draw(st.sampled_from(("fragrow", "periodic", "convergent"))),
+                            period_scale=draw(st.floats(0.05, 1.0))),
+        data=DataConfig(source="gaussians", classes=classes, dim=draw(st.integers(classes, 6)),
+                        per_class=12, test_per_class=6, sep=3.0,
+                        data_seed=draw(st.integers(0, 2**16)), val_fraction=0.2),
+        total_epochs=total,
+        min_finetune_epochs=finetune,
+        lr_base=0.05,
+        batch_size=draw(st.integers(4, 16)),
+        run_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs())
+def test_property_whole_run_invariants(cfg):
+    res = run(cfg)
+    total, budget = cfg.total_epochs, config_added_blocks(cfg)
+    seed, target = (parse_arch(a, 1, 2).blocks_per_stage for a in (cfg.seed_arch, cfg.target_arch))
+    grown = [e.epoch for e in res.events]
+    assert len(grown) == budget
+    assert grown == sorted(set(grown))  # at most one growth per epoch
+    assert res.metrics[-1].blocks == target
+    assert [m.grew for m in res.metrics] == [m.epoch + 1 in grown for m in res.metrics]
+    trained = [seed] + [m.blocks for m in res.metrics[:-1]]  # the net each epoch trains
+    assert sum(b == target for b in trained) >= cfg.min_finetune_epochs
+    t_e = grown[-1] if grown else 0
+    for m in res.metrics:
+        if m.epoch < t_e:
+            assert m.lr == cfg.lr_base
+        else:
+            frac = (m.epoch - t_e) / (total - t_e)
+            assert m.lr == cfg.lr_base * 0.5 * (1.0 + math.cos(math.pi * frac))
+    if budget:
+        assert res.e_bar == sum(total - e for e in grown) / budget
+    else:
+        assert res.e_bar is None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.jsonl")
+        write_metrics(res, path)
+        assert read_metrics(path) == res
 
 
 def _corrupt(tmp_path, edit):

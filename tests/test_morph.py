@@ -15,7 +15,7 @@ from growbench.morph import (
     init_moment,
     resolve_init_rule,
 )
-from growbench.netcore import BlockKind, build_network, forward, loss_grads_logits
+from growbench.netcore import BlockKind, build_network, loss_grads_logits
 from growbench.rng import substream
 
 
@@ -26,6 +26,11 @@ def arch(blocks, family="res", width=8, input_dim=6, classes=3):
 
 def flat_params(net):
     return np.concatenate([a.ravel() for _, w, b in net.iter_params() for a in (w, b)])
+
+
+def logits(net, x):
+    """The training pass's logits (labels do not affect them)."""
+    return loss_grads_logits(net, x, np.zeros(len(x), dtype=np.int64))[1]
 
 
 # --- count_added_blocks -----------------------------------------------------
@@ -210,9 +215,9 @@ def test_second_growth_tracks_new_preceding_block():
 def test_grow_zero_init_preserves_function():
     net = build_network(arch((2, 2)), 9)
     x = np.random.default_rng(0).normal(size=(7, 6))
-    before = forward(net, x)
+    before = logits(net, x)
     grow(net, 1, "zero")
-    np.testing.assert_array_equal(forward(net, x), before)
+    np.testing.assert_array_equal(logits(net, x), before)
 
 
 def test_grow_increments_counts_and_buffers():
@@ -245,7 +250,7 @@ def test_grow_copy_keeps_training_stable():
     grow(net, 0, "copy")
     loss, _ = loss_grads_logits(net, x, y)
     assert np.isfinite(loss)
-    assert np.isfinite(forward(net, x)).all()
+    assert np.isfinite(logits(net, x)).all()
 
 
 def test_grow_random_uses_given_stream():

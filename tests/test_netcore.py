@@ -6,11 +6,10 @@ import pytest
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.data import gen_gaussians
 from growbench.netcore import (
-    _forward_buffered,
     BlockKind,
+    _log_softmax,
     accuracy_and_loss,
     build_network,
-    forward,
     loss_grads_logits,
     lr_at,
     sgd_step,
@@ -107,6 +106,19 @@ def test_parse_arch_round_trip():
 
 # --- forward ----------------------------------------------------------------
 
+def reference_logits(net, x):
+    """The allocating forward: relu(x @ W.T + b) per block, plus x for residual blocks."""
+    for blk in net.blocks():
+        a = np.maximum(x @ blk.weight.T + blk.bias, 0.0)
+        x = x + a if blk.kind is BlockKind.RESIDUAL else a
+    return x @ net.clf_weight.T + net.clf_bias
+
+
+def logits(net, x):
+    """The training pass's logits (labels do not affect them)."""
+    return loss_grads_logits(net, x, np.zeros(len(x), dtype=np.int64))[1]
+
+
 def test_residual_zero_block_is_identity():
     net = build_network(small_arch(widths=(5,), blocks=(1,), input_dim=5), 0)
     blk = net.stages[0].blocks[0]
@@ -116,7 +128,7 @@ def test_residual_zero_block_is_identity():
     net.clf_weight[:] = np.eye(3, 5)
     net.clf_bias[:] = 0.0
     x = np.arange(10, dtype=float).reshape(2, 5)
-    np.testing.assert_array_equal(forward(net, x), x[:, :3])
+    np.testing.assert_array_equal(logits(net, x), x[:, :3])
 
 
 def test_forward_batch_independence():
@@ -124,30 +136,41 @@ def test_forward_batch_independence():
     rng = np.random.default_rng(1)
     big = rng.normal(size=(32, 5))
     row = big[17:18]
-    np.testing.assert_allclose(forward(net, row)[0], forward(net, big)[17], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits(net, row)[0], logits(net, big)[17], rtol=0, atol=1e-12)
 
 
 def test_forward_finite_on_random_inputs():
     net = build_network(small_arch(widths=(16, 16), blocks=(3, 3), input_dim=8), 2)
     x = np.random.default_rng(5).normal(size=(64, 8))
-    assert np.isfinite(forward(net, x)).all()
+    assert np.isfinite(logits(net, x)).all()
 
 
 @pytest.mark.parametrize("family", ("plain", "res"))
-def test_buffered_forward_matches_cached_forward_bitwise(family):
-    # the evaluation pass works in place in two buffers; the training
-    # pass allocates. Both must give the same bits, with a width change.
+def test_forward_matches_reference_bitwise(family):
+    # training keeps one output view per block, evaluation reuses two by
+    # turns; both must give the allocating forward's bits, with a width change.
     arch = small_arch(family=family, widths=(7, 7, 4), blocks=(2, 1, 2), input_dim=7, classes=4)
     net = build_network(arch, 3)
-    x = np.random.default_rng(8).normal(size=(20, 7))
-    bufs = np.empty((2, 20 * 7))
-    assert _forward_buffered(net, x, bufs).tobytes() == forward(net, x).tobytes()
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(20, 7))
+    y = rng.integers(0, 4, size=20)
+    assert logits(net, x).tobytes() == reference_logits(net, x).tobytes()
+    for chunk in (6, 4096):  # 6: three full chunks and a partial last one
+        correct, loss_sum = 0, 0.0
+        for i in range(0, 20, chunk):
+            ref = reference_logits(net, x[i : i + chunk])
+            correct += int((np.argmax(ref, axis=1) == y[i : i + chunk]).sum())
+            loss_sum += float(-_log_softmax(ref)[np.arange(len(ref)), y[i : i + chunk]].sum())
+        acc, loss = accuracy_and_loss(net, x, y, chunk=chunk)
+        assert (acc, loss) == (100.0 * correct / 20, loss_sum / 20)
 
 
 def test_forward_rejects_dim_mismatch():
     net = build_network(small_arch(), 0)
     with pytest.raises(ValueError):
-        forward(net, np.zeros((2, 4)))
+        logits(net, np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        accuracy_and_loss(net, np.zeros((2, 4)), np.zeros(2, dtype=np.int64))
 
 
 # --- loss_grads_logits ------------------------------------------------------
@@ -215,6 +238,8 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
     clf_w, clf_b = net.grad_views[-1]
     np.testing.assert_allclose(clf_w, p.T @ feats, atol=1e-12)
     np.testing.assert_allclose(clf_b, p.sum(axis=0), atol=1e-12)
+    # every pre-activation is exactly 0, where the ReLU subgradient is 0
+    assert not any(w.any() or b.any() for w, b in net.grad_views[:-1])
 
 
 # --- sgd_step ---------------------------------------------------------------
