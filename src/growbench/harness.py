@@ -5,9 +5,10 @@ epoch end evaluate train/val/test, feed the fitting-risk reading to the
 when-to-grow policy, and insert one block when it fires. Once the network
 reaches target size the remaining epochs finetune under cosine decay.
 A batch loss that is not finite stops the run with an error naming the
-epoch and batch. Runs are bit-deterministic for a fixed config, seed and
-BLAS thread count; wide inputs (784 IDX pixels) can round differently at
-another thread count.
+epoch and batch. Runs are bit-deterministic for a fixed config and seed:
+`netcore` runs numpy's OpenBLAS on one thread by default, and only an
+explicit OPENBLAS_NUM_THREADS can change the bytes of a wide-input run
+(784 IDX pixels).
 """
 
 from __future__ import annotations

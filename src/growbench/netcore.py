@@ -1,9 +1,11 @@
 """Staged feed-forward network engine with exact manual backpropagation.
 
-Everything runs in float64; results are bit-identical for a fixed seed
-and BLAS thread count (matrix products with a wide inner dimension can
-round differently at another thread count). A network is a sequence of
-stages; each stage is a run of blocks sharing one width. Block kinds:
+Everything runs in float64; results are bit-identical for a fixed seed.
+Importing this module runs numpy's OpenBLAS on one thread unless
+OPENBLAS_NUM_THREADS is set, so only an explicit thread count can change
+the bytes of a wide-input (K=784) matrix product. A network is a
+sequence of stages; each stage is a run of blocks sharing one width.
+Block kinds:
 
     plain:      y = relu(W x + b)            (in_width == out_width)
     residual:   y = x + relu(W x + b)        (in_width == out_width)
@@ -26,14 +28,49 @@ rounds exactly as a per-block update would.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import glob
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arch import ArchSpec
 from .rng import substream
+
+# OpenBLAS thread setters, newest naming first: scipy-openblas (numpy >= 2),
+# then the ILP64 and LP64 names of older numpy wheels.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS bundled with numpy to one thread, unless OPENBLAS_NUM_THREADS is set.
+
+    The matrices here are small, so a second thread only spins, and one
+    fixed count gives the same bytes on any core count. Does nothing when
+    numpy ships no OpenBLAS.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
+_one_blas_thread()
 
 
 class BlockKind(enum.Enum):
