@@ -9,6 +9,11 @@ epoch and batch. Runs are bit-deterministic for a fixed config and seed:
 `netcore` runs numpy's OpenBLAS on one thread by default, and only an
 explicit OPENBLAS_NUM_THREADS can change the bytes of a wide-input run
 (784 IDX pixels).
+
+`compare` runs the configs that differ only in `policy` as one `run` call
+per seed. The runs share one trajectory, bit for bit their solo runs,
+until their growth decisions differ, and then it forks. Each run's
+`wall_seconds` is its set-up plus every epoch its trajectory rode.
 """
 
 from __future__ import annotations
@@ -187,106 +192,166 @@ def _track_next(net: Network, where: WherePolicy) -> MomentEnsemble | None:
     return MomentEnsemble.track(preceding)
 
 
-def run(config: TrainConfig) -> RunResult:
-    """Execute one grow-train-finetune run and collect per-epoch metrics."""
+@dataclass
+class _Branch:
+    """One training trajectory and the runs on it (indices into the policies)."""
+
+    net: Network
+    where: WherePolicy
+    ensemble: MomentEnsemble | None
+    growth_done_epoch: int | None
+    metrics: list[EpochMetrics]
+    seconds: float  # set-up plus every epoch this trajectory rode
+    members: list[int]
+
+    def fork(self, members: list[int]) -> _Branch:
+        """An independent copy of this trajectory for `members`."""
+        net, ensemble = self.net.copy(), None
+        if self.ensemble is not None:
+            block = net.blocks()[self.net.blocks().index(self.ensemble.block)]
+            ensemble = MomentEnsemble(block, self.ensemble.shadow.copy(), self.ensemble.updates)
+        return _Branch(net, replace(self.where), ensemble, self.growth_done_epoch,
+                       list(self.metrics), self.seconds, members)
+
+
+def run(config: TrainConfig,
+        policies: list[PolicyConfig] | None = None) -> RunResult | list[RunResult | Exception]:
+    """Execute one grow-train-finetune run and collect per-epoch metrics.
+
+    With `policies`, run `config` once per policy in place of its own and
+    return one RunResult or exception per policy. The runs share one
+    trajectory until their growth decisions differ, and each result equals
+    its solo run's apart from `wall_seconds`: set-up plus the epochs of
+    the trajectory it rode.
+    """
+    outcomes = _run_policies(config, [config.policy] if policies is None else policies)
+    if policies is not None:
+        return outcomes
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _run_policies(config: TrainConfig, policies: list[PolicyConfig]) -> list[RunResult | Exception]:
     t_start = time.perf_counter()
-    train, val, test = build_datasets(config.data)
-    seed_arch = parse_arch(config.seed_arch, train.dim, train.num_classes)
-    target_arch = parse_arch(config.target_arch, train.dim, train.num_classes)
-    budget = count_added_blocks(seed_arch, target_arch)
+    outcomes: list[RunResult | Exception | None] = [None] * len(policies)
 
-    net = build_network(seed_arch, config.run_seed)
+    def fail(members, exc: Exception) -> None:
+        for i in members:
+            outcomes[i] = exc
 
-    pol = config.policy
-    state = PolicyState(
-        total_epochs=config.total_epochs,
-        min_finetune_epochs=config.min_finetune_epochs,
-        remaining=budget,
-        max_interval=(
-            i_max(config.total_epochs, config.min_finetune_epochs, budget)
-            if budget > 0 else 1.0
-        ),
-        alpha=pol.alpha,
-        period_scale=pol.period_scale,
-    )
-    should_grow = SHOULD_GROW[pol.name]
+    try:
+        train, val, test = build_datasets(config.data)
+        seed_arch = parse_arch(config.seed_arch, train.dim, train.num_classes)
+        target_arch = parse_arch(config.target_arch, train.dim, train.num_classes)
+        budget = count_added_blocks(seed_arch, target_arch)
+        max_interval = (i_max(config.total_epochs, config.min_finetune_epochs, budget)
+                        if budget > 0 else 1.0)
+        net = build_network(seed_arch, config.run_seed)
+        where = WherePolicy(config.where, target_arch.blocks_per_stage)
+        ensemble = _track_next(net, where) if config.init == "moment" else None
+    except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
+        fail(range(len(policies)), exc)
+        return outcomes
 
-    where = WherePolicy(config.where, target_arch.blocks_per_stage)
-    ensemble = _track_next(net, where) if config.init == "moment" else None
-
-    growth_done_epoch: int | None = 0 if budget == 0 else None
-    metrics: list[EpochMetrics] = []
+    states = [PolicyState(total_epochs=config.total_epochs,
+                          min_finetune_epochs=config.min_finetune_epochs,
+                          remaining=budget, max_interval=max_interval,
+                          alpha=pol.alpha, period_scale=pol.period_scale)
+              for pol in policies]
+    should_grow = [SHOULD_GROW[pol.name] for pol in policies]
+    branches = [_Branch(net, where, ensemble, 0 if budget == 0 else None, [],
+                        time.perf_counter() - t_start, list(range(len(policies))))]
     n_train = len(train)
 
     for epoch in range(config.total_epochs):
-        lr = lr_at(config.lr_base, epoch, growth_done_epoch, config.total_epochs)
+        alive = []
+        for branch in branches:
+            t0, net, ensemble = time.perf_counter(), branch.net, branch.ensemble
+            try:
+                lr = lr_at(config.lr_base, epoch, branch.growth_done_epoch, config.total_epochs)
+                perm = substream(config.run_seed, "shuffle", epoch).permutation(n_train)
+                for batch, lo in enumerate(range(0, n_train, config.batch_size)):
+                    idx = perm[lo : lo + config.batch_size]
+                    loss, _ = loss_grads_logits(net, train.features[idx], train.labels[idx])
+                    if not math.isfinite(loss):
+                        raise RuntimeError(
+                            f"training diverged: loss {loss} at epoch {epoch}, batch {batch}"
+                        )
+                    sgd_step(net, lr, config.momentum, config.weight_decay)
+                    if ensemble is not None:
+                        ensemble.update()
+                report = evaluate(net, train, val, test)
+            except Exception as exc:  # noqa: BLE001 - a failed trunk fails every run on it
+                fail(branch.members, exc)
+                continue
+            orl_pp = orl(report.train_acc, report.val_acc)
 
-        perm = substream(config.run_seed, "shuffle", epoch).permutation(n_train)
-        for batch, lo in enumerate(range(0, n_train, config.batch_size)):
-            idx = perm[lo : lo + config.batch_size]
-            loss, _ = loss_grads_logits(net, train.features[idx], train.labels[idx])
-            if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged: loss {loss} at epoch {epoch}, batch {batch}"
-                )
-            sgd_step(net, lr, config.momentum, config.weight_decay)
-            if ensemble is not None:
-                ensemble.update()
+            # Every run decides; those that decide alike stay on one trajectory.
+            decided: dict[bool, list[int]] = {False: [], True: []}
+            for i in branch.members:
+                states[i].val_history.append(report.val_acc)
+                try:
+                    grows = states[i].remaining > 0 and should_grow[i](states[i], epoch, orl_pp)
+                except Exception as exc:  # noqa: BLE001 - a failing policy fails only its run
+                    fail([i], exc)
+                    continue
+                decided[bool(grows)].append(i)
+            parts = [(grew, members) for grew, members in decided.items() if members]
+            paths = [(grew, branch.fork(members) if k else branch)
+                     for k, (grew, members) in enumerate(parts)]
+            if parts:
+                branch.members = parts[0][1]
 
-        report = evaluate(net, train, val, test)
-        orl_pp = orl(report.train_acc, report.val_acc)
-        state.val_history.append(report.val_acc)
+            for grew, b in paths:
+                if grew:
+                    try:
+                        _grow(b, epoch, config, [states[i] for i in b.members])
+                    except Exception as exc:  # noqa: BLE001 - fails the runs that grew here
+                        fail(b.members, exc)
+                        continue
+                b.metrics.append(EpochMetrics(
+                    epoch, report.train_acc, report.val_acc, report.test_acc, report.train_loss,
+                    orl_pp, lr, b.net.blocks_per_stage(), grew))
+                alive.append(b)
+            dt = time.perf_counter() - t0
+            for _, b in paths:
+                b.seconds += dt
+        branches = alive
 
-        grew = False
-        if state.remaining > 0 and should_grow(state, epoch, orl_pp):
-            location = where.advance(net.blocks_per_stage())
-            if location is None:
-                raise RuntimeError("policy fired with no unsaturated stage")
-            rule = resolve_init_rule(net, location, config.init)
-            rng = substream(config.run_seed, "grow", len(state.events))
-            grow(net, location, rule, rng=rng, ensemble=ensemble)
-            event = GrowthEvent(
-                epoch=epoch + 1,
-                stage=location,
-                block_index=len(net.stages[location].blocks) - 1,
-                init_rule=rule,
-            )
-            state.record_growth(event)
-            if state.remaining == 0:
-                growth_done_epoch = epoch + 1
-            ensemble = _track_next(net, where) if config.init == "moment" else None
-            grew = True
+    for b in branches:
+        remaining = states[b.members[0]].remaining
+        if remaining != 0:
+            fail(b.members, RuntimeError(
+                f"growth budget not exhausted: {remaining} blocks left at the end "
+                "(deadline rule violated)"
+            ))
+        elif b.net.blocks_per_stage() != target_arch.blocks_per_stage:
+            fail(b.members, RuntimeError("final architecture does not match the target spec"))
+        else:
+            last = b.metrics[-1]
+            for i in b.members:
+                events = states[i].events
+                e_bar = average_training_epochs(events, config.total_epochs) if events else None
+                outcomes[i] = RunResult(list(b.metrics), events, e_bar, 100.0 - last.test_acc,
+                                        100.0 - last.train_acc, b.seconds)
+    return outcomes
 
-        metrics.append(EpochMetrics(
-            epoch=epoch,
-            train_acc=report.train_acc,
-            val_acc=report.val_acc,
-            test_acc=report.test_acc,
-            train_loss=report.train_loss,
-            orl=orl_pp,
-            lr=lr,
-            blocks=net.blocks_per_stage(),
-            grew=grew,
-        ))
 
-    if state.remaining != 0:
-        raise RuntimeError(
-            f"growth budget not exhausted: {state.remaining} blocks left at the end "
-            "(deadline rule violated)"
-        )
-    if net.blocks_per_stage() != target_arch.blocks_per_stage:
-        raise RuntimeError("final architecture does not match the target spec")
-
-    e_bar = average_training_epochs(state.events, config.total_epochs) if state.events else None
-    last = metrics[-1]
-    return RunResult(
-        metrics=metrics,
-        events=state.events,
-        e_bar=e_bar,
-        final_test_error=100.0 - last.test_acc,
-        final_train_error=100.0 - last.train_acc,
-        wall_seconds=time.perf_counter() - t_start,
-    )
+def _grow(b: _Branch, epoch: int, config: TrainConfig, states: list[PolicyState]) -> None:
+    """Insert the next block on `b` and record it in the states of its runs."""
+    location = b.where.advance(b.net.blocks_per_stage())
+    if location is None:
+        raise RuntimeError("policy fired with no unsaturated stage")
+    rule = resolve_init_rule(b.net, location, config.init)
+    rng = substream(config.run_seed, "grow", len(states[0].events))
+    grow(b.net, location, rule, rng=rng, ensemble=b.ensemble)
+    event = GrowthEvent(epoch + 1, location, len(b.net.stages[location].blocks) - 1, rule)
+    for state in states:
+        state.record_growth(event)
+    if states[0].remaining == 0:
+        b.growth_done_epoch = epoch + 1
+    b.ensemble = _track_next(b.net, b.where) if config.init == "moment" else None
 
 
 # --- metrics file I/O -------------------------------------------------------
@@ -431,6 +496,10 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
             anchor: str | None = None) -> ComparisonTable:
     """Run every config for every seed; report per-config medians.
 
+    Configs that differ only in `policy` run as one shared `run` call per
+    seed: they train one trajectory until their growth decisions differ.
+    Each run's `wall_seconds` is the set-up time plus every epoch its
+    trajectory rode, so it is what that run alone would cost.
     Training time is normalized so the median of the row labelled
     `anchor` is 100%. When no row has that label, the first zero-growth
     ("vanilla") config anchors, and without one the first config.
@@ -441,16 +510,25 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
     if not seeds:
         raise ValueError("compare needs at least one seed")
 
-    results: dict[str, list[RunResult]] = {}
-    errors: dict[str, list[str]] = {}
+    labels = [label for label, _ in configs]
+    dup = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if dup is not None:
+        raise ValueError(f"duplicate config label {dup!r}: every row needs its own label")
+
+    results: dict[str, list[RunResult]] = {label: [] for label in labels}
+    errors: dict[str, list[str]] = {label: [] for label in labels}
+    groups: dict[TrainConfig, list[tuple[str, TrainConfig]]] = {}
     for label, cfg in configs:
-        results[label] = []
-        errors[label] = []
+        groups.setdefault(replace(cfg, policy=PolicyConfig()), []).append((label, cfg))
+    for group in groups.values():
         for seed in seeds:
-            try:
-                results[label].append(run(replace(cfg, run_seed=seed)))
-            except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
-                errors[label].append(f"seed {seed}: {exc}")
+            outcomes = run(replace(group[0][1], run_seed=seed),
+                           policies=[cfg.policy for _, cfg in group])
+            for (label, _), out in zip(group, outcomes):
+                if isinstance(out, Exception):
+                    errors[label].append(f"seed {seed}: {out}")
+                else:
+                    results[label].append(out)
 
     if anchor not in results:
         anchor = next((label for label, cfg in configs if config_added_blocks(cfg) == 0),

@@ -148,6 +148,15 @@ class Network:
         self.stages[stage].blocks.append(block)
         self._bind()
 
+    def copy(self) -> "Network":
+        """An independent network with this one's parameters and momentum."""
+        stages = [Stage(st.width, [Block(b.kind, b.weight, b.bias) for b in st.blocks])
+                  for st in self.stages]
+        net = Network(self.family, self.input_dim, self.num_classes, stages,
+                      self.clf_weight, self.clf_bias)
+        net.momentum[:] = self.momentum
+        return net
+
     def blocks(self) -> list[Block]:
         """Every block in forward order."""
         return [blk for st in self.stages for blk in st.blocks]

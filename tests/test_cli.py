@@ -195,6 +195,17 @@ def test_compare_command(tmp_path, capsys):
     assert csv_path.read_text().startswith("config,")
 
 
+def test_compare_same_label_twice_exit_1(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = write_tiny(tmp_path / "a", "x.cfg")
+    b = write_tiny(tmp_path / "b", "x.cfg")
+    assert main(["compare", a, b, "--seeds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "duplicate config label 'x'" in captured.err
+    assert captured.out == ""
+
+
 def test_compare_needs_two_configs(tmp_path, capsys):
     a = write_tiny(tmp_path)
     assert main(["compare", a, "--seeds", "1"]) == 2

@@ -7,13 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growbench.harness import (
     DataConfig,
     PolicyConfig,
     TrainConfig,
+    _Branch,
+    _track_next,
     build_datasets,
     compare,
     config_added_blocks,
@@ -22,9 +24,10 @@ from growbench.harness import (
     run,
     write_metrics,
 )
+from growbench.morph import WherePolicy
 from growbench.netcore import build_network
 from growbench.arch import ArchSpec, StageSpec, parse_arch
-from growbench.timing import PolicyError, i_max, round_half_up
+from growbench.timing import SHOULD_GROW, PolicyError, i_max, round_half_up
 
 
 def tiny_config(**kw):
@@ -198,6 +201,73 @@ def test_property_whole_run_invariants(cfg):
         write_metrics(res, path)
         assert read_metrics(path) == res
 
+
+def _sans_wall(result):
+    return replace(result, wall_seconds=0.0)
+
+
+@st.composite
+def policy_lists(draw):
+    """2-4 policies: fresh draws, exact duplicates, and variants in alpha or period_scale."""
+    policies = []
+    for _ in range(draw(st.sampled_from((2, 3, 4)))):
+        kind = draw(st.sampled_from(("fresh", "duplicate", "variant"))) if policies else "fresh"
+        if kind == "fresh":
+            name = draw(st.sampled_from(("fragrow", "periodic", "convergent")))
+            policies.append(PolicyConfig(name, alpha=draw(st.sampled_from((1.0, 4.0, 16.0))),
+                                         period_scale=draw(st.floats(0.05, 1.0))))
+        elif kind == "duplicate":
+            policies.append(draw(st.sampled_from(policies)))
+        else:
+            base = draw(st.sampled_from(policies))
+            policies.append(draw(st.sampled_from((
+                replace(base, alpha=base.alpha * 2.0),
+                replace(base, period_scale=base.period_scale / 2.0),
+            ))))
+    return policies
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs(), policies=policy_lists(), lr_base=st.sampled_from((0.05, 0.05, 1e3)))
+@example(cfg=replace(tiny_config(init="moment", where="circulation"), target_arch="res:8x3-8x2"),
+         policies=[PolicyConfig("convergent"), PolicyConfig("fragrow", alpha=1.0),
+                   PolicyConfig("fragrow", alpha=1.0), PolicyConfig("periodic", period_scale=0.5)],
+         lr_base=0.05)
+def test_property_shared_run_equals_solo_runs(cfg, policies, lr_base):
+    cfg = replace(cfg, lr_base=lr_base)
+    shared = run(cfg, policies=policies)
+    assert len(shared) == len(policies)
+    for pol, got in zip(policies, shared):
+        try:
+            solo = run(replace(cfg, policy=pol))
+        except Exception as exc:  # noqa: BLE001 - the shared run must fail alike
+            assert isinstance(got, Exception) and str(got) == str(exc)
+        else:
+            assert not isinstance(got, Exception), got
+            assert _sans_wall(got) == _sans_wall(solo)
+
+
+def test_branch_fork_is_an_independent_copy():
+    net = build_network(parse_arch("res:8x1-8x1", 8, 3), 0)
+    where = WherePolicy("circulation", (2, 2), last_visited=0)
+    ensemble = _track_next(net, where)
+    ensemble.update()
+    branch = _Branch(net, where, ensemble, None, [], 1.5, [0, 1, 2])
+    fork = branch.fork([2])
+    assert (fork.members, fork.seconds, fork.where) == ([2], 1.5, where)
+    assert fork.ensemble.block is fork.net.stages[1].blocks[-1]  # the block the original tracks
+    assert ensemble.block is net.stages[1].blocks[-1]
+    np.testing.assert_array_equal(fork.net.params, net.params)
+    np.testing.assert_array_equal(fork.ensemble.shadow, ensemble.shadow)
+    assert fork.ensemble.updates == ensemble.updates
+    before = fork.net.params.copy(), fork.ensemble.shadow.copy()
+    net.params += 1.0
+    ensemble.update()
+    where.advance((1, 1))
+    np.testing.assert_array_equal(fork.net.params, before[0])
+    np.testing.assert_array_equal(fork.ensemble.shadow, before[1])
+    assert fork.where.last_visited == 0
 
 def _corrupt(tmp_path, edit):
     """Write a tiny run's metrics file, pass its lines through `edit`, write it back."""
@@ -410,3 +480,35 @@ def test_compare_counts_diverged_seeds_as_failed():
     assert rows["diverged"].test_error_median is None
     assert all("diverged" in e for e in rows["diverged"].errors)
     assert rows["ok"].n_failed == 0
+
+
+def test_compare_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate config label 'x'"):
+        compare([("x", tiny_config()), ("y", tiny_config()), ("x", tiny_config(lr_base=0.1))],
+                seeds=[0])
+
+
+def test_compare_isolates_a_failing_policy(monkeypatch):
+    labeled = [(name, tiny_config(policy=PolicyConfig(name)))
+               for name in ("fragrow", "periodic", "convergent")]
+    solo_rows = [compare([pair], seeds=[0, 1]).rows[0] for pair in labeled[:2]]
+    solo_runs = [run(cfg) for _, cfg in labeled[:2]]
+    convergent = SHOULD_GROW["convergent"]
+
+    def broken_at_epoch_3(state, epoch, orl_pp):
+        if epoch == 3:
+            raise RuntimeError("policy broke at epoch 3")
+        return convergent(state, epoch, orl_pp)
+
+    # At epoch 3 convergent still shares its trunk with periodic on both seeds.
+    monkeypatch.setitem(SHOULD_GROW, "convergent", broken_at_epoch_3)
+    table = compare(labeled, seeds=[0, 1])
+    rows = {r.label: r for r in table.rows}
+    assert rows["convergent"].n_failed == 2
+    assert rows["convergent"].errors == ("seed 0: policy broke at epoch 3",
+                                         "seed 1: policy broke at epoch 3")
+    for solo in solo_rows:
+        assert replace(rows[solo.label], time_pct=None) == replace(solo, time_pct=None)
+    shared = run(labeled[0][1], policies=[cfg.policy for _, cfg in labeled])
+    assert str(shared[2]) == "policy broke at epoch 3"
+    assert [_sans_wall(r) for r in shared[:2]] == [_sans_wall(r) for r in solo_runs]

@@ -286,6 +286,27 @@ def test_sgd_weight_decay_in_buffer():
     np.testing.assert_allclose(net.clf_weight, w0 - 0.1 * w0, atol=1e-14)
 
 
+
+def test_copy_has_same_bits_and_trains_independently():
+    net = build_network(small_arch(), 0)
+    x = np.linspace(-1.0, 1.0, 20).reshape(4, 5)
+    labels = np.array([0, 1, 2, 0])
+    for _ in range(2):
+        loss_grads_logits(net, x, labels)
+        sgd_step(net, 0.1, 0.9, 1e-4)
+    twin = net.copy()
+    np.testing.assert_array_equal(twin.params, net.params)
+    np.testing.assert_array_equal(twin.momentum, net.momentum)
+    for a in (net, twin):
+        loss_grads_logits(a, x, labels)
+        sgd_step(a, 0.1, 0.9, 1e-4)
+    np.testing.assert_array_equal(twin.params, net.params)
+    loss_grads_logits(twin, x, labels)
+    sgd_step(twin, 0.1, 0.9, 1e-4)
+    assert not np.array_equal(twin.params, net.params)
+    twin_arrays = [a for _, w, b in twin.iter_params() for a in (w, b)]
+    assert not any(np.shares_memory(a, net.params) for a in twin_arrays)
+
 # --- lr schedule ------------------------------------------------------------
 
 def test_lr_constant_while_growing():
