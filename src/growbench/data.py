@@ -1,9 +1,16 @@
 """Dataset provisioning: synthetic Gaussian tasks, IDX files, CSV, splits.
 
 Datasets are immutable after creation: float64 feature matrices plus
-int64 class labels. The Gaussian generator places class means on the
-corners of a scaled simplex, which gives direct control over how hard the
-task is (separation) and how much label noise there is to memorize.
+int64 class labels, held as read-only views (the caller's arrays stay
+writable). The Gaussian generator places class means on the corners of a
+scaled simplex, which gives direct control over how hard the task is
+(separation) and how much label noise there is to memorize.
+
+Set-up makes one float64 array per split: `load_idx` and
+`Standardizer.apply` work in place on the one array they allocate, and
+`harness.build_datasets` drops the pool once it is split, so set-up holds
+at most the pool and its train copy (a traced peak of about 1.5x the
+bytes of the splits it returns).
 """
 
 from __future__ import annotations
@@ -44,14 +51,18 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self) -> None:
-        if self.features.ndim != 2 or len(self.features) == 0:
+        if self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError("features must be a non-empty N x D matrix")
         if len(self.labels) != len(self.features):
             raise ValueError("labels and features disagree on N")
-        if np.isnan(self.features).any():
+        if np.isnan(self.features.min()):  # min is NaN iff some entry is; no N x D mask
             raise ValueError("features contain NaN")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels outside [0, {self.num_classes})")
+        for name in ("features", "labels"):
+            view = getattr(self, name).view()  # the caller's array stays writable
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -144,7 +155,8 @@ class Standardizer:
         return cls(mean, std)
 
     def apply(self, dataset: Dataset) -> Dataset:
-        feats = (dataset.features - self.mean) / self.std
+        feats = dataset.features - self.mean
+        feats /= self.std  # in place: the same bytes as (x - mean) / std, one N x D array
         return Dataset(feats, dataset.labels, dataset.num_classes)
 
 
@@ -176,7 +188,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise IdxCountMismatchError(
             f"{images_path} has {count} images but {labels_path} has {label_count} labels"
         )
-    features = pixels.astype(np.float64) / 255.0
+    features = pixels.astype(np.float64)
+    features /= 255.0  # in place: the same bytes as astype(...) / 255, one N x D array
     return Dataset(features, labels, int(labels.max()) + 1)
 
 

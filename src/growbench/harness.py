@@ -149,22 +149,39 @@ class RunResult:
 
 
 def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
-    """Materialize (train, val, test), standardized on the train split."""
+    """Materialize (train, val, test), standardized on the train split.
+
+    The pool is dropped once split, and the test split is loaded only
+    after train and val are standardized, so set-up never holds more
+    float64 data than the pool and its train copy. A test label outside
+    the pool's classes is rejected here, naming the test label file.
+    """
     if cfg.source == "gaussians":
         pool = gen_gaussians(cfg.classes, cfg.dim, cfg.per_class, cfg.sep,
                              cfg.label_noise, cfg.data_seed)
+    elif cfg.source == "idx":
+        pool = load_idx(cfg.train_images, cfg.train_labels)
+    else:
+        pool = load_csv(cfg.train_csv)
+    train, val = split(pool, SplitSpec(cfg.val_fraction, split_seed=cfg.data_seed))
+    del pool
+    tf = Standardizer.fit(train)
+    train = tf.apply(train)
+    val = tf.apply(val)
+    if cfg.source == "gaussians":
         test_seed = int(substream(cfg.data_seed, "test-pool-seed").integers(0, 2**63))
         test = gen_gaussians(cfg.classes, cfg.dim, cfg.test_per_class, cfg.sep,
                              cfg.label_noise, test_seed)
     elif cfg.source == "idx":
-        pool = load_idx(cfg.train_images, cfg.train_labels)
         test = load_idx(cfg.test_images, cfg.test_labels)
     else:
-        pool = load_csv(cfg.train_csv)
         test = load_csv(cfg.test_csv)
-    train, val = split(pool, SplitSpec(cfg.val_fraction, split_seed=cfg.data_seed))
-    tf = Standardizer.fit(train)
-    return tf.apply(train), tf.apply(val), tf.apply(test)
+    top = int(test.labels.max())
+    if top >= train.num_classes:
+        source = cfg.test_labels if cfg.source == "idx" else cfg.test_csv
+        raise ValueError(f"{source}: label {top} outside the training pool's classes "
+                         f"[0, {train.num_classes})")
+    return train, val, tf.apply(test)
 
 
 def config_added_blocks(config: TrainConfig) -> int:

@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from growbench.cli import (
@@ -12,6 +13,7 @@ from growbench.cli import (
     render_config,
     _build_config,
 )
+from growbench.data import Dataset, write_idx
 from growbench.harness import TrainConfig, run, write_metrics
 from growbench.presets import preset_config, preset_names
 
@@ -182,6 +184,22 @@ def test_train_budget_beyond_finetune_floor_exit_1(tmp_path, capsys):
     path = write_tiny(tmp_path)  # 2 growths, 12 epochs
     assert main(["train", path, "--train.min_finetune_epochs=11"]) == 1
     assert "cannot add 2 blocks" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+def test_train_test_label_outside_pool_exit_1(tmp_path, capsys):
+    paths = {}
+    for name, labels in (("train", [0, 1, 2] * 20), ("test", [0, 1, 2, 3] * 5)):
+        feats = np.random.default_rng(len(labels)).integers(0, 256, size=(len(labels), 4)) / 255.0
+        paths[name] = (str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels"))
+        write_idx(Dataset(feats, np.array(labels), max(labels) + 1), *paths[name], rows=2, cols=2)
+    path = write_tiny(tmp_path)
+    data = ["--data.source=idx",
+            f"--data.train_images={paths['train'][0]}", f"--data.train_labels={paths['train'][1]}",
+            f"--data.test_images={paths['test'][0]}", f"--data.test_labels={paths['test'][1]}"]
+    assert main(["train", path, *data]) == 1
+    err = capsys.readouterr().err
+    assert f"{paths['test'][1]}: label 3 outside the training pool's classes [0, 3)" in err
     assert not (tmp_path / "metrics.jsonl").exists()
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from growbench.data import (
     split,
     write_idx,
 )
+from growbench.harness import DataConfig, build_datasets
 from growbench.netcore import accuracy_and_loss, build_network, loss_grads_logits, sgd_step
+from growbench.rng import substream
 
 
 # --- gen_gaussians ------------------------------------------------------------
@@ -121,6 +124,15 @@ def test_standardizer_centers_train_split():
     np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
 
 
+def test_standardizer_apply_bytes_and_input_untouched():
+    ds = gen_gaussians(3, 6, 300, sep=5.0, label_noise=0.0, seed=8)
+    before = ds.features.tobytes()
+    tf = Standardizer.fit(ds)
+    out = tf.apply(ds)
+    assert out.features.tobytes() == ((ds.features - tf.mean) / tf.std).tobytes()
+    assert ds.features.tobytes() == before
+
+
 # --- IDX ------------------------------------------------------------------------
 
 def _u8_dataset(n=10, rows=4, cols=3, classes=4, seed=0):
@@ -136,7 +148,7 @@ def test_idx_round_trip_bit_exact(tmp_path):
     ip, lp = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
     write_idx(ds, ip, lp, rows=4, cols=3)
     back = load_idx(ip, lp)
-    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.features.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
     assert back.labels.tolist() == ds.labels.tolist()
     # write the reload: files must be byte-identical
     ip2, lp2 = str(tmp_path / "img2.idx"), str(tmp_path / "lab2.idx")
@@ -215,12 +227,94 @@ def test_csv_loader(tmp_path):
 # --- Dataset validation -----------------------------------------------------------
 
 def test_dataset_rejects_nan_and_bad_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="features contain NaN"):
         Dataset(np.array([[np.nan, 0.0]]), np.array([0]), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="features contain NaN"):
+        Dataset(np.array([[0.0, -np.inf], [1.0, np.nan]]), np.array([0, 1]), 2)
+    with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty N x D"):
         Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="non-empty N x D"):
+        Dataset(np.zeros((2, 0)), np.array([0, 1]), 2)
+
+
+def test_splits_are_read_only_views_of_the_callers_arrays():
+    feats = np.arange(12, dtype=np.float64).reshape(6, 2)
+    labels = np.array([0, 1, 0, 1, 0, 1])
+    ds = Dataset(feats, labels, 2)
+    assert np.shares_memory(ds.features, feats) and np.shares_memory(ds.labels, labels)
+    tf = Standardizer.fit(ds)
+    for out in (ds, ds.take(np.array([0, 3])), tf.apply(ds), *split(ds, SplitSpec(0.5))):
+        with pytest.raises(ValueError, match="read-only"):
+            out.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            out.labels[0] = 1
+    assert feats.flags.writeable and labels.flags.writeable
+    feats[0, 0] = -1.0
+    assert ds.features[0, 0] == -1.0
+
+
+# --- build_datasets: same bytes as split, fit, apply; bounded set-up memory ------
+
+def _write_u8_idx(tmp_path, name, n, dim, classes, seed):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(n, dim), dtype=np.uint8)
+    labels = rng.integers(0, classes, size=n).astype(np.int64)
+    labels[0] = classes - 1
+    ds = Dataset(pixels.astype(np.float64) / 255.0, labels, classes)
+    ip, lp = str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels")
+    write_idx(ds, ip, lp, rows=dim, cols=1)
+    return ip, lp, ds
+
+
+def _split_fit_apply(pool, test, cfg):
+    """Reference order: split the pool, fit on train, standardize every split."""
+    train, val = split(pool, SplitSpec(cfg.val_fraction, split_seed=cfg.data_seed))
+    mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    return [((ds.features - mean) / std, ds.labels) for ds in (train, val, test)]
+
+
+def _assert_same_bytes(got, want):
+    for ds, (features, labels) in zip(got, want, strict=True):
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_build_datasets_idx_bytes_match_split_fit_apply(tmp_path):
+    ti, tl, pool = _write_u8_idx(tmp_path, "train", 300, 12, 4, seed=1)
+    vi, vl, test = _write_u8_idx(tmp_path, "test", 80, 12, 4, seed=2)
+    cfg = DataConfig(source="idx", train_images=ti, train_labels=tl, test_images=vi,
+                     test_labels=vl, val_fraction=0.1, data_seed=5)
+    _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
+
+
+def test_build_datasets_gaussians_bytes_match_split_fit_apply():
+    cfg = DataConfig(classes=3, dim=8, per_class=100, test_per_class=40, sep=4.0,
+                     label_noise=0.1, data_seed=99, val_fraction=0.05)
+    pool = gen_gaussians(3, 8, 100, 4.0, 0.1, 99)
+    test_seed = int(substream(99, "test-pool-seed").integers(0, 2**63))
+    test = gen_gaussians(3, 8, 40, 4.0, 0.1, test_seed)
+    _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
+
+
+def test_build_datasets_peak_memory_is_bounded(tmp_path):
+    # MNIST-shaped rows: the pool, its train copy and the returned splits
+    # dominate. Holding them all at once, as a naive set-up does, peaks
+    # above 3x the returned bytes.
+    ti, tl, _ = _write_u8_idx(tmp_path, "train", 2000, 784, 10, seed=1)
+    vi, vl, _ = _write_u8_idx(tmp_path, "test", 500, 784, 10, seed=2)
+    cfg = DataConfig(source="idx", train_images=ti, train_labels=tl, test_images=vi,
+                     test_labels=vl, val_fraction=0.05)
+    tracemalloc.start()
+    try:
+        out = build_datasets(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(ds.features.nbytes + ds.labels.nbytes for ds in out)
+    assert peak <= 1.75 * returned, f"peak {peak / returned:.2f}x the returned bytes"
 
 
 @pytest.mark.parametrize("body, line, message", [

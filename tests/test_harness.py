@@ -24,6 +24,8 @@ from growbench.harness import (
     run,
     write_metrics,
 )
+from growbench import harness
+from growbench.data import Dataset, write_idx
 from growbench.morph import WherePolicy
 from growbench.netcore import build_network
 from growbench.arch import ArchSpec, StageSpec, parse_arch
@@ -411,6 +413,37 @@ def test_run_propagates_dataset_errors():
                                    test_images="/nonexistent/ti",
                                    test_labels="/nonexistent/tl"))
     with pytest.raises(OSError):
+        run(cfg)
+
+
+def _write_labelled_pair(tmp_path, source, name, labels):
+    """A tiny IDX pair or CSV file with the given labels; returns its config fields."""
+    labels = np.array(labels, dtype=np.int64)
+    feats = np.random.default_rng(len(labels)).integers(0, 256, size=(len(labels), 4)) / 255.0
+    if source == "idx":
+        images, label_file = str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels")
+        write_idx(Dataset(feats, labels, int(labels.max()) + 1), images, label_file, rows=2, cols=2)
+        return {f"{name}_images": images, f"{name}_labels": label_file}, label_file
+    path = tmp_path / f"{name}.csv"
+    path.write_text("a,b,c,d,label\n" + "".join(
+        ",".join(map(str, row)) + f",{y}\n" for row, y in zip(feats, labels)))
+    return {f"{name}_csv": str(path)}, str(path)
+
+
+@pytest.mark.parametrize("source", ["idx", "csv"])
+def test_test_label_outside_pool_classes_fails_at_setup(tmp_path, monkeypatch, source):
+    train_fields, _ = _write_labelled_pair(tmp_path, source, "train", [0, 1, 2] * 20)
+    test_fields, test_file = _write_labelled_pair(tmp_path, source, "test", [0, 1, 2, 3] * 5)
+    cfg = tiny_config(data=DataConfig(source=source, **train_fields, **test_fields))
+
+    def no_network(*args):
+        raise AssertionError("the network was built")
+
+    monkeypatch.setattr(harness, "build_network", no_network)
+    message = f"^{re.escape(test_file)}: label 3 outside the training pool's classes \\[0, 3\\)$"
+    with pytest.raises(ValueError, match=message):
+        build_datasets(cfg.data)
+    with pytest.raises(ValueError, match=message):
         run(cfg)
 
 
