@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -28,8 +29,6 @@ from .harness import (
 from .presets import preset_config, preset_names
 from .svgplot import Series, render_chart
 from .timing import interval
-
-ENV_SEED = "GROWBENCH_SEED"
 
 
 class ConfigError(ValueError):
@@ -57,10 +56,7 @@ _SECTIONS = {
 }
 
 _MODEL_KEYS = ("seed_arch", "target_arch", "where", "init")
-_TRAIN_KEYS = (
-    "total_epochs", "min_finetune_epochs", "lr_base", "momentum",
-    "weight_decay", "batch_size", "run_seed",
-)
+_TRAIN_KEYS = ("total_epochs", "min_finetune_epochs", "lr_base", "batch_size", "run_seed")
 
 
 def _field_types(cls) -> dict[str, type]:
@@ -77,6 +73,13 @@ _TYPES: dict[str, dict[str, type]] = {
 }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _cast(section: str, key: str, raw: str, where: str) -> object:
     ty = _TYPES[section][key]
     raw = raw.strip()
@@ -84,7 +87,7 @@ def _cast(section: str, key: str, raw: str, where: str) -> object:
         if ty is int:
             return int(raw)
         if ty is float:
-            return float(raw)
+            return _finite_float(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {section}.{key}: {exc}") from exc
@@ -196,17 +199,6 @@ def load_config(source: str, overrides: list[str] | None = None) -> CliConfig:
     return _build_config(values)
 
 
-def _apply_env_seed(cfg: CliConfig) -> CliConfig:
-    env = os.environ.get(ENV_SEED)
-    if env is None:
-        return cfg
-    try:
-        seed = int(env)
-    except ValueError:
-        raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return CliConfig(train=replace(cfg.train, run_seed=seed), output=cfg.output)
-
-
 def _summarize(result: RunResult) -> str:
     lines = [
         f"final test error:  {result.final_test_error:.2f} %",
@@ -227,7 +219,6 @@ def cmd_train(args: argparse.Namespace, overrides: list[str]) -> int:
     if args.print_config:
         print(render_config(cfg), end="")
         return 0
-    cfg = _apply_env_seed(cfg)
     result = run(cfg.train)
     write_metrics(result, cfg.output.metrics_path)
     print(f"metrics written to {cfg.output.metrics_path}")
@@ -242,8 +233,7 @@ def cmd_compare(args: argparse.Namespace, overrides: list[str]) -> int:
     for source in args.configs:
         label = os.path.splitext(os.path.basename(source))[0]
         labeled.append((label, load_config(source, overrides).train))
-    seeds = list(range(args.seeds))
-    table = compare(labeled, seeds)
+    table = compare(labeled, list(range(args.seeds)))
     print(table.to_text())
     if args.csv:
         with open(args.csv, "w") as f:
@@ -257,7 +247,7 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     if not items:
         raise ConfigError(f"empty {what} list")
     try:
-        return [float(p) for p in items]
+        return [_finite_float(p) for p in items]
     except ValueError as exc:
         raise ConfigError(f"bad {what} list {text!r}: {exc}") from exc
 
@@ -284,39 +274,30 @@ def cmd_sweep_alpha(args: argparse.Namespace, overrides: list[str]) -> int:
     return 0
 
 
-_CURVES = ("train_err", "val_err", "test_err", "train_acc", "val_acc",
-           "test_acc", "train_loss", "lr", "blocks", "orl", "interval")
-
-
-def _curve_values(result: RunResult, curve: str, alpha: float | None,
-                  max_interval: float | None) -> tuple[float, ...]:
-    ms = result.metrics
-    if curve == "train_err":
-        return tuple(100.0 - m.train_acc for m in ms)
-    if curve == "val_err":
-        return tuple(100.0 - m.val_acc for m in ms)
-    if curve == "test_err":
-        return tuple(100.0 - m.test_acc for m in ms)
-    if curve in ("train_acc", "val_acc", "test_acc", "train_loss", "lr", "orl"):
-        return tuple(getattr(m, curve) for m in ms)
-    if curve == "blocks":
-        return tuple(float(sum(m.blocks)) for m in ms)
-    if curve == "interval":
-        if alpha is None or max_interval is None:
-            raise ConfigError(
-                "curve 'interval' is derived from orl and needs --alpha and --i-max"
-            )
-        return tuple(interval(max_interval, alpha, m.orl) for m in ms)
-    raise ConfigError(f"unknown curve {curve!r}; available: {', '.join(_CURVES)}")
+# curve name -> its value at one epoch's metrics `m`, given the plot's arguments `a`
+_CURVES = {
+    "train_err": lambda m, a: 100.0 - m.train_acc,
+    "val_err": lambda m, a: 100.0 - m.val_acc,
+    "test_err": lambda m, a: 100.0 - m.test_acc,
+    "train_acc": lambda m, a: m.train_acc,
+    "val_acc": lambda m, a: m.val_acc,
+    "test_acc": lambda m, a: m.test_acc,
+    "train_loss": lambda m, a: m.train_loss,
+    "lr": lambda m, a: m.lr,
+    "blocks": lambda m, a: float(sum(m.blocks)),
+    "orl": lambda m, a: m.orl,
+    "interval": lambda m, a: interval(a.i_max, a.alpha, m.orl),
+}
 
 
 def _parse_range(text: str | None, what: str) -> tuple[float, float] | None:
     if text is None:
         return None
-    m = re.match(r"^(-?[0-9.eE+]+):(-?[0-9.eE+]+)$", text)
-    if m is None:
-        raise ConfigError(f"bad {what} {text!r}; expected LO:HI")
-    return float(m.group(1)), float(m.group(2))
+    try:
+        lo, hi = (_finite_float(v) for v in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"bad {what} {text!r}; expected LO:HI") from None
+    return lo, hi
 
 
 def cmd_plot(args: argparse.Namespace, overrides: list[str]) -> int:
@@ -328,6 +309,8 @@ def cmd_plot(args: argparse.Namespace, overrides: list[str]) -> int:
     for c in curves:
         if c not in _CURVES:
             raise ConfigError(f"unknown curve {c!r}; available: {', '.join(_CURVES)}")
+    if "interval" in curves and (args.alpha is None or args.i_max is None):
+        raise ConfigError("curve 'interval' is derived from orl and needs --alpha and --i-max")
 
     series: list[Series] = []
     events_x: tuple[float, ...] = ()
@@ -338,7 +321,7 @@ def cmd_plot(args: argparse.Namespace, overrides: list[str]) -> int:
             label_prefix = os.path.splitext(os.path.basename(path))[0] + ":"
         xs = tuple(float(m.epoch) for m in result.metrics)
         for curve in curves:
-            ys = _curve_values(result, curve, args.alpha, args.i_max)
+            ys = tuple(_CURVES[curve](m, args) for m in result.metrics)
             series.append(Series(f"{label_prefix}{curve}", xs, ys))
         if len(args.metrics) == 1:
             events_x = tuple(float(e.epoch) for e in result.events)
@@ -357,6 +340,12 @@ def cmd_plot(args: argparse.Namespace, overrides: list[str]) -> int:
     return 0
 
 
+def _seed_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="growbench",
@@ -373,13 +362,13 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run several configs over shared seeds")
     p_cmp.add_argument("configs", nargs="+", help="config paths or preset names")
-    p_cmp.add_argument("--seeds", type=int, default=3, help="number of seeds (0..k-1)")
+    p_cmp.add_argument("--seeds", type=_seed_count, default=3, help="number of seeds (0..k-1)")
     p_cmp.add_argument("--csv", default="", help="also write the table as CSV here")
 
     p_sweep = sub.add_parser("sweep-alpha", help="sweep the risk-sensitivity alpha")
     p_sweep.add_argument("config", help="config path or preset name (fragrow policy)")
     p_sweep.add_argument("--alphas", default="2,4,6", help="comma-separated alpha values")
-    p_sweep.add_argument("--seeds", type=int, default=3)
+    p_sweep.add_argument("--seeds", type=_seed_count, default=3, help="number of seeds (0..k-1)")
     p_sweep.add_argument("--csv", default="", help="write the summary CSV here")
 
     p_plot = sub.add_parser("plot", help="render metrics files to an SVG chart")

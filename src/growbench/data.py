@@ -75,16 +75,6 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    val_fraction: float = 0.01
-    split_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-
-
 def gen_gaussians(num_classes: int, dim: int, per_class: int, sep: float,
                   label_noise: float, seed: int) -> Dataset:
     """Isotropic Gaussian classes with means on a scaled simplex.
@@ -124,17 +114,19 @@ def gen_gaussians(num_classes: int, dim: int, per_class: int, sep: float,
     return Dataset(features, labels, num_classes)
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled (train, val) split.
+def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Deterministic shuffled (train, val) split, drawn from `seed`.
 
     val takes max(1, floor(val_fraction * N)) points; the two parts are
     disjoint and together cover the input exactly.
     """
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least 2 points to split")
-    perm = substream(spec.split_seed, "split").permutation(n)
-    n_val = max(1, math.floor(spec.val_fraction * n))
+    perm = substream(seed, "split").permutation(n)
+    n_val = max(1, math.floor(val_fraction * n))
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
     return dataset.take(train_idx), dataset.take(val_idx)
@@ -215,7 +207,8 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str,
 def load_csv(path: str) -> Dataset:
     """CSV with a header row; the final column is the integer class label.
 
-    A row of the wrong width or a cell that is no number names `path:line`.
+    A row of the wrong width, a cell that is no number or a negative label
+    names `path:line`.
     """
     features, labels = [], []
     with open(path, newline="") as f:
@@ -232,6 +225,8 @@ def load_csv(path: str) -> Dataset:
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
+            if labels[-1] < 0:
+                raise ValueError(f"{where}: negative label {labels[-1]}")
     if not labels:
         raise ValueError(f"{path}: no data rows")
     labels = np.array(labels, dtype=np.int64)

@@ -25,11 +25,12 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from .arch import parse_arch
-from .data import Dataset, SplitSpec, Standardizer, gen_gaussians, load_csv, load_idx, split
+from .data import Dataset, Standardizer, gen_gaussians, load_csv, load_idx, split
 from .morph import (
     GrowthEvent,
     MomentEnsemble,
     USER_INIT_RULES,
+    WHERE_RULES,
     WherePolicy,
     count_added_blocks,
     grow,
@@ -46,6 +47,10 @@ from .netcore import (
 )
 from .rng import substream
 from .timing import SHOULD_GROW, PolicyState, average_training_epochs, i_max, orl
+
+# The SGD recipe is fixed: every preset, test and experiment uses it.
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ class DataConfig:
     def __post_init__(self) -> None:
         if self.source not in ("gaussians", "idx", "csv"):
             raise ValueError(f"unknown data source {self.source!r}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,6 @@ class TrainConfig:
     total_epochs: int = 66
     min_finetune_epochs: int = 30
     lr_base: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     batch_size: int = 128
     run_seed: int = 0
 
@@ -111,8 +116,8 @@ class TrainConfig:
             raise ValueError("total_epochs must exceed min_finetune_epochs")
         if self.init not in USER_INIT_RULES:
             raise ValueError(f"unknown init rule {self.init!r}, expected one of {USER_INIT_RULES}")
-        if self.where not in ("sequential", "circulation"):
-            raise ValueError(f"unknown where-policy {self.where!r}")
+        if self.where not in WHERE_RULES:
+            raise ValueError(f"unknown where-policy {self.where!r}, expected one of {WHERE_RULES}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
 
@@ -163,7 +168,7 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
         pool = load_idx(cfg.train_images, cfg.train_labels)
     else:
         pool = load_csv(cfg.train_csv)
-    train, val = split(pool, SplitSpec(cfg.val_fraction, split_seed=cfg.data_seed))
+    train, val = split(pool, cfg.val_fraction, cfg.data_seed)
     del pool
     tf = Standardizer.fit(train)
     train = tf.apply(train)
@@ -295,7 +300,7 @@ def _run_policies(config: TrainConfig, policies: list[PolicyConfig]) -> list[Run
                         raise RuntimeError(
                             f"training diverged: loss {loss} at epoch {epoch}, batch {batch}"
                         )
-                    sgd_step(net, lr, config.momentum, config.weight_decay)
+                    sgd_step(net, lr, MOMENTUM, WEIGHT_DECAY)
                     if ensemble is not None:
                         ensemble.update()
                 report = evaluate(net, train, val, test)
@@ -465,41 +470,43 @@ class ComparisonRow:
     errors: tuple[str, ...] = ()
 
 
+# numeric columns of a comparison: (text title, text width, ComparisonRow field = CSV header)
+_COLUMNS = (
+    ("test err %", 12, "test_error_median"),
+    ("spread", 8, "test_error_spread"),
+    ("train err %", 12, "train_error_median"),
+    ("spread", 8, "train_error_spread"),
+    ("e_bar", 8, "e_bar_median"),
+    ("time %", 8, "time_pct"),
+)
+
+
 @dataclass
 class ComparisonTable:
     rows: list[ComparisonRow]
     seeds: tuple[int, ...]
 
     def to_text(self) -> str:
-        header = (
-            f"{'config':<24} {'test err %':>12} {'spread':>8} {'train err %':>12} "
-            f"{'spread':>8} {'e_bar':>8} {'time %':>8}"
-        )
+        def fmt(v):
+            return "-" if v is None else f"{v:.2f}"
+        header = f"{'config':<24}" + "".join(f" {title:>{w}}" for title, w, _ in _COLUMNS)
         out = [header, "-" * len(header)]
         for r in self.rows:
-            def fmt(v, nd=2):
-                return f"{v:.{nd}f}" if v is not None else "-"
-            line = (
-                f"{r.label:<24} {fmt(r.test_error_median):>12} {fmt(r.test_error_spread):>8} "
-                f"{fmt(r.train_error_median):>12} {fmt(r.train_error_spread):>8} "
-                f"{fmt(r.e_bar_median):>8} {fmt(r.time_pct):>8}"
-            )
+            line = f"{r.label:<24}" + "".join(f" {fmt(getattr(r, name)):>{w}}"
+                                              for _, w, name in _COLUMNS)
             if r.n_failed:
                 line += f"  [{r.n_failed}/{r.n_seeds} runs failed]"
             out.append(line)
         return "\n".join(out)
 
     def to_csv(self) -> str:
-        out = ["config,test_error_median,test_error_spread,train_error_median,"
-               "train_error_spread,e_bar_median,time_pct,n_seeds,n_failed"]
+        def cell(v):
+            return "" if v is None else f"{v:.6g}"
+        names = [name for _, _, name in _COLUMNS]
+        out = [",".join(["config", *names, "n_seeds", "n_failed"])]
         for r in self.rows:
-            def cell(v):
-                return "" if v is None else f"{v:.6g}"
-            out.append(",".join([
-                r.label, cell(r.test_error_median), cell(r.test_error_spread),
-                cell(r.train_error_median), cell(r.train_error_spread),
-                cell(r.e_bar_median), cell(r.time_pct), str(r.n_seeds), str(r.n_failed),
-            ]))
+            cells = [cell(getattr(r, name)) for name in names]
+            out.append(",".join([r.label, *cells, str(r.n_seeds), str(r.n_failed)]))
         return "\n".join(out) + "\n"
 
 

@@ -23,6 +23,8 @@ ALL_INIT_RULES = USER_INIT_RULES + ("zero",)
 
 EMA_DECAY = 0.99
 
+WHERE_RULES = ("sequential", "circulation")
+
 
 class GrowthError(ValueError):
     """Invalid growth request (saturated stage, bad init rule, ...)."""
@@ -161,8 +163,8 @@ class WherePolicy:
     last_visited: int = -1
 
     def __post_init__(self) -> None:
-        if self.name not in ("sequential", "circulation"):
-            raise GrowthError(f"unknown where-policy {self.name!r}")
+        if self.name not in WHERE_RULES:
+            raise GrowthError(f"unknown where-policy {self.name!r}, expected one of {WHERE_RULES}")
 
     def peek(self, current: tuple[int, ...]) -> int | None:
         n = len(self.target)

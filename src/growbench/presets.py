@@ -55,8 +55,6 @@ BASE_PRESETS: dict[str, TrainConfig] = {
         total_epochs=66,
         min_finetune_epochs=30,
         lr_base=0.05,
-        momentum=0.9,
-        weight_decay=1e-4,
         batch_size=64,
     ),
     "underfit": TrainConfig(
@@ -79,8 +77,6 @@ BASE_PRESETS: dict[str, TrainConfig] = {
         total_epochs=66,
         min_finetune_epochs=30,
         lr_base=0.05,
-        momentum=0.9,
-        weight_decay=1e-4,
         batch_size=128,
     ),
 }
@@ -90,36 +86,27 @@ BASE_PRESETS: dict[str, TrainConfig] = {
 # insertions, it just reaches target size in half the epochs.
 _FAST_SCALE = 0.5
 
+# preset name suffix -> its variant of the base preset: the risk-aware policy
+# (""), either baseline policy, periodic at half the interval cap, or the
+# target net trained from scratch ("_vanilla")
+_VARIANTS = {
+    "": lambda cfg: cfg,
+    "_periodic": lambda cfg: replace(cfg, policy=replace(cfg.policy, name="periodic")),
+    "_convergent": lambda cfg: replace(cfg, policy=replace(cfg.policy, name="convergent")),
+    "_periodic_fast": lambda cfg: replace(
+        cfg, policy=replace(cfg.policy, name="periodic", period_scale=_FAST_SCALE)),
+    "_vanilla": lambda cfg: replace(cfg, seed_arch=cfg.target_arch),
+}
+
 
 def preset_names() -> tuple[str, ...]:
-    names = []
-    for base in BASE_PRESETS:
-        names.append(base)
-        for policy in ("periodic", "convergent"):
-            names.append(f"{base}_{policy}")
-        names.append(f"{base}_periodic_fast")
-        names.append(f"{base}_vanilla")
-    return tuple(names)
+    return tuple(base + suffix for base in BASE_PRESETS for suffix in _VARIANTS)
 
 
 def preset_config(name: str) -> TrainConfig:
-    """Resolve a preset name to a TrainConfig.
-
-    `<base>` runs the risk-aware policy; `<base>_periodic`,
-    `<base>_convergent` swap the policy; `<base>_periodic_fast` grows at
-    half the periodic interval; `<base>_vanilla` trains the target net
-    from scratch.
-    """
-    base, _, variant = name.partition("_")
-    if base not in BASE_PRESETS:
+    """Resolve `<base><suffix>`; KeyError for an unknown base or suffix."""
+    base = name.partition("_")[0]
+    variant = _VARIANTS.get(name[len(base):])
+    if base not in BASE_PRESETS or variant is None:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    cfg = BASE_PRESETS[base]
-    if variant == "":
-        return cfg
-    if variant in ("periodic", "convergent"):
-        return replace(cfg, policy=replace(cfg.policy, name=variant))
-    if variant == "periodic_fast":
-        return replace(cfg, policy=replace(cfg.policy, name="periodic", period_scale=_FAST_SCALE))
-    if variant == "vanilla":
-        return replace(cfg, seed_arch=cfg.target_arch)
-    raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return variant(BASE_PRESETS[base])

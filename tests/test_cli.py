@@ -6,7 +6,6 @@ import pytest
 from growbench.cli import (
     CliConfig,
     ConfigError,
-    _apply_env_seed,
     load_config,
     main,
     parse_config_text,
@@ -14,8 +13,9 @@ from growbench.cli import (
     _build_config,
 )
 from growbench.data import Dataset, write_idx
-from growbench.harness import TrainConfig, run, write_metrics
-from growbench.presets import preset_config, preset_names
+from growbench import harness
+from growbench.harness import DataConfig, TrainConfig, run, write_metrics
+from growbench.presets import BASE_PRESETS, preset_config, preset_names
 
 TINY_CFG = """
 [model]
@@ -66,6 +66,7 @@ def test_unknown_key_reports_line():
 @pytest.mark.parametrize("section, key", [
     ("model", "moment_decay"), ("policy", "plateau_window"), ("policy", "plateau_eps"),
     ("policy", "recompute_each_epoch"), ("data", "standardize"), ("train", "eval_train_full"),
+    ("train", "momentum"), ("train", "weight_decay"),
 ])
 def test_removed_key_reports_file_and_line(tmp_path, section, key):
     p = tmp_path / "old.cfg"
@@ -95,6 +96,26 @@ def test_bad_value_type_reported():
         parse_config_text("[train]\ntotal_epochs = soon\n", "cfg")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_float_rejected_with_key_and_place(tmp_path, raw):
+    p = tmp_path / "nf.cfg"
+    p.write_text(f"[policy]\nalpha = {raw}\n")
+    with pytest.raises(ConfigError, match=rf"nf\.cfg:2: bad value for policy\.alpha: .*not a finite"):
+        load_config(str(p))
+    with pytest.raises(ConfigError, match=rf"override '--policy\.alpha={raw}': bad value for policy\.alpha"):
+        load_config("overfit", [f"--policy.alpha={raw}"])
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1"])
+def test_val_fraction_outside_unit_interval_exits_2(capsys, fraction):
+    assert main(["train", "overfit", f"--data.val_fraction={fraction}", "--print-config"]) == 2
+    captured = capsys.readouterr()
+    assert "val_fraction must be in (0, 1)" in captured.err
+    assert captured.out == ""
+    with pytest.raises(ValueError, match=r"val_fraction must be in \(0, 1\)"):
+        DataConfig(val_fraction=float(fraction))
+
+
 def test_comments_and_blank_lines_ignored(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# hello\n\n[train]\n# inline section comment\nrun_seed = 5\n")
@@ -104,7 +125,8 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 
 def test_defaults_match_published_hyperparameters():
     cfg = TrainConfig()
-    assert cfg.momentum == 0.9
+    assert harness.MOMENTUM == 0.9
+    assert harness.WEIGHT_DECAY == 1e-4
     assert cfg.min_finetune_epochs == 30
     assert cfg.policy.alpha == 4.0
     assert cfg.data.val_fraction == 0.01
@@ -130,13 +152,14 @@ def test_preset_names_resolve():
         load_config("no_such_preset")
 
 
-def test_env_seed_override(monkeypatch):
-    monkeypatch.setenv("GROWBENCH_SEED", "31")
-    cfg = _apply_env_seed(CliConfig())
-    assert cfg.train.run_seed == 31
-    monkeypatch.setenv("GROWBENCH_SEED", "not-a-number")
-    with pytest.raises(ConfigError):
-        _apply_env_seed(CliConfig())
+def test_every_preset_name_resolves_and_bad_variants_raise():
+    names = preset_names()
+    assert len(names) == len(set(names)) == 5 * len(BASE_PRESETS)
+    for name in names:
+        assert isinstance(preset_config(name), TrainConfig)
+    for bad in ("overfit_", "underfit_fast", "overfit_vanilla_", "_periodic", "nobase"):
+        with pytest.raises(KeyError, match="unknown preset"):
+            preset_config(bad)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -229,6 +252,17 @@ def test_compare_needs_two_configs(tmp_path, capsys):
     assert main(["compare", a, "--seeds", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep-alpha"])
+@pytest.mark.parametrize("seeds", ["0", "-1", "two"])
+def test_seed_count_below_one_exit_2_names_flag(tmp_path, capsys, command, seeds):
+    a = write_tiny(tmp_path)
+    configs = [a, a] if command == "compare" else [a]
+    assert main([command, *configs, "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --seeds: expected a positive integer, got '{seeds}'" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_alpha_command(tmp_path, capsys):
     path = write_tiny(tmp_path)
     assert main(["sweep-alpha", path, "--alphas", "4", "--seeds", "1",
@@ -241,6 +275,13 @@ def test_sweep_alpha_empty_list_exit_2(tmp_path, capsys):
     path = write_tiny(tmp_path)
     assert main(["sweep-alpha", path, "--alphas", ",", "--seeds", "1"]) == 2
     assert "empty alpha list" in capsys.readouterr().err
+
+
+def test_sweep_alpha_non_finite_alpha_exit_2(tmp_path, capsys):
+    path = write_tiny(tmp_path)
+    assert main(["sweep-alpha", path, "--alphas", "2,nan", "--seeds", "1",
+                 "--policy.name=fragrow"]) == 2
+    assert "'nan' is not a finite number" in capsys.readouterr().err
 
 
 def test_sweep_alpha_requires_fragrow(tmp_path):
@@ -317,3 +358,13 @@ def test_plot_ranges(metrics_file, tmp_path):
                  "--x-range", "0:12", "--y-range", "0:100"]) == 0
     assert main(["plot", path, "--curves", "test_err", "--out", out,
                  "--x-range", "zero:12"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--x-range", "--y-range"])
+@pytest.mark.parametrize("text", ["1..2:3", "1:2:3", "1", "nan:1", "0:inf"])
+def test_plot_malformed_range_exit_2_names_flag(metrics_file, tmp_path, capsys, flag, text):
+    path, _ = metrics_file
+    out = tmp_path / "bad.svg"
+    assert main(["plot", path, "--curves", "test_err", "--out", str(out), flag, text]) == 2
+    assert f"bad {flag} '{text}'; expected LO:HI" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,7 +10,6 @@ from growbench.data import (
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
-    SplitSpec,
     Standardizer,
     gen_gaussians,
     load_csv,
@@ -83,21 +82,21 @@ def test_separable_task_is_learnable_quickly():
 
 def test_split_counts_50000_to_500():
     ds = gen_gaussians(2, 4, 25_000, sep=3.0, label_noise=0.0, seed=1)
-    train, val = split(ds, SplitSpec(val_fraction=0.01, split_seed=0))
+    train, val = split(ds, val_fraction=0.01, seed=0)
     assert len(val) == 500
     assert len(train) == 49_500
 
 
 def test_split_minimum_one_point():
     ds = gen_gaussians(2, 4, 50, sep=3.0, label_noise=0.0, seed=1)
-    train, val = split(ds, SplitSpec(val_fraction=0.01, split_seed=0))
+    train, val = split(ds, val_fraction=0.01, seed=0)
     assert len(val) == 1
     assert len(train) == 99
 
 
 def test_split_partition_is_exact():
     ds = gen_gaussians(3, 4, 40, sep=3.0, label_noise=0.0, seed=2)
-    train, val = split(ds, SplitSpec(val_fraction=0.1, split_seed=9))
+    train, val = split(ds, val_fraction=0.1, seed=9)
     merged = np.vstack([train.features, val.features])
     assert len(merged) == len(ds)
     # row-level partition: every original row appears exactly once
@@ -109,11 +108,18 @@ def test_split_partition_is_exact():
 
 def test_split_deterministic():
     ds = gen_gaussians(3, 4, 40, sep=3.0, label_noise=0.0, seed=2)
-    t1, v1 = split(ds, SplitSpec(0.05, split_seed=4))
-    t2, v2 = split(ds, SplitSpec(0.05, split_seed=4))
+    t1, v1 = split(ds, 0.05, seed=4)
+    t2, v2 = split(ds, 0.05, seed=4)
     assert v1.features.tobytes() == v2.features.tobytes()
-    t3, v3 = split(ds, SplitSpec(0.05, split_seed=5))
+    t3, v3 = split(ds, 0.05, seed=5)
     assert v1.features.tobytes() != v3.features.tobytes()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, float("nan")])
+def test_split_rejects_val_fraction_outside_unit_interval(fraction):
+    ds = gen_gaussians(2, 4, 10, sep=3.0, label_noise=0.0, seed=1)
+    with pytest.raises(ValueError, match=r"val_fraction must be in \(0, 1\)"):
+        split(ds, fraction, seed=0)
 
 
 def test_standardizer_centers_train_split():
@@ -245,7 +251,7 @@ def test_splits_are_read_only_views_of_the_callers_arrays():
     ds = Dataset(feats, labels, 2)
     assert np.shares_memory(ds.features, feats) and np.shares_memory(ds.labels, labels)
     tf = Standardizer.fit(ds)
-    for out in (ds, ds.take(np.array([0, 3])), tf.apply(ds), *split(ds, SplitSpec(0.5))):
+    for out in (ds, ds.take(np.array([0, 3])), tf.apply(ds), *split(ds, 0.5, seed=0)):
         with pytest.raises(ValueError, match="read-only"):
             out.features[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -270,7 +276,7 @@ def _write_u8_idx(tmp_path, name, n, dim, classes, seed):
 
 def _split_fit_apply(pool, test, cfg):
     """Reference order: split the pool, fit on train, standardize every split."""
-    train, val = split(pool, SplitSpec(cfg.val_fraction, split_seed=cfg.data_seed))
+    train, val = split(pool, cfg.val_fraction, cfg.data_seed)
     mean, std = train.features.mean(axis=0), train.features.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     return [((ds.features - mean) / std, ds.labels) for ds in (train, val, test)]
@@ -323,6 +329,7 @@ def test_build_datasets_peak_memory_is_bounded(tmp_path):
     ("0.5,1.5,0\n0.5,1.5\n", 3, "2 cells, the header has 3"),
     ("0.5,1.5,0,7\n", 2, "4 cells, the header has 3"),
     ("0.5,1.5,0\n\n", 3, "0 cells, the header has 3"),
+    ("0.5,1.5,0\n0.5,1.5,-1\n", 3, "negative label -1"),
 ])
 def test_csv_loader_names_path_and_line(tmp_path, body, line, message):
     p = tmp_path / "bad.csv"
