@@ -5,15 +5,22 @@ epoch end evaluate train/val/test, feed the fitting-risk reading to the
 when-to-grow policy, and insert one block when it fires. Once the network
 reaches target size the remaining epochs finetune under cosine decay.
 A batch loss that is not finite stops the run with an error naming the
-epoch and batch. Runs are bit-deterministic for a fixed config and seed:
-`netcore` runs numpy's OpenBLAS on one thread by default, and only an
-explicit OPENBLAS_NUM_THREADS can change the bytes of a wide-input run
-(784 IDX pixels).
+epoch and batch, and so does a full-train loss that is not finite at an
+epoch's end; numpy's own floating-point warnings are silenced there.
+Runs are bit-deterministic for a fixed config and seed: `netcore` runs
+numpy's OpenBLAS on one thread by default, and only an explicit
+OPENBLAS_NUM_THREADS can change the bytes of a wide-input run (784 IDX
+pixels).
 
 `compare` runs the configs that differ only in `policy` as one `run` call
-per seed. The runs share one trajectory, bit for bit their solo runs,
-until their growth decisions differ, and then it forks. Each run's
-`wall_seconds` is its set-up plus every epoch its trajectory rode.
+for all seeds. The runs of one seed share one trajectory until their
+growth decisions differ, and then it forks. Each epoch, the trajectories
+whose networks have one shape, across seeds and forks, train as one
+`netcore.Stack`. Every run still gets its solo run's bytes. A run's
+`wall_seconds` is charged under this sharing: its set-up (the shared data
+plus its own network), its trajectory's evaluation, decisions and growth,
+and 1/S of every training epoch it rode in a stack of S trajectories. It
+is an amortized cost, not what the run alone would take.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
 
 from .arch import parse_arch
 from .data import Dataset, Standardizer, gen_gaussians, load_csv, load_idx, split
@@ -44,6 +53,7 @@ from .netcore import (
     loss_grads_logits,
     lr_at,
     sgd_step,
+    stack_networks,
 )
 from .rng import substream
 from .timing import SHOULD_GROW, PolicyState, average_training_epochs, i_max, orl
@@ -216,14 +226,15 @@ def _track_next(net: Network, where: WherePolicy) -> MomentEnsemble | None:
 
 @dataclass
 class _Branch:
-    """One training trajectory and the runs on it (indices into the policies)."""
+    """One training trajectory and the runs on it (indices into the group's runs)."""
 
+    seed: int
     net: Network
     where: WherePolicy
     ensemble: MomentEnsemble | None
     growth_done_epoch: int | None
     metrics: list[EpochMetrics]
-    seconds: float  # set-up plus every epoch this trajectory rode
+    seconds: float  # this trajectory's charge so far; see the module docstring
     members: list[int]
 
     def fork(self, members: list[int]) -> _Branch:
@@ -232,31 +243,38 @@ class _Branch:
         if self.ensemble is not None:
             block = net.blocks()[self.net.blocks().index(self.ensemble.block)]
             ensemble = MomentEnsemble(block, self.ensemble.shadow.copy(), self.ensemble.updates)
-        return _Branch(net, replace(self.where), ensemble, self.growth_done_epoch,
+        return _Branch(self.seed, net, replace(self.where), ensemble, self.growth_done_epoch,
                        list(self.metrics), self.seconds, members)
 
 
-def run(config: TrainConfig,
-        policies: list[PolicyConfig] | None = None) -> RunResult | list[RunResult | Exception]:
+def run(config: TrainConfig, policies: list[PolicyConfig] | None = None,
+        seeds: list[int] | None = None) -> RunResult | list:
     """Execute one grow-train-finetune run and collect per-epoch metrics.
 
     With `policies`, run `config` once per policy in place of its own and
-    return one RunResult or exception per policy. The runs share one
-    trajectory until their growth decisions differ, and each result equals
-    its solo run's apart from `wall_seconds`: set-up plus the epochs of
-    the trajectory it rode.
+    return one RunResult or exception per policy. With `seeds`, do so for
+    each seed in place of `run_seed` and return one such list per seed.
+    Every result equals its solo run's apart from `wall_seconds` (see the
+    module docstring).
     """
-    outcomes = _run_policies(config, [config.policy] if policies is None else policies)
+    pols = [config.policy] if policies is None else list(policies)
+    seed_list = [config.run_seed] if seeds is None else list(seeds)
+    outcomes = _run_group(config, [(seed, pol) for seed in seed_list for pol in pols])
+    per_seed = [outcomes[k * len(pols) : (k + 1) * len(pols)] for k in range(len(seed_list))]
+    if seeds is not None:
+        return per_seed
     if policies is not None:
-        return outcomes
+        return per_seed[0]
     if isinstance(outcomes[0], Exception):
         raise outcomes[0]
     return outcomes[0]
 
 
-def _run_policies(config: TrainConfig, policies: list[PolicyConfig]) -> list[RunResult | Exception]:
+def _run_group(config: TrainConfig,
+               runs: list[tuple[int, PolicyConfig]]) -> list[RunResult | Exception]:
+    """Run `config` once per (run_seed, policy) pair on shared, stacked trajectories."""
     t_start = time.perf_counter()
-    outcomes: list[RunResult | Exception | None] = [None] * len(policies)
+    outcomes: list[RunResult | Exception | None] = [None] * len(runs)
 
     def fail(members, exc: Exception) -> None:
         for i in members:
@@ -269,77 +287,94 @@ def _run_policies(config: TrainConfig, policies: list[PolicyConfig]) -> list[Run
         budget = count_added_blocks(seed_arch, target_arch)
         max_interval = (i_max(config.total_epochs, config.min_finetune_epochs, budget)
                         if budget > 0 else 1.0)
-        net = build_network(seed_arch, config.run_seed)
-        where = WherePolicy(config.where, target_arch.blocks_per_stage)
-        ensemble = _track_next(net, where) if config.init == "moment" else None
+        shared = time.perf_counter() - t_start
+        branches = []
+        for seed in dict.fromkeys(seed for seed, _ in runs):
+            t0 = time.perf_counter()
+            net = build_network(seed_arch, seed)
+            where = WherePolicy(config.where, target_arch.blocks_per_stage)
+            ensemble = _track_next(net, where) if config.init == "moment" else None
+            members = [i for i, (s, _) in enumerate(runs) if s == seed]
+            branches.append(_Branch(seed, net, where, ensemble, 0 if budget == 0 else None, [],
+                                    shared + time.perf_counter() - t0, members))
     except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
-        fail(range(len(policies)), exc)
+        fail(range(len(runs)), exc)
         return outcomes
 
     states = [PolicyState(total_epochs=config.total_epochs,
                           min_finetune_epochs=config.min_finetune_epochs,
                           remaining=budget, max_interval=max_interval,
                           alpha=pol.alpha, period_scale=pol.period_scale)
-              for pol in policies]
-    should_grow = [SHOULD_GROW[pol.name] for pol in policies]
-    branches = [_Branch(net, where, ensemble, 0 if budget == 0 else None, [],
-                        time.perf_counter() - t_start, list(range(len(policies))))]
-    n_train = len(train)
+              for _, pol in runs]
+    should_grow = [SHOULD_GROW[pol.name] for _, pol in runs]
+
+    def end_epoch(branch: _Branch, epoch: int, lr: float) -> list[_Branch]:
+        """Evaluate, let every run decide, fork and grow; return the live trajectories."""
+        t0 = time.perf_counter()
+        try:
+            with np.errstate(all="ignore"):
+                report = evaluate(branch.net, train, val, test)
+            if not math.isfinite(report.train_loss):
+                raise RuntimeError(f"training diverged: train loss {report.train_loss} "
+                                   f"at the end of epoch {epoch}")
+        except Exception as exc:  # noqa: BLE001 - fails every run on this trajectory
+            fail(branch.members, exc)
+            return []
+        orl_pp = orl(report.train_acc, report.val_acc)
+
+        # Every run decides; those that decide alike stay on one trajectory.
+        decided: dict[bool, list[int]] = {False: [], True: []}
+        for i in branch.members:
+            states[i].val_history.append(report.val_acc)
+            try:
+                grows = states[i].remaining > 0 and should_grow[i](states[i], epoch, orl_pp)
+            except Exception as exc:  # noqa: BLE001 - a failing policy fails only its run
+                fail([i], exc)
+                continue
+            decided[bool(grows)].append(i)
+        parts = [(grew, members) for grew, members in decided.items() if members]
+        paths = [(grew, branch.fork(members) if k else branch)
+                 for k, (grew, members) in enumerate(parts)]
+        if parts:
+            branch.members = parts[0][1]
+
+        alive = []
+        for grew, b in paths:
+            if grew:
+                try:
+                    _grow(b, epoch, config, [states[i] for i in b.members])
+                except Exception as exc:  # noqa: BLE001 - fails the runs that grew here
+                    fail(b.members, exc)
+                    continue
+            b.metrics.append(EpochMetrics(
+                epoch, report.train_acc, report.val_acc, report.test_acc, report.train_loss,
+                orl_pp, lr, b.net.blocks_per_stage(), grew))
+            alive.append(b)
+        dt = time.perf_counter() - t0
+        for _, b in paths:
+            b.seconds += dt
+        return alive
 
     for epoch in range(config.total_epochs):
-        alive = []
+        groups: dict[tuple[int, ...], list[_Branch]] = {}
         for branch in branches:
-            t0, net, ensemble = time.perf_counter(), branch.net, branch.ensemble
+            groups.setdefault(branch.net.blocks_per_stage(), []).append(branch)
+        branches = []
+        for group in groups.values():
+            t0 = time.perf_counter()
+            lrs = [lr_at(config.lr_base, epoch, b.growth_done_epoch, config.total_epochs)
+                   for b in group]
             try:
-                lr = lr_at(config.lr_base, epoch, branch.growth_done_epoch, config.total_epochs)
-                perm = substream(config.run_seed, "shuffle", epoch).permutation(n_train)
-                for batch, lo in enumerate(range(0, n_train, config.batch_size)):
-                    idx = perm[lo : lo + config.batch_size]
-                    loss, _ = loss_grads_logits(net, train.features[idx], train.labels[idx])
-                    if not math.isfinite(loss):
-                        raise RuntimeError(
-                            f"training diverged: loss {loss} at epoch {epoch}, batch {batch}"
-                        )
-                    sgd_step(net, lr, MOMENTUM, WEIGHT_DECAY)
-                    if ensemble is not None:
-                        ensemble.update()
-                report = evaluate(net, train, val, test)
-            except Exception as exc:  # noqa: BLE001 - a failed trunk fails every run on it
-                fail(branch.members, exc)
-                continue
-            orl_pp = orl(report.train_acc, report.val_acc)
-
-            # Every run decides; those that decide alike stay on one trajectory.
-            decided: dict[bool, list[int]] = {False: [], True: []}
-            for i in branch.members:
-                states[i].val_history.append(report.val_acc)
-                try:
-                    grows = states[i].remaining > 0 and should_grow[i](states[i], epoch, orl_pp)
-                except Exception as exc:  # noqa: BLE001 - a failing policy fails only its run
-                    fail([i], exc)
-                    continue
-                decided[bool(grows)].append(i)
-            parts = [(grew, members) for grew, members in decided.items() if members]
-            paths = [(grew, branch.fork(members) if k else branch)
-                     for k, (grew, members) in enumerate(parts)]
-            if parts:
-                branch.members = parts[0][1]
-
-            for grew, b in paths:
-                if grew:
-                    try:
-                        _grow(b, epoch, config, [states[i] for i in b.members])
-                    except Exception as exc:  # noqa: BLE001 - fails the runs that grew here
-                        fail(b.members, exc)
-                        continue
-                b.metrics.append(EpochMetrics(
-                    epoch, report.train_acc, report.val_acc, report.test_acc, report.train_loss,
-                    orl_pp, lr, b.net.blocks_per_stage(), grew))
-                alive.append(b)
-            dt = time.perf_counter() - t0
-            for _, b in paths:
-                b.seconds += dt
-        branches = alive
+                failures = _train_epoch(group, lrs, epoch, config, train)
+            except Exception as exc:  # noqa: BLE001 - a failed stack fails every run on it
+                failures = [exc] * len(group)
+            share = (time.perf_counter() - t0) / len(group)
+            for branch, lr, failure in zip(group, lrs, failures):
+                branch.seconds += share
+                if failure is None:
+                    branches += end_epoch(branch, epoch, lr)
+                else:
+                    fail(branch.members, failure)
 
     for b in branches:
         remaining = states[b.members[0]].remaining
@@ -360,13 +395,45 @@ def _run_policies(config: TrainConfig, policies: list[PolicyConfig]) -> list[Run
     return outcomes
 
 
+def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: TrainConfig,
+                 train: Dataset) -> list[Exception | None]:
+    """Train one epoch of same-shape trajectories as one stack; return each one's failure.
+
+    Row s shuffles by its own seed and steps at its own learning rate. A
+    row whose batch loss is not finite fails with the error its solo run
+    raises; its values stay in its row, so the others train on to their
+    solo bytes. The epoch stops early only when every row has failed.
+    """
+    n_train = len(train)
+    stack = stack_networks([b.net for b in group])
+    perms = np.stack([substream(b.seed, "shuffle", epoch).permutation(n_train) for b in group])
+    lr = np.array(lrs)[:, None]
+    ensembles = [b.ensemble for b in group if b.ensemble is not None]
+    failures: list[Exception | None] = [None] * len(group)
+    with np.errstate(all="ignore"):
+        for batch, lo in enumerate(range(0, n_train, config.batch_size)):
+            idx = perms[:, lo : lo + config.batch_size]
+            losses, _ = loss_grads_logits(stack, train.features[idx], train.labels[idx])
+            if not np.isfinite(losses).all():
+                for s in np.flatnonzero(~np.isfinite(losses)):
+                    if failures[s] is None:
+                        failures[s] = RuntimeError(f"training diverged: loss {float(losses[s])} "
+                                                   f"at epoch {epoch}, batch {batch}")
+                if all(failures):
+                    break
+            sgd_step(stack, lr, MOMENTUM, WEIGHT_DECAY)
+            for ensemble in ensembles:
+                ensemble.update()
+    return failures
+
+
 def _grow(b: _Branch, epoch: int, config: TrainConfig, states: list[PolicyState]) -> None:
     """Insert the next block on `b` and record it in the states of its runs."""
     location = b.where.advance(b.net.blocks_per_stage())
     if location is None:
         raise RuntimeError("policy fired with no unsaturated stage")
     rule = resolve_init_rule(b.net, location, config.init)
-    rng = substream(config.run_seed, "grow", len(states[0].events))
+    rng = substream(b.seed, "grow", len(states[0].events))
     grow(b.net, location, rule, rng=rng, ensemble=b.ensemble)
     event = GrowthEvent(epoch + 1, location, len(b.net.stages[location].blocks) - 1, rule)
     for state in states:
@@ -520,10 +587,11 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
             anchor: str | None = None) -> ComparisonTable:
     """Run every config for every seed; report per-config medians.
 
-    Configs that differ only in `policy` run as one shared `run` call per
-    seed: they train one trajectory until their growth decisions differ.
-    Each run's `wall_seconds` is the set-up time plus every epoch its
-    trajectory rode, so it is what that run alone would cost.
+    Configs that differ only in `policy` run as one `run` call for all
+    seeds: each seed trains one trajectory until their growth decisions
+    differ, and same-shape trajectories train as one stack. `time %` is
+    computed from `wall_seconds`, the amortized cost the module docstring
+    defines, not what a run alone would cost.
     Training time is normalized so the median of the row labelled
     `anchor` is 100%. When no row has that label, the first zero-growth
     ("vanilla") config anchors, and without one the first config.
@@ -545,10 +613,9 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
     for label, cfg in configs:
         groups.setdefault(replace(cfg, policy=PolicyConfig()), []).append((label, cfg))
     for group in groups.values():
-        for seed in seeds:
-            outcomes = run(replace(group[0][1], run_seed=seed),
-                           policies=[cfg.policy for _, cfg in group])
-            for (label, _), out in zip(group, outcomes):
+        outcomes = run(group[0][1], policies=[cfg.policy for _, cfg in group], seeds=seeds)
+        for seed, per_policy in zip(seeds, outcomes):
+            for (label, _), out in zip(group, per_policy):
                 if isinstance(out, Exception):
                     errors[label].append(f"seed {seed}: {out}")
                 else:

@@ -14,16 +14,23 @@ Block kinds:
 
 A linear classifier maps the last stage's width to class logits.
 
-Training and evaluation share one forward pass, which writes block outputs
-(and, for training, z > 0 masks) in place into per-call workspace views.
-
 Parameters, gradients and SGD momentum are one contiguous float64 vector
 each, laid out in `iter_params` order; block weights and biases, the
-classifier's and `Network.grad_views` are reshaped views into them. The
-optimizer is SGD with momentum and weight decay folded into the momentum
-buffer, v <- mu*v + g + wd*theta; theta <- theta - lr*v, applied as one
-chain of in-place ufuncs over the whole vector. It is elementwise, so it
-rounds exactly as a per-block update would.
+classifier's and `Network.grad_views` are reshaped views into them.
+
+Training runs on a `Stack`: S networks of one shape whose vectors are the
+rows of (S, P) stores, with (S, out, in) weight views. Every product is a
+batched `matmul`, which hands each (B, in) slice to the same BLAS call as
+the 2-D product, and every other op acts per element or along one row's
+axis, so row s computes exactly what network s would alone and a NaN in
+one row cannot reach another. A lone network is a stack of one.
+Training and evaluation share one forward pass, which writes block outputs
+(and, for training, z > 0 as 1.0 / 0.0 masks) in place into workspace views.
+
+The optimizer is SGD with momentum and weight decay folded into the
+momentum buffer, v <- mu*v + g + wd*theta; theta <- theta - lr*v, applied
+as one chain of in-place ufuncs over the whole store. It is elementwise,
+so it rounds exactly as a per-block update would.
 """
 
 from __future__ import annotations
@@ -104,9 +111,9 @@ class Stage:
 
 
 def _split(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(weight, bias) views of one weight-then-bias slice."""
+    """(weight, bias) views of one weight-then-bias slice of `flat`'s last axis."""
     n = shape[0] * shape[1]
-    return flat[:n].reshape(shape), flat[n:]
+    return flat[..., :n].reshape(flat.shape[:-1] + shape), flat[..., n:]
 
 
 @dataclass(eq=False)
@@ -123,30 +130,29 @@ class Network:
     grad_views: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Copy the given arrays into one flat vector; momentum starts at 0."""
-        self.params = np.concatenate([a.ravel() for _, w, b in self.iter_params() for a in (w, b)])
-        self.momentum = np.zeros_like(self.params)
-        self._bind()
+        """Copy the given arrays into one flat vector; grads and momentum start at 0."""
+        params = np.concatenate([a.ravel() for _, w, b in self.iter_params() for a in (w, b)])
+        self._bind(params, np.zeros_like(params), np.zeros_like(params))
 
-    def _bind(self) -> None:
-        """Re-point every view at the current vectors; grads start at 0."""
-        self.grads = np.zeros_like(self.params)
-        self.grad_views = self.views(self.grads)
+    def _bind(self, params: np.ndarray, grads: np.ndarray, momentum: np.ndarray) -> None:
+        """Make these the network's vectors and re-point every view at them."""
+        self.params, self.grads, self.momentum = params, grads, momentum
+        self.grad_views = self.views(grads)
         off = 0
         for blk in self.blocks():
-            blk.params = self.params[off : off + blk.weight.size + blk.bias.size]
+            blk.params = params[off : off + blk.weight.size + blk.bias.size]
             blk.weight, blk.bias = _split(blk.params, blk.weight.shape)
             off += blk.params.size
-        self.clf_weight, self.clf_bias = _split(self.params[off:], self.clf_weight.shape)
+        self.clf_weight, self.clf_bias = _split(params[off:], self.clf_weight.shape)
 
     def insert_block(self, stage: int, block: Block) -> None:
         """Reallocate with `block`'s values after `stage`'s last block; its momentum is 0."""
         off = sum(b.params.size for st in self.stages[: stage + 1] for b in st.blocks)
         new = np.concatenate((block.weight.ravel(), block.bias))
-        self.params = np.concatenate((self.params[:off], new, self.params[off:]))
-        self.momentum = np.concatenate((self.momentum[:off], np.zeros_like(new), self.momentum[off:]))
+        params = np.concatenate((self.params[:off], new, self.params[off:]))
+        momentum = np.concatenate((self.momentum[:off], np.zeros_like(new), self.momentum[off:]))
         self.stages[stage].blocks.append(block)
-        self._bind()
+        self._bind(params, np.zeros_like(params), momentum)
 
     def copy(self) -> "Network":
         """An independent network with this one's parameters and momentum."""
@@ -162,11 +168,14 @@ class Network:
         return [blk for st in self.stages for blk in st.blocks]
 
     def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views of a vector laid out like `params`, in iter_params order."""
+        """(weight, bias) views of a vector laid out like `params`, in iter_params order.
+
+        A store of such vectors along its last axis gives views with its leading axes.
+        """
         out, off = [], 0
         for _, w, b in self.iter_params():
             n = w.size + b.size
-            out.append(_split(flat[off : off + n], w.shape))
+            out.append(_split(flat[..., off : off + n], w.shape))
             off += n
         return out
 
@@ -217,38 +226,101 @@ def build_network(arch: ArchSpec, rng_seed: int) -> Network:
     return Network(arch.family, arch.input_dim, arch.num_classes, stages, clf_w, clf_b)
 
 
-def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
-    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
-        raise ValueError(f"batch has shape {batch.shape}, expected (B, {net.input_dim})")
+@dataclass(eq=False)
+class Stack:
+    """S networks of one shape, trained as one.
+
+    Row s of the (S, P) `params`, `grads` and `momentum` stores is network
+    s's vector; `stack_networks` builds one. `weights` holds each block's
+    and the classifier's (S, out, in) weight view, `biases` the matching
+    (S, 1, out) bias views and `grad_views` the gradients' (S, out, in) and
+    (S, out) views, all in `iter_params` order.
+    """
+
+    nets: list[Network]
+    params: np.ndarray
+    grads: np.ndarray
+    momentum: np.ndarray
+
+    def __post_init__(self) -> None:
+        net = self.nets[0]
+        self.kinds = [blk.kind for blk in net.blocks()]
+        views = net.views(self.params)
+        self.weights = [w for w, _ in views]
+        self.biases = [b[:, None] for _, b in views]
+        self.grad_views = net.views(self.grads)
+        self._capacity = 0
+
+    def workspace(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Block outputs and masks for batches of up to `n` rows, kept while n fits."""
+        if n > self._capacity:
+            count = len(self.kinds)
+            self._outs = _workspace(self, n, count, np.float64)
+            self._masks = _workspace(self, n, count, np.float64)
+            self._capacity = n
+        return self._outs, self._masks
+
+
+def _layout(net: Network) -> tuple:
+    return tuple((blk.kind, blk.weight.shape) for blk in net.blocks()) + (net.clf_weight.shape,)
+
+
+def stack_networks(nets: list[Network]) -> Stack:
+    """A Stack over same-shape networks; a lone network's own vectors are its row.
+
+    Two or more are copied into new (S, P) stores, and each network is
+    rebound to its row, so its block views, an EMA tracking one of its
+    blocks and `accuracy_and_loss` read the values the stack trains.
+    `insert_block` and `copy` give a network vectors of its own again.
+    """
+    layout = _layout(nets[0])
+    if any(_layout(net) != layout for net in nets[1:]):
+        raise ValueError("stacked networks must share one shape")
+    if len(nets) == 1:
+        net = nets[0]
+        return Stack(nets, net.params[None], net.grads[None], net.momentum[None])
+    params = np.stack([net.params for net in nets])
+    grads = np.zeros_like(params)
+    momentum = np.stack([net.momentum for net in nets])
+    for net, p, g, v in zip(nets, params, grads, momentum):
+        net._bind(p, g, v)
+    return Stack(nets, params, grads, momentum)
+
+
+def _check_batch(st: Stack, batch: np.ndarray) -> np.ndarray:
+    shape = (len(st.nets), st.nets[0].input_dim)
+    if batch.ndim != 3 or (batch.shape[0], batch.shape[2]) != shape:
+        raise ValueError(f"batch has shape {batch.shape}, expected ({shape[0]}, B, {shape[1]})")
     return np.asarray(batch, dtype=np.float64)
 
 
-def _workspace(net: Network, n: int, count: int, dtype: type) -> list[np.ndarray]:
-    """One (n x width) view per block, cut from one np.empty; block k uses row k % count."""
-    rows = np.empty((count, n * max(st.width for st in net.stages)), dtype)
-    return [rows[k % count, : n * blk.weight.shape[0]].reshape(n, -1)
-            for k, blk in enumerate(net.blocks())]
+def _workspace(st: Stack, n: int, count: int, dtype: type) -> list[np.ndarray]:
+    """One (S x n x width) view per block, cut from one np.empty; block k uses slab k % count."""
+    widths = [w.shape[1] for w in st.weights[:-1]]
+    slabs = np.empty((count, len(st.nets), n * max(widths)), dtype)
+    return [slabs[k % count, :, : n * w].reshape(len(st.nets), n, w) for k, w in enumerate(widths)]
 
 
-def _forward(net: Network, x: np.ndarray, outs: list[np.ndarray],
+def _forward(st: Stack, x: np.ndarray, outs: list[np.ndarray],
              masks: list[np.ndarray] | None = None) -> np.ndarray:
-    """Logits of a checked batch; block k writes outs[k][:len(x)] and z > 0 into masks[k]."""
-    for k, blk in enumerate(net.blocks()):
-        y = outs[k][: len(x)]
-        np.matmul(x, blk.weight.T, out=y)
-        y += blk.bias
+    """(S, n, C) logits of a checked batch; block k writes outs[k][:, :n] and z > 0 into masks[k]."""
+    n = x.shape[1]
+    for k, kind in enumerate(st.kinds):
+        y = outs[k][:, :n]
+        np.matmul(x, st.weights[k].mT, out=y)
+        y += st.biases[k]
         if masks is not None:
-            np.greater(y, 0.0, out=masks[k])
+            np.greater(y, 0.0, out=masks[k][:, :n])
         np.maximum(y, 0.0, out=y)
-        if blk.kind is BlockKind.RESIDUAL:
+        if kind is BlockKind.RESIDUAL:
             y += x
         x = y
-    return x @ net.clf_weight.T + net.clf_bias
+    return x @ st.weights[-1].mT + st.biases[-1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -258,46 +330,59 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels
 
 
-def loss_grads_logits(net: Network, batch: np.ndarray,
-                      labels: np.ndarray) -> tuple[float, np.ndarray]:
+def loss_grads_logits(net: Network | Stack, batch: np.ndarray,
+                      labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy loss and the logits; exact gradients go into `net.grads`.
 
+    Given a Stack, `batch` is (S, B, K) and `labels` (S, B): row s is
+    network s's batch, and the losses are an (S,) array. A Network is a
+    stack of one, with a (B, K) batch and a float loss.
     The backward pass mirrors the forward block structure and stops at the
     first block's parameter gradients. The ReLU subgradient at 0 is 0.
     """
-    labels = _check_labels(labels, net.num_classes)
-    x = _check_batch(net, batch)
-    n = len(x)
-    blocks = net.blocks()
-    outs = _workspace(net, n, len(blocks), np.float64)
-    masks = _workspace(net, n, len(blocks), np.bool_)
-    logits = _forward(net, x, outs, masks)
+    if isinstance(net, Network):
+        losses, logits = loss_grads_logits(stack_networks([net]), np.asarray(batch)[None],
+                                           np.asarray(labels)[None])
+        return float(losses[0]), logits[0]
+    st = net
+    labels = _check_labels(labels, st.nets[0].num_classes)
+    x = _check_batch(st, batch)
+    s, n = x.shape[:2]
+    if labels.shape != (s, n):
+        raise ValueError(f"labels have shape {labels.shape}, expected {(s, n)}")
+    outs, masks = st.workspace(n)
+    logits = _forward(st, x, outs, masks)
 
     ls = _log_softmax(logits)
-    loss = float(-ls[np.arange(n), labels].mean())
+    picked = np.arange(0, ls.size, ls.shape[-1]) + labels.ravel()  # flat index of each label
+    losses = -ls.ravel()[picked].reshape(s, n).mean(axis=1)
 
     dlogits = np.exp(ls)
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits.ravel()[picked] -= 1.0
     dlogits /= n
 
-    gw, gb = net.grad_views[-1]
-    np.matmul(dlogits.T, outs[-1], out=gw)
-    dlogits.sum(axis=0, out=gb)
-    dx = dlogits @ net.clf_weight
+    gw, gb = st.grad_views[-1]
+    np.matmul(dlogits.mT, outs[-1][:, :n], out=gw)
+    dlogits.sum(axis=1, out=gb)
+    dx = dlogits @ st.weights[-1]
 
-    for k, blk in reversed(list(enumerate(blocks))):
-        gw, gb = net.grad_views[k]
-        dz = dx * masks[k]
-        np.matmul(dz.T, outs[k - 1] if k else x, out=gw)
-        dz.sum(axis=0, out=gb)
+    for k in reversed(range(len(st.kinds))):
+        gw, gb = st.grad_views[k]
+        dz = dx * masks[k][:, :n]
+        np.matmul(dz.mT, outs[k - 1][:, :n] if k else x, out=gw)
+        dz.sum(axis=1, out=gb)
         if k == 0:
             break
-        dx = dx + dz @ blk.weight if blk.kind is BlockKind.RESIDUAL else dz @ blk.weight
-    return loss, logits
+        dx = dx + dz @ st.weights[k] if st.kinds[k] is BlockKind.RESIDUAL else dz @ st.weights[k]
+    return losses, logits
 
 
-def sgd_step(net: Network, lr: float, momentum: float, weight_decay: float) -> None:
-    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in place over the whole store."""
+def sgd_step(net: Network | Stack, lr: float | np.ndarray, momentum: float,
+             weight_decay: float) -> None:
+    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in place over the whole store.
+
+    For a Stack, `lr` may be an (S, 1) column: one learning rate per row.
+    """
     v = net.momentum
     v *= momentum
     v += net.grads + weight_decay * net.params
@@ -326,15 +411,16 @@ def accuracy_and_loss(net: Network, features: np.ndarray, labels: np.ndarray,
     if len(features) == 0:
         raise ValueError("evaluation of an empty dataset is undefined")
     labels = _check_labels(labels, net.num_classes)
-    features = _check_batch(net, features)
-    outs = _workspace(net, min(chunk, len(features)), 2, np.float64)
+    st = stack_networks([net])
+    features = _check_batch(st, np.asarray(features)[None])
+    outs = _workspace(st, min(chunk, features.shape[1]), 2, np.float64)
     correct = 0
     loss_sum = 0.0
-    for i in range(0, len(features), chunk):
+    for i in range(0, features.shape[1], chunk):
         y = labels[i : i + chunk]
-        logits = _forward(net, features[i : i + chunk], outs)
+        logits = _forward(st, features[:, i : i + chunk], outs)[0]
         correct += int((np.argmax(logits, axis=1) == y).sum())
         ls = _log_softmax(logits)
         loss_sum += float(-ls[np.arange(len(y)), y].sum())
-    n = len(features)
+    n = features.shape[1]
     return 100.0 * correct / n, loss_sum / n

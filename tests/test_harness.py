@@ -16,6 +16,7 @@ from growbench.harness import (
     TrainConfig,
     _Branch,
     _track_next,
+    _train_epoch,
     build_datasets,
     compare,
     config_added_blocks,
@@ -250,12 +251,60 @@ def test_property_shared_run_equals_solo_runs(cfg, policies, lr_base):
             assert _sans_wall(got) == _sans_wall(solo)
 
 
+@settings(max_examples=40, deadline=None)
+@given(cfg=small_configs(), policies=policy_lists(),
+       seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+       lr_base=st.sampled_from((0.05, 0.05, 1e3)))
+@example(cfg=replace(tiny_config(init="moment", where="circulation"), target_arch="res:8x3-8x2"),
+         policies=[PolicyConfig("convergent"), PolicyConfig("fragrow", alpha=1.0),
+                   PolicyConfig("periodic", period_scale=0.5)],
+         seeds=[0, 1, 0], lr_base=0.05)
+def test_property_multi_seed_run_equals_solo_runs(cfg, policies, seeds, lr_base):
+    """Every (seed, policy) of one stacked call has its solo run's result or error."""
+    cfg = replace(cfg, lr_base=lr_base)
+    stacked = run(cfg, policies=policies, seeds=seeds)
+    assert [len(per_seed) for per_seed in stacked] == [len(policies)] * len(seeds)
+    for seed, per_seed in zip(seeds, stacked):
+        for pol, got in zip(policies, per_seed):
+            try:
+                solo = run(replace(cfg, run_seed=seed, policy=pol))
+            except Exception as exc:  # noqa: BLE001 - the stacked run must fail alike
+                assert isinstance(got, Exception) and str(got) == str(exc)
+            else:
+                assert not isinstance(got, Exception), got
+                assert _sans_wall(got) == _sans_wall(solo)
+
+
+def _branches(cfg, seeds):
+    """One fresh trajectory per seed, as `run` starts them, and the training split."""
+    train, _, _ = build_datasets(cfg.data)
+    arch = parse_arch(cfg.seed_arch, train.dim, train.num_classes)
+    target = parse_arch(cfg.target_arch, train.dim, train.num_classes).blocks_per_stage
+    return [_Branch(seed, build_network(arch, seed), WherePolicy(cfg.where, target), None, None,
+                    [], 0.0, [k]) for k, seed in enumerate(seeds)], train
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverged_row_fails_only_itself_quietly():
+    cfg = tiny_config()
+    group, train = _branches(cfg, [0, 1, 2])
+    solo, _ = _branches(cfg, [0, 1, 2])
+    group[1].net.params[:] = np.inf
+    failures = _train_epoch(group, [0.05] * 3, 2, cfg, train)
+    assert failures[0] is None and failures[2] is None
+    assert str(failures[1]) == "training diverged: loss nan at epoch 2, batch 0"
+    for k in (0, 2):
+        assert _train_epoch([solo[k]], [0.05], 2, cfg, train) == [None]
+        assert group[k].net.params.tobytes() == solo[k].net.params.tobytes()
+        assert group[k].net.momentum.tobytes() == solo[k].net.momentum.tobytes()
+
+
 def test_branch_fork_is_an_independent_copy():
     net = build_network(parse_arch("res:8x1-8x1", 8, 3), 0)
     where = WherePolicy("circulation", (2, 2), last_visited=0)
     ensemble = _track_next(net, where)
     ensemble.update()
-    branch = _Branch(net, where, ensemble, None, [], 1.5, [0, 1, 2])
+    branch = _Branch(0, net, where, ensemble, None, [], 1.5, [0, 1, 2])
     fork = branch.fork([2])
     assert (fork.members, fork.seconds, fork.where) == ([2], 1.5, where)
     assert fork.ensemble.block is fork.net.stages[1].blocks[-1]  # the block the original tracks
@@ -393,10 +442,22 @@ def test_evaluate_chance_level_and_degenerate_val():
     assert same.train_acc == same.val_acc
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_diverging_run_raises_naming_epoch_and_batch():
     with pytest.raises(RuntimeError, match=r"diverged: loss nan at epoch 1, batch 1$"):
         run(tiny_config(lr_base=50.0))
+
+
+def test_non_finite_epoch_end_loss_fails_the_run(monkeypatch):
+    reports = []
+
+    def nan_loss_second_epoch(*args):
+        reports.append(evaluate(*args))
+        return replace(reports[-1], train_loss=math.nan) if len(reports) == 2 else reports[-1]
+
+    monkeypatch.setattr(harness, "evaluate", nan_loss_second_epoch)
+    with pytest.raises(RuntimeError, match=r"^training diverged: train loss nan at the end of epoch 1$"):
+        run(tiny_config())
 
 
 def test_write_metrics_rejects_non_finite_values(tmp_path):
@@ -504,7 +565,6 @@ def test_compare_marks_failed_runs():
     assert "failed" in table.to_text()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compare_counts_diverged_seeds_as_failed():
     table = compare([("ok", tiny_config()), ("diverged", tiny_config(lr_base=50.0))],
                     seeds=[0, 1])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.data import gen_gaussians
@@ -13,6 +15,7 @@ from growbench.netcore import (
     loss_grads_logits,
     lr_at,
     sgd_step,
+    stack_networks,
 )
 
 
@@ -192,6 +195,8 @@ def test_label_out_of_range_rejected():
         loss_grads_logits(net, x, np.array([0, 3]))
     with pytest.raises(ValueError):
         loss_grads_logits(net, x, np.array([-1, 0]))
+    with pytest.raises(ValueError, match="labels have shape"):
+        loss_grads_logits(net, x, np.array([0, 1, 2]))
 
 
 def test_grads_match_finite_differences_two_stage():
@@ -306,6 +311,95 @@ def test_copy_has_same_bits_and_trains_independently():
     assert not np.array_equal(twin.params, net.params)
     twin_arrays = [a for _, w, b in twin.iter_params() for a in (w, b)]
     assert not any(np.shares_memory(a, net.params) for a in twin_arrays)
+
+# --- stacks -----------------------------------------------------------------
+
+def reference_step(net, x, labels):
+    """(loss, flat grads) of a (B, K) batch from allocating 2-D products alone."""
+    acts, masks = [x], []
+    for blk in net.blocks():
+        z = acts[-1] @ blk.weight.T + blk.bias
+        masks.append(z > 0.0)
+        a = np.maximum(z, 0.0)
+        acts.append(acts[-1] + a if blk.kind is BlockKind.RESIDUAL else a)
+    ls = _log_softmax(acts[-1] @ net.clf_weight.T + net.clf_bias)
+    n = len(x)
+    loss = float(-ls[np.arange(n), labels].mean())
+    dlogits = np.exp(ls)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    grads = [(dlogits.T @ acts[-1], dlogits.sum(axis=0))]
+    dx = dlogits @ net.clf_weight
+    for k, blk in reversed(list(enumerate(net.blocks()))):
+        dz = dx * masks[k]
+        grads.append((dz.T @ acts[k], dz.sum(axis=0)))
+        dx = dx + dz @ blk.weight if blk.kind is BlockKind.RESIDUAL else dz @ blk.weight
+    ordered = [*reversed(grads[1:]), grads[0]]  # iter_params order: blocks, then classifier
+    return loss, np.concatenate([a.ravel() for pair in ordered for a in pair])
+
+
+@st.composite
+def stack_cases(draw):
+    """Plain or residual nets, downsampling where a stage's width differs from its input."""
+    family = draw(st.sampled_from(("plain", "res")))
+    widths = draw(st.lists(st.sampled_from((16, 48)), min_size=1, max_size=3))
+    blocks = [draw(st.integers(1, 2)) for _ in widths]
+    k = draw(st.sampled_from((24, 40, 48, 784)))
+    batch = draw(st.sampled_from((16, 64, 128)))
+    return (small_arch(family, tuple(widths), tuple(blocks), input_dim=k, classes=draw(st.integers(2, 10))),
+            draw(st.integers(1, 5)), batch, draw(st.sampled_from((1, 7, batch))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=stack_cases(), seed=st.integers(0, 2**16))
+def test_property_stacked_step_equals_solo_steps(case, seed):
+    """Row s of a stacked step has network s's solo loss, grads, params and momentum, bit for bit.
+
+    Two steps per net, a full batch then a ragged last one (down to B = 1),
+    so the second reads a momentum the first wrote and a workspace cut for
+    more rows than it uses.
+    """
+    arch, size, full, last = case
+    rng = np.random.default_rng(seed)
+    solo = [build_network(arch, seed + s) for s in range(size)]
+    stack = stack_networks([build_network(arch, seed + s) for s in range(size)])
+    lrs = rng.uniform(0.01, 0.1, size=(size, 1))
+    for n in (full, last):
+        x = rng.normal(size=(size, n, arch.input_dim))
+        labels = rng.integers(0, arch.num_classes, size=(size, n))
+        losses, _ = loss_grads_logits(stack, x, labels)
+        for s, net in enumerate(solo):
+            ref_loss, ref_grads = reference_step(net, x[s], labels[s])
+            loss, _ = loss_grads_logits(net, x[s], labels[s])
+            assert float(losses[s]) == loss == ref_loss
+            assert stack.grads[s].tobytes() == net.grads.tobytes() == ref_grads.tobytes()
+        sgd_step(stack, lrs, 0.9, 1e-4)
+        for s, net in enumerate(solo):
+            sgd_step(net, float(lrs[s, 0]), 0.9, 1e-4)
+            assert stack.params[s].tobytes() == net.params.tobytes()
+            assert stack.momentum[s].tobytes() == net.momentum.tobytes()
+
+
+def test_stack_rebinds_each_network_to_its_row():
+    arch = small_arch()
+    nets = [build_network(arch, s) for s in range(3)]
+    before = [net.params.copy() for net in nets]
+    stack = stack_networks(nets)
+    for s, net in enumerate(nets):
+        np.testing.assert_array_equal(stack.params[s], before[s])
+        assert np.shares_memory(net.params, stack.params[s])
+        assert np.shares_memory(net.stages[0].blocks[0].weight, stack.params[s])
+    stack.params[1] += 1.0
+    np.testing.assert_array_equal(nets[1].clf_bias, before[1][-3:] + 1.0)
+    lone = build_network(arch, 0)
+    assert np.shares_memory(stack_networks([lone]).params, lone.params)
+
+
+def test_stack_rejects_networks_of_two_shapes():
+    nets = [build_network(small_arch(), 0), build_network(small_arch(blocks=(1, 1)), 0)]
+    with pytest.raises(ValueError, match="one shape"):
+        stack_networks(nets)
+
 
 # --- lr schedule ------------------------------------------------------------
 
