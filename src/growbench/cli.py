@@ -295,6 +295,8 @@ def _parse_range(text: str | None, what: str) -> tuple[float, float] | None:
         return None
     try:
         lo, hi = (_finite_float(v) for v in text.split(":"))
+        if lo >= hi:
+            raise ValueError
     except ValueError:
         raise ConfigError(f"bad {what} {text!r}; expected LO:HI") from None
     return lo, hi

@@ -29,7 +29,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -216,12 +216,9 @@ def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalR
 def _track_next(net: Network, where: WherePolicy) -> MomentEnsemble | None:
     """EMA shadow of the block preceding the next growth location, if square."""
     location = where.peek(net.blocks_per_stage())
-    if location is None:
+    if location is None or net.block(location)[0] is BlockKind.DOWNSAMPLE:
         return None
-    preceding = net.stages[location].blocks[-1]
-    if preceding.kind is BlockKind.DOWNSAMPLE:
-        return None
-    return MomentEnsemble.track(preceding)
+    return MomentEnsemble.track(net, location)
 
 
 @dataclass
@@ -239,10 +236,10 @@ class _Branch:
 
     def fork(self, members: list[int]) -> _Branch:
         """An independent copy of this trajectory for `members`."""
-        net, ensemble = self.net.copy(), None
-        if self.ensemble is not None:
-            block = net.blocks()[self.net.blocks().index(self.ensemble.block)]
-            ensemble = MomentEnsemble(block, self.ensemble.shadow.copy(), self.ensemble.updates)
+        net, ensemble = self.net.copy(), self.ensemble
+        if ensemble is not None:
+            ensemble = MomentEnsemble(net, ensemble.stage, ensemble.index, ensemble.shadow.copy(),
+                                      ensemble.updates)
         return _Branch(self.seed, net, replace(self.where), ensemble, self.growth_done_epoch,
                        list(self.metrics), self.seconds, members)
 
@@ -435,7 +432,7 @@ def _grow(b: _Branch, epoch: int, config: TrainConfig, states: list[PolicyState]
     rule = resolve_init_rule(b.net, location, config.init)
     rng = substream(b.seed, "grow", len(states[0].events))
     grow(b.net, location, rule, rng=rng, ensemble=b.ensemble)
-    event = GrowthEvent(epoch + 1, location, len(b.net.stages[location].blocks) - 1, rule)
+    event = GrowthEvent(epoch + 1, location, b.net.blocks_per_stage()[location] - 1, rule)
     for state in states:
         state.record_growth(event)
     if states[0].remaining == 0:
@@ -445,21 +442,22 @@ def _grow(b: _Branch, epoch: int, config: TrainConfig, states: list[PolicyState]
 
 # --- metrics file I/O -------------------------------------------------------
 
+# JSON keys of each record's fields. An epoch line holds EpochMetrics's fields, the footer
+# RunResult's after `metrics`, and each of its events GrowthEvent's, init_rule as "init".
+_EPOCH_KEYS = [f.name for f in fields(EpochMetrics)]
+_RESULT_KEYS = [f.name for f in fields(RunResult)]
+_FOOTER_KEYS = _RESULT_KEYS[1:]
+_EVENT_KEYS = ("epoch", "stage", "block_index", "init")
+
+
 def _metric_line(m: EpochMetrics) -> str:
     return json.dumps(vars(m), allow_nan=False)  # field order; blocks as a list
 
 
 def _footer_line(result: RunResult) -> str:
-    return json.dumps({
-        "events": [
-            {"epoch": e.epoch, "stage": e.stage, "block_index": e.block_index, "init": e.init_rule}
-            for e in result.events
-        ],
-        "e_bar": result.e_bar,
-        "final_test_error": result.final_test_error,
-        "final_train_error": result.final_train_error,
-        "wall_seconds": result.wall_seconds,
-    }, allow_nan=False)
+    footer = {key: getattr(result, key) for key in _FOOTER_KEYS}
+    footer["events"] = [dict(zip(_EVENT_KEYS, astuple(e))) for e in result.events]
+    return json.dumps(footer, allow_nan=False)
 
 
 def write_metrics(result: RunResult, path: str) -> None:
@@ -473,7 +471,15 @@ def write_metrics(result: RunResult, path: str) -> None:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 
 
-_EVENT_KEYS = ("epoch", "stage", "block_index", "init")
+# record field annotation -> (check, what its JSON value must be)
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an int"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "float | None": (lambda v: v is None or type(v) in (int, float), "a number or null"),
+    "bool": (lambda v: type(v) is bool, "a bool"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple[int, ...]": (lambda v: all(type(b) is int for b in v), "a list of ints"),
+}
 
 
 def _values(rec, keys, where: str) -> list:
@@ -484,6 +490,17 @@ def _values(rec, keys, where: str) -> list:
     if missing:
         raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
     return [rec[k] for k in keys]
+
+
+def _checked(record, keys, where: str):
+    """`record`, once each field's value fits its annotation; an error names its JSON key."""
+    for f, key in zip(fields(record), keys):
+        if f.type in _JSON_TYPES:
+            check, what = _JSON_TYPES[f.type]
+            value = getattr(record, f.name)
+            if not check(value):
+                raise ValueError(f"{where}: {key}: expected {what}, got {value!r}")
+    return record
 
 
 def read_metrics(path: str) -> RunResult:
@@ -505,20 +522,20 @@ def read_metrics(path: str) -> RunResult:
         raise OSError(f"cannot read metrics from {path}: {exc}") from exc
     if not records or not isinstance(records[-1][1], dict) or "events" not in records[-1][1]:
         raise ValueError(f"{path}: missing footer line")
-    epoch_keys = [f.name for f in fields(EpochMetrics)]
     where = path
     try:
         metrics = []
         for where, rec in records[:-1]:
-            *values, blocks, grew = _values(rec, epoch_keys, where)
-            metrics.append(EpochMetrics(*values, tuple(blocks), grew))
+            *values, blocks, grew = _values(rec, _EPOCH_KEYS, where)
+            metrics.append(_checked(EpochMetrics(*values, tuple(blocks), grew), _EPOCH_KEYS, where))
         where, footer = records[-1]
-        events, *summary = _values(footer, [f.name for f in fields(RunResult)][1:], where)
-        events = [GrowthEvent(*_values(e, _EVENT_KEYS, f"{where}: event {i}"))
+        events, *summary = _values(footer, _FOOTER_KEYS, where)
+        events = [_checked(GrowthEvent(*_values(e, _EVENT_KEYS, f"{where}: event {i}")),
+                           _EVENT_KEYS, f"{where}: event {i}")
                   for i, e in enumerate(events)]
     except TypeError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    return RunResult(metrics, events, *summary)
+    return _checked(RunResult(metrics, events, *summary), _RESULT_KEYS, where)
 
 
 # --- multi-run comparison ---------------------------------------------------

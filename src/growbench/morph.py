@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchSpec, check_compatible
-from .netcore import Block, BlockKind, Network, he_weight
+from .netcore import BlockKind, Network, he_weight
 
 # "zero" is test-only: it makes a residual block an exact identity, which
 # pins the growth-is-non-destructive invariant. It is not offered in configs.
@@ -46,74 +46,80 @@ def count_added_blocks(seed: ArchSpec, target: ArchSpec) -> int:
     return sum(t.blocks - s.blocks for s, t in zip(seed.stages, target.stages))
 
 
-def init_copy_preceding(preceding: Block) -> Block:
-    """New block with weights and bias deep-copied from its predecessor."""
-    if preceding.kind is BlockKind.DOWNSAMPLE:
+def _square_block(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, bias) of a copy of a square block's weight-then-bias vector."""
+    flat = flat.copy()
+    return flat[: width * width].reshape(width, width), flat[width * width :]
+
+
+def init_copy_preceding(net: Network, stage: int) -> tuple[np.ndarray, np.ndarray]:
+    """New block's (weight, bias), deep-copied from `stage`'s last block."""
+    kind, span = net.block(stage)
+    if kind is BlockKind.DOWNSAMPLE:
         raise GrowthError(
             "cannot copy from a downsample block (in/out widths differ); "
             "use random init for this location"
         )
-    return Block(preceding.kind, preceding.weight.copy(), preceding.bias.copy())
+    return _square_block(net.params[span], net.arch.stages[stage].width)
 
 
 @dataclass
 class MomentEnsemble:
-    """Exponential moving average of one tracked block's parameters.
+    """Exponential moving average of the parameters of `net`'s block `index` of `stage`.
 
-    The shadow starts as a copy of the block's `params` slice and is
+    The shadow starts as a copy of the block's slice of `net.params` and is
     refreshed once per optimizer step: shadow <- d*shadow + (1-d)*current,
-    d = EMA_DECAY, reading the slice through the block, which growth re-points.
+    d = EMA_DECAY. Each update reads the slice of whatever vector
+    `net.params` is then, so it follows stacking and growth; growth only
+    appends at stage ends, so (stage, index) keeps naming the same block.
     """
 
-    block: Block
+    net: Network
+    stage: int
+    index: int
     shadow: np.ndarray
     updates: int = 0
 
     @classmethod
-    def track(cls, block: Block) -> "MomentEnsemble":
-        if block.kind is BlockKind.DOWNSAMPLE:
+    def track(cls, net: Network, stage: int) -> "MomentEnsemble":
+        """Track `stage`'s last block, the one a growth there would copy."""
+        index = net.blocks_per_stage()[stage] - 1
+        kind, span = net.block(stage, index)
+        if kind is BlockKind.DOWNSAMPLE:
             raise GrowthError("moment ensembles track square blocks only")
-        return cls(block, block.params.copy())
+        return cls(net, stage, index, net.params[span].copy())
 
     def update(self) -> None:
         d = EMA_DECAY
         self.shadow *= d
-        self.shadow += (1.0 - d) * self.block.params
+        self.shadow += (1.0 - d) * self.net.params[self.net.block(self.stage, self.index)[1]]
         self.updates += 1
 
 
-def init_moment(ensemble: MomentEnsemble) -> Block:
-    """New block from the EMA shadow of its predecessor."""
+def init_moment(ensemble: MomentEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """New block's (weight, bias) from the EMA shadow of its predecessor."""
     if ensemble.updates < 1:
         raise GrowthError("moment ensemble has never been updated")
-    blk, shadow = ensemble.block, ensemble.shadow
-    n = blk.weight.size
-    return Block(blk.kind, shadow[:n].reshape(blk.weight.shape).copy(), shadow[n:].copy())
-
-
-def _square_kind(family: str) -> BlockKind:
-    return BlockKind.RESIDUAL if family == "res" else BlockKind.PLAIN
+    return _square_block(ensemble.shadow, ensemble.net.arch.stages[ensemble.stage].width)
 
 
 def grow(net: Network, stage: int, init_rule: str,
          rng: np.random.Generator | None = None,
-         ensemble: MomentEnsemble | None = None) -> Block:
+         ensemble: MomentEnsemble | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Append one block to `stage`, with zero momentum.
 
     All pre-existing parameter and momentum values keep their bits. The new
     block's input width equals the stage width, so it is always square.
-    Returns the inserted block.
+    Returns the inserted block's (weight, bias).
     """
-    if not 0 <= stage < len(net.stages):
+    if not 0 <= stage < len(net.arch.stages):
         raise GrowthError(f"stage index {stage} out of range")
     if init_rule not in ALL_INIT_RULES:
         raise GrowthError(f"unknown init rule {init_rule!r}")
-    st = net.stages[stage]
-    preceding = st.blocks[-1]
-    width = st.width
+    width = net.arch.stages[stage].width
 
     if init_rule == "copy":
-        block = init_copy_preceding(preceding)
+        block = init_copy_preceding(net, stage)
     elif init_rule == "moment":
         if ensemble is None:
             raise GrowthError("moment init requires an ensemble")
@@ -121,15 +127,11 @@ def grow(net: Network, stage: int, init_rule: str,
     elif init_rule == "random":
         if rng is None:
             raise GrowthError("random init requires a generator")
-        block = Block(_square_kind(net.family), he_weight(rng, width, width), np.zeros(width))
+        block = he_weight(rng, width, width), np.zeros(width)
     else:  # zero (test-only)
-        block = Block(_square_kind(net.family), np.zeros((width, width)), np.zeros(width))
+        block = np.zeros((width, width)), np.zeros(width)
 
-    if block.weight.shape != (width, width):
-        raise GrowthError(
-            f"new block shape {block.weight.shape} does not fit stage width {width}"
-        )
-    net.insert_block(stage, block)
+    net.insert_block(stage, *block)
     return block
 
 
@@ -142,8 +144,7 @@ def resolve_init_rule(net: Network, stage: int, requested: str) -> str:
     """
     if requested not in ALL_INIT_RULES:
         raise GrowthError(f"unknown init rule {requested!r}")
-    preceding = net.stages[stage].blocks[-1]
-    if requested in ("copy", "moment") and preceding.kind is BlockKind.DOWNSAMPLE:
+    if requested in ("copy", "moment") and net.block(stage)[0] is BlockKind.DOWNSAMPLE:
         return "random"
     return requested
 

@@ -14,9 +14,11 @@ Block kinds:
 
 A linear classifier maps the last stage's width to class logits.
 
-Parameters, gradients and SGD momentum are one contiguous float64 vector
-each, laid out in `iter_params` order; block weights and biases, the
-classifier's and `Network.grad_views` are reshaped views into them.
+A `Network` is its `ArchSpec` plus three contiguous float64 vectors:
+parameters, gradients and SGD momentum. Each holds every block's weight
+then bias in forward order, then the classifier's; `layers` derives each
+block's kind and shape from the ArchSpec, and `Network.views` cuts the
+(weight, bias) views of a vector from it.
 
 Training runs on a `Stack`: S networks of one shape whose vectors are the
 rows of (S, P) stores, with (S, out, in) weight views. Every product is a
@@ -37,14 +39,15 @@ from __future__ import annotations
 
 import ctypes
 import enum
+import functools
 import glob
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arch import ArchSpec
+from .arch import ArchSpec, StageSpec
 from .rng import substream
 
 # OpenBLAS thread setters, newest naming first: scipy-openblas (numpy >= 2),
@@ -86,120 +89,91 @@ class BlockKind(enum.Enum):
     DOWNSAMPLE = "downsample"
 
 
-@dataclass(eq=False)
-class Block:
-    kind: BlockKind
-    weight: np.ndarray  # (out_width, in_width)
-    bias: np.ndarray  # (out_width,)
-    # In a Network: this block's slice of Network.params, of which weight
-    # and bias are views. None until the block is inserted.
-    params: np.ndarray | None = None
+def layers(arch: ArchSpec) -> list[tuple[BlockKind | None, tuple[int, int]]]:
+    """(kind, (out, in) weight shape) of each block in forward order, then the classifier's.
 
-    def __post_init__(self) -> None:
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ValueError("block weight must be 2-d and bias 1-d")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ValueError("bias length must match weight rows")
-        if self.kind is not BlockKind.DOWNSAMPLE and self.weight.shape[0] != self.weight.shape[1]:
-            raise ValueError(f"{self.kind.value} block must be square, got {self.weight.shape}")
+    The classifier's kind is None. A stage's first block downsamples when
+    the stage's width differs from its input's.
+    """
+    square = BlockKind.RESIDUAL if arch.family == "res" else BlockKind.PLAIN
+    out, prev = [], arch.input_dim
+    for spec in arch.stages:
+        for b in range(spec.blocks):
+            in_w = prev if b == 0 else spec.width
+            out.append((BlockKind.DOWNSAMPLE if in_w != spec.width else square, (spec.width, in_w)))
+        prev = spec.width
+    return out + [(None, (arch.num_classes, prev))]
 
 
-@dataclass
-class Stage:
-    width: int
-    blocks: list[Block]
-
-
-def _split(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(weight, bias) views of one weight-then-bias slice of `flat`'s last axis."""
-    n = shape[0] * shape[1]
-    return flat[..., :n].reshape(flat.shape[:-1] + shape), flat[..., n:]
+def _size(shape: tuple[int, int]) -> int:
+    """Weight plus bias entries of a layer."""
+    return shape[0] * (shape[1] + 1)
 
 
 @dataclass(eq=False)
 class Network:
-    family: str  # "plain" | "res"
-    input_dim: int
-    num_classes: int
-    stages: list[Stage]
-    clf_weight: np.ndarray  # (num_classes, last_width)
-    clf_bias: np.ndarray  # (num_classes,)
-    params: np.ndarray = field(init=False, repr=False)
-    grads: np.ndarray = field(init=False, repr=False)
-    momentum: np.ndarray = field(init=False, repr=False)
-    grad_views: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    """An architecture plus its parameter, gradient and momentum vectors, cut up by `views`."""
 
-    def __post_init__(self) -> None:
-        """Copy the given arrays into one flat vector; grads and momentum start at 0."""
-        params = np.concatenate([a.ravel() for _, w, b in self.iter_params() for a in (w, b)])
-        self._bind(params, np.zeros_like(params), np.zeros_like(params))
-
-    def _bind(self, params: np.ndarray, grads: np.ndarray, momentum: np.ndarray) -> None:
-        """Make these the network's vectors and re-point every view at them."""
-        self.params, self.grads, self.momentum = params, grads, momentum
-        self.grad_views = self.views(grads)
-        off = 0
-        for blk in self.blocks():
-            blk.params = params[off : off + blk.weight.size + blk.bias.size]
-            blk.weight, blk.bias = _split(blk.params, blk.weight.shape)
-            off += blk.params.size
-        self.clf_weight, self.clf_bias = _split(params[off:], self.clf_weight.shape)
-
-    def insert_block(self, stage: int, block: Block) -> None:
-        """Reallocate with `block`'s values after `stage`'s last block; its momentum is 0."""
-        off = sum(b.params.size for st in self.stages[: stage + 1] for b in st.blocks)
-        new = np.concatenate((block.weight.ravel(), block.bias))
-        params = np.concatenate((self.params[:off], new, self.params[off:]))
-        momentum = np.concatenate((self.momentum[:off], np.zeros_like(new), self.momentum[off:]))
-        self.stages[stage].blocks.append(block)
-        self._bind(params, np.zeros_like(params), momentum)
-
-    def copy(self) -> "Network":
-        """An independent network with this one's parameters and momentum."""
-        stages = [Stage(st.width, [Block(b.kind, b.weight, b.bias) for b in st.blocks])
-                  for st in self.stages]
-        net = Network(self.family, self.input_dim, self.num_classes, stages,
-                      self.clf_weight, self.clf_bias)
-        net.momentum[:] = self.momentum
-        return net
-
-    def blocks(self) -> list[Block]:
-        """Every block in forward order."""
-        return [blk for st in self.stages for blk in st.blocks]
+    arch: ArchSpec
+    params: np.ndarray
+    grads: np.ndarray
+    momentum: np.ndarray
 
     def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views of a vector laid out like `params`, in iter_params order.
+        """(weight, bias) views of a vector laid out like `params`, in `layers` order.
 
         A store of such vectors along its last axis gives views with its leading axes.
         """
         out, off = [], 0
-        for _, w, b in self.iter_params():
-            n = w.size + b.size
-            out.append(_split(flat[..., off : off + n], w.shape))
-            off += n
+        for _, shape in layers(self.arch):
+            n = shape[0] * shape[1]
+            w = flat[..., off : off + n].reshape(flat.shape[:-1] + shape)
+            out.append((w, flat[..., off + n : off + _size(shape)]))
+            off += _size(shape)
         return out
 
     def blocks_per_stage(self) -> tuple[int, ...]:
-        return tuple(len(st.blocks) for st in self.stages)
+        return self.arch.blocks_per_stage
 
-    def iter_params(self):
-        """Yield ((stage, block) | ("clf",), weight, bias) in canonical order."""
-        for s, st in enumerate(self.stages):
-            for b, blk in enumerate(st.blocks):
-                yield (s, b), blk.weight, blk.bias
-        yield ("clf",), self.clf_weight, self.clf_bias
+    def block(self, stage: int, index: int = -1) -> tuple[BlockKind, slice]:
+        """Kind and weight-then-bias slice of `params` of `stage`'s block `index` (-1: its last)."""
+        return _block(self.arch, stage, index)
+
+    def insert_block(self, stage: int, weight: np.ndarray, bias: np.ndarray) -> None:
+        """Append a square block with these values to `stage` and its vectors; its momentum is 0."""
+        spec = self.arch.stages[stage]
+        if weight.shape != (spec.width, spec.width) or bias.shape != (spec.width,):
+            raise ValueError(f"block of shapes {weight.shape} and {bias.shape} does not fit "
+                             f"stage {stage} of width {spec.width}")
+        off = self.block(stage)[1].stop
+        new = np.concatenate((weight.ravel(), bias))
+        self.params = np.concatenate((self.params[:off], new, self.params[off:]))
+        self.momentum = np.concatenate((self.momentum[:off], np.zeros_like(new),
+                                        self.momentum[off:]))
+        self.grads = np.zeros_like(self.params)
+        stages = list(self.arch.stages)
+        stages[stage] = StageSpec(spec.width, spec.blocks + 1)
+        self.arch = replace(self.arch, stages=tuple(stages))
+
+    def copy(self) -> "Network":
+        """An independent network with this one's vectors."""
+        return Network(self.arch, self.params.copy(), self.grads.copy(), self.momentum.copy())
+
+
+@functools.cache  # an EMA looks its block up on every optimizer step
+def _block(arch: ArchSpec, stage: int, index: int) -> tuple[BlockKind, slice]:
+    counts = arch.blocks_per_stage
+    k = sum(counts[:stage]) + index % counts[stage]
+    shapes = layers(arch)
+    off = sum(_size(shape) for _, shape in shapes[:k])
+    kind, shape = shapes[k]
+    return kind, slice(off, off + _size(shape))
 
 
 def he_weight(rng: np.random.Generator, out_width: int, in_width: int) -> np.ndarray:
     """He-normal weight draw: std = sqrt(2 / in_width)."""
     std = math.sqrt(2.0 / in_width)
     return rng.normal(0.0, std, size=(out_width, in_width))
-
-
-def _block_kind(family: str, is_downsample: bool) -> BlockKind:
-    if is_downsample:
-        return BlockKind.DOWNSAMPLE
-    return BlockKind.RESIDUAL if family == "res" else BlockKind.PLAIN
 
 
 def build_network(arch: ArchSpec, rng_seed: int) -> Network:
@@ -209,21 +183,9 @@ def build_network(arch: ArchSpec, rng_seed: int) -> Network:
     block order, classifier last, from the "init" substream of the seed.
     """
     rng = substream(rng_seed, "init")
-    stages: list[Stage] = []
-    prev_width = arch.input_dim
-    for spec in arch.stages:
-        blocks: list[Block] = []
-        for b in range(spec.blocks):
-            in_w = prev_width if b == 0 else spec.width
-            is_down = b == 0 and in_w != spec.width
-            kind = _block_kind(arch.family, is_down)
-            w = he_weight(rng, spec.width, in_w)
-            blocks.append(Block(kind, w, np.zeros(spec.width)))
-        stages.append(Stage(spec.width, blocks))
-        prev_width = spec.width
-    clf_w = he_weight(rng, arch.num_classes, prev_width)
-    clf_b = np.zeros(arch.num_classes)
-    return Network(arch.family, arch.input_dim, arch.num_classes, stages, clf_w, clf_b)
+    params = np.concatenate([a for _, (out_w, in_w) in layers(arch)
+                             for a in (he_weight(rng, out_w, in_w).ravel(), np.zeros(out_w))])
+    return Network(arch, params, np.zeros_like(params), np.zeros_like(params))
 
 
 @dataclass(eq=False)
@@ -233,8 +195,8 @@ class Stack:
     Row s of the (S, P) `params`, `grads` and `momentum` stores is network
     s's vector; `stack_networks` builds one. `weights` holds each block's
     and the classifier's (S, out, in) weight view, `biases` the matching
-    (S, 1, out) bias views and `grad_views` the gradients' (S, out, in) and
-    (S, out) views, all in `iter_params` order.
+    (S, 1, out) bias views and `layer_grads` the gradients' (S, out, in) and
+    (S, out) views, all in `Network.views` order.
     """
 
     nets: list[Network]
@@ -244,37 +206,32 @@ class Stack:
 
     def __post_init__(self) -> None:
         net = self.nets[0]
-        self.kinds = [blk.kind for blk in net.blocks()]
+        self.kinds = [kind for kind, _ in layers(net.arch)[:-1]]
         views = net.views(self.params)
         self.weights = [w for w, _ in views]
         self.biases = [b[:, None] for _, b in views]
-        self.grad_views = net.views(self.grads)
+        self.layer_grads = net.views(self.grads)
         self._capacity = 0
 
     def workspace(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Block outputs and masks for batches of up to `n` rows, kept while n fits."""
         if n > self._capacity:
             count = len(self.kinds)
-            self._outs = _workspace(self, n, count, np.float64)
-            self._masks = _workspace(self, n, count, np.float64)
+            self._outs = _workspace(self, n, count)
+            self._masks = _workspace(self, n, count)
             self._capacity = n
         return self._outs, self._masks
 
 
-def _layout(net: Network) -> tuple:
-    return tuple((blk.kind, blk.weight.shape) for blk in net.blocks()) + (net.clf_weight.shape,)
-
-
 def stack_networks(nets: list[Network]) -> Stack:
-    """A Stack over same-shape networks; a lone network's own vectors are its row.
+    """A Stack over networks of one architecture; a lone network's own vectors are its row.
 
-    Two or more are copied into new (S, P) stores, and each network is
-    rebound to its row, so its block views, an EMA tracking one of its
-    blocks and `accuracy_and_loss` read the values the stack trains.
-    `insert_block` and `copy` give a network vectors of its own again.
+    Two or more are copied into new (S, P) stores, and each network's
+    vectors become its rows, so an EMA reading one of its blocks and
+    `accuracy_and_loss` read the values the stack trains. `insert_block`
+    and `copy` give a network vectors of its own again.
     """
-    layout = _layout(nets[0])
-    if any(_layout(net) != layout for net in nets[1:]):
+    if any(net.arch != nets[0].arch for net in nets[1:]):
         raise ValueError("stacked networks must share one shape")
     if len(nets) == 1:
         net = nets[0]
@@ -283,21 +240,21 @@ def stack_networks(nets: list[Network]) -> Stack:
     grads = np.zeros_like(params)
     momentum = np.stack([net.momentum for net in nets])
     for net, p, g, v in zip(nets, params, grads, momentum):
-        net._bind(p, g, v)
+        net.params, net.grads, net.momentum = p, g, v
     return Stack(nets, params, grads, momentum)
 
 
 def _check_batch(st: Stack, batch: np.ndarray) -> np.ndarray:
-    shape = (len(st.nets), st.nets[0].input_dim)
+    shape = (len(st.nets), st.nets[0].arch.input_dim)
     if batch.ndim != 3 or (batch.shape[0], batch.shape[2]) != shape:
         raise ValueError(f"batch has shape {batch.shape}, expected ({shape[0]}, B, {shape[1]})")
     return np.asarray(batch, dtype=np.float64)
 
 
-def _workspace(st: Stack, n: int, count: int, dtype: type) -> list[np.ndarray]:
-    """One (S x n x width) view per block, cut from one np.empty; block k uses slab k % count."""
+def _workspace(st: Stack, n: int, count: int) -> list[np.ndarray]:
+    """One float64 (S, n, width) view per block, cut from one np.empty; block k uses slab k % count."""
     widths = [w.shape[1] for w in st.weights[:-1]]
-    slabs = np.empty((count, len(st.nets), n * max(widths)), dtype)
+    slabs = np.empty((count, len(st.nets), n * max(widths)))
     return [slabs[k % count, :, : n * w].reshape(len(st.nets), n, w) for k, w in enumerate(widths)]
 
 
@@ -345,7 +302,7 @@ def loss_grads_logits(net: Network | Stack, batch: np.ndarray,
                                            np.asarray(labels)[None])
         return float(losses[0]), logits[0]
     st = net
-    labels = _check_labels(labels, st.nets[0].num_classes)
+    labels = _check_labels(labels, st.nets[0].arch.num_classes)
     x = _check_batch(st, batch)
     s, n = x.shape[:2]
     if labels.shape != (s, n):
@@ -361,13 +318,13 @@ def loss_grads_logits(net: Network | Stack, batch: np.ndarray,
     dlogits.ravel()[picked] -= 1.0
     dlogits /= n
 
-    gw, gb = st.grad_views[-1]
+    gw, gb = st.layer_grads[-1]
     np.matmul(dlogits.mT, outs[-1][:, :n], out=gw)
     dlogits.sum(axis=1, out=gb)
     dx = dlogits @ st.weights[-1]
 
     for k in reversed(range(len(st.kinds))):
-        gw, gb = st.grad_views[k]
+        gw, gb = st.layer_grads[k]
         dz = dx * masks[k][:, :n]
         np.matmul(dz.mT, outs[k - 1][:, :n] if k else x, out=gw)
         dz.sum(axis=1, out=gb)
@@ -410,10 +367,10 @@ def accuracy_and_loss(net: Network, features: np.ndarray, labels: np.ndarray,
     """Full-pass (accuracy %, mean cross-entropy); argmax ties go to the lowest class."""
     if len(features) == 0:
         raise ValueError("evaluation of an empty dataset is undefined")
-    labels = _check_labels(labels, net.num_classes)
+    labels = _check_labels(labels, net.arch.num_classes)
     st = stack_networks([net])
     features = _check_batch(st, np.asarray(features)[None])
-    outs = _workspace(st, min(chunk, features.shape[1]), 2, np.float64)
+    outs = _workspace(st, min(chunk, features.shape[1]), 2)
     correct = 0
     loss_sum = 0.0
     for i in range(0, features.shape[1], chunk):

@@ -13,6 +13,7 @@ from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 800.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64.0, 20.0, 30.0, 46.0
+XLABEL = "epoch"
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -62,7 +63,7 @@ def _fmt_tick(v: float) -> str:
 
 
 def render_chart(series: list[Series], *, title: str = "", ylabel: str = "",
-                 xlabel: str = "epoch", events_x: tuple[float, ...] = (),
+                 events_x: tuple[float, ...] = (),
                  x_range: tuple[float, float] | None = None,
                  y_range: tuple[float, float] | None = None) -> str:
     """Render line series (plus optional vertical event markers) to SVG text."""
@@ -136,7 +137,7 @@ def render_chart(series: list[Series], *, title: str = "", ylabel: str = "",
     )
     parts.append(
         f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" y="{_fmt(HEIGHT - 8)}" '
-        f'text-anchor="middle">{escape(xlabel)}</text>'
+        f'text-anchor="middle">{XLABEL}</text>'
     )
     if ylabel:
         parts.append(

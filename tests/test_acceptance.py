@@ -165,7 +165,7 @@ def test_c1_formula_exactness():
 
 def _numeric_flat(net, feats, labels, eps=1e-5):
     out = []
-    for _, w, b in net.iter_params():
+    for w, b in net.views(net.params):
         for arr in (w, b):
             g = np.zeros(arr.size)
             flat = arr.ravel()

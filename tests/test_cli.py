@@ -361,7 +361,7 @@ def test_plot_ranges(metrics_file, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--x-range", "--y-range"])
-@pytest.mark.parametrize("text", ["1..2:3", "1:2:3", "1", "nan:1", "0:inf"])
+@pytest.mark.parametrize("text", ["1..2:3", "1:2:3", "1", "nan:1", "0:inf", "5:1", "3:3"])
 def test_plot_malformed_range_exit_2_names_flag(metrics_file, tmp_path, capsys, flag, text):
     path, _ = metrics_file
     out = tmp_path / "bad.svg"

@@ -307,8 +307,9 @@ def test_branch_fork_is_an_independent_copy():
     branch = _Branch(0, net, where, ensemble, None, [], 1.5, [0, 1, 2])
     fork = branch.fork([2])
     assert (fork.members, fork.seconds, fork.where) == ([2], 1.5, where)
-    assert fork.ensemble.block is fork.net.stages[1].blocks[-1]  # the block the original tracks
-    assert ensemble.block is net.stages[1].blocks[-1]
+    assert fork.ensemble.net is fork.net  # the block the original tracks
+    assert ensemble.net is net
+    assert (fork.ensemble.stage, fork.ensemble.index) == (ensemble.stage, ensemble.index) == (1, 0)
     np.testing.assert_array_equal(fork.net.params, net.params)
     np.testing.assert_array_equal(fork.ensemble.shadow, ensemble.shadow)
     assert fork.ensemble.updates == ensemble.updates
@@ -341,6 +342,18 @@ def _drop_event_key(line):
     return json.dumps(rec)
 
 
+def _set_key(line, key, value):
+    rec = json.loads(line)
+    rec[key] = value
+    return json.dumps(rec)
+
+
+def _set_event_key(line, key, value):
+    rec = json.loads(line)
+    rec["events"][1][key] = value
+    return json.dumps(rec)
+
+
 @pytest.mark.parametrize("edit, line, message", [
     (lambda ls: [ls[0], "{not json"] + ls[2:], 2, "invalid JSON"),
     (lambda ls: [ls[0], _drop_key(ls[1], "val_acc")] + ls[2:], 2, "missing key.s. val_acc"),
@@ -348,6 +361,24 @@ def _drop_event_key(line):
     (lambda ls: ls[:-1] + [_drop_key(ls[-1], "e_bar")], 13, "missing key.s. e_bar"),
     (lambda ls: ls[:-1] + [_drop_event_key(ls[-1])], 13, "event 1: missing key.s. stage"),
     (lambda ls: [ls[0].replace('"blocks": [1, 1]', '"blocks": 2')] + ls[1:], 1, "'int' object is not iterable"),
+    (lambda ls: [_set_key(ls[0], "train_acc", "abc")] + ls[1:], 1,
+     "train_acc: expected a number, got 'abc'"),
+    (lambda ls: [_set_key(ls[0], "epoch", 0.5)] + ls[1:], 1, "epoch: expected an int, got 0.5"),
+    (lambda ls: [_set_key(ls[0], "epoch", True)] + ls[1:], 1, "epoch: expected an int, got True"),
+    (lambda ls: [_set_key(ls[0], "blocks", [1, "1"])] + ls[1:], 1,
+     "blocks: expected a list of ints"),
+    (lambda ls: [_set_key(ls[0], "grew", 0)] + ls[1:], 1, "grew: expected a bool, got 0"),
+    (lambda ls: [_set_key(ls[0], "lr", None)] + ls[1:], 1, "lr: expected a number, got None"),
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "e_bar", "oops")], 13,
+     "e_bar: expected a number or null, got 'oops'"),
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "wall_seconds", False)], 13,
+     "wall_seconds: expected a number, got False"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "stage", "zero")], 13,
+     "event 1: stage: expected an int, got 'zero'"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "block_index", None)], 13,
+     "event 1: block_index: expected an int, got None"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "init", 3)], 13,
+     "event 1: init: expected a string, got 3"),
 ])
 def test_read_metrics_names_path_and_line(tmp_path, edit, line, message):
     path = _corrupt(tmp_path, edit)

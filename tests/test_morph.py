@@ -25,7 +25,17 @@ def arch(blocks, family="res", width=8, input_dim=6, classes=3):
 
 
 def flat_params(net):
-    return np.concatenate([a.ravel() for _, w, b in net.iter_params() for a in (w, b)])
+    return np.concatenate([a.ravel() for w, b in net.views(net.params) for a in (w, b)])
+
+
+def paths(net):
+    """(stage, block) of every block in forward order, then ("clf",): the order of `views`."""
+    return [(s, b) for s, n in enumerate(net.blocks_per_stage()) for b in range(n)] + [("clf",)]
+
+
+def block_views(net, stage, index):
+    """(weight, bias) views of `stage`'s block `index` in `net.params`."""
+    return net.views(net.params)[paths(net).index((stage, index))]
 
 
 def logits(net, x):
@@ -138,19 +148,19 @@ def test_property_where_policy_fills_to_target(counts, name):
 
 def test_copy_init_duplicates_and_detaches():
     net = build_network(arch((2,)), 5)
-    src = net.stages[0].blocks[-1]
-    new = init_copy_preceding(src)
-    np.testing.assert_array_equal(new.weight, src.weight)
-    np.testing.assert_array_equal(new.bias, src.bias)
-    src.weight[0, 0] += 1.0
-    assert new.weight[0, 0] != src.weight[0, 0]
+    src_w, src_b = block_views(net, 0, 1)
+    new_w, new_b = init_copy_preceding(net, 0)
+    np.testing.assert_array_equal(new_w, src_w)
+    np.testing.assert_array_equal(new_b, src_b)
+    src_w[0, 0] += 1.0
+    assert new_w[0, 0] != src_w[0, 0]
 
 
 def test_copy_init_rejects_downsample():
     net = build_network(arch((1,), input_dim=6, width=8), 5)
-    assert net.stages[0].blocks[0].kind is BlockKind.DOWNSAMPLE
+    assert net.block(0, 0)[0] is BlockKind.DOWNSAMPLE
     with pytest.raises(GrowthError):
-        init_copy_preceding(net.stages[0].blocks[0])
+        init_copy_preceding(net, 0)
 
 
 def test_resolve_init_rule_falls_back_to_random():
@@ -162,20 +172,20 @@ def test_resolve_init_rule_falls_back_to_random():
 
 def test_moment_fixed_point_on_constant_source():
     net = build_network(arch((2,)), 5)
-    blk = net.stages[0].blocks[1]
-    ens = MomentEnsemble.track(blk)
+    ens = MomentEnsemble.track(net, 0)
+    assert (ens.stage, ens.index) == (0, 1)
     for _ in range(10):
         ens.update()
-    new = init_moment(ens)
-    np.testing.assert_allclose(new.weight, blk.weight, atol=1e-12)
+    new_w, _ = init_moment(ens)
+    np.testing.assert_allclose(new_w, block_views(net, 0, 1)[0], atol=1e-12)
 
 
 def test_moment_single_update_recurrence():
     net = build_network(arch((2,)), 5)
-    blk = net.stages[0].blocks[1]
-    s0 = blk.weight.copy()
-    ens = MomentEnsemble.track(blk)
-    blk.weight[:] = s0 + 2.0
+    weight = block_views(net, 0, 1)[0]
+    s0 = weight.copy()
+    ens = MomentEnsemble.track(net, 0)
+    weight[:] = s0 + 2.0
     ens.update()
     np.testing.assert_allclose(ens.shadow[: s0.size].reshape(s0.shape),
                                0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
@@ -183,31 +193,31 @@ def test_moment_single_update_recurrence():
 
 def test_moment_ensemble_follows_reallocation():
     net = build_network(arch((2, 2)), 5)
-    blk = net.stages[0].blocks[1]
-    ens = MomentEnsemble.track(blk)
-    s0 = blk.params.copy()
-    grow(net, 1, "zero")  # reallocates the parameter store
-    assert np.shares_memory(blk.params, net.params)
-    blk.params[:] += 2.0
+    ens = MomentEnsemble.track(net, 1)
+    s0 = net.params[net.block(1, 1)[1]].copy()
+    grow(net, 0, "zero")  # reallocates the parameter store and moves the tracked block
+    grow(net, 1, "zero")  # appends after the tracked block
+    assert (ens.net, ens.stage, ens.index) == (net, 1, 1)
+    net.params[net.block(1, 1)[1]] += 2.0
     ens.update()
     np.testing.assert_allclose(ens.shadow, 0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
 
 
 def test_moment_requires_an_update():
     net = build_network(arch((2,)), 5)
-    ens = MomentEnsemble.track(net.stages[0].blocks[1])
+    ens = MomentEnsemble.track(net, 0)
     with pytest.raises(GrowthError):
         init_moment(ens)
 
 
 def test_second_growth_tracks_new_preceding_block():
     net = build_network(arch((2,)), 5)
-    first = grow(net, 0, "zero")
+    first_w, _ = grow(net, 0, "zero")
     # re-tracking after growth must shadow the block just inserted
-    ens = MomentEnsemble.track(net.stages[0].blocks[-1])
+    ens = MomentEnsemble.track(net, 0)
     ens.update()
-    second = init_moment(ens)
-    np.testing.assert_array_equal(second.weight, first.weight)
+    second_w, _ = init_moment(ens)
+    np.testing.assert_array_equal(second_w, first_w)
 
 
 # --- grow -------------------------------------------------------------------
@@ -236,7 +246,7 @@ def test_grow_is_non_destructive():
     before = flat_params(net).copy()
     grow(net, 0, "copy")
     # existing params bit-identical: compare everything except the new block
-    after = [a for (path, w, b) in net.iter_params() for a in (w, b)
+    after = [a for path, (w, b) in zip(paths(net), net.views(net.params)) for a in (w, b)
              if path != (0, 2)]
     np.testing.assert_array_equal(np.concatenate([a.ravel() for a in after]), before)
     assert net.views(net.momentum)[0][0][0, 0] == 0.25
@@ -258,8 +268,7 @@ def test_grow_random_uses_given_stream():
     net2 = build_network(arch((2, 2)), 9)
     for net in (net1, net2):
         grow(net, 0, "random", rng=substream(4, "grow", 0))
-    np.testing.assert_array_equal(net1.stages[0].blocks[-1].weight,
-                                  net2.stages[0].blocks[-1].weight)
+    np.testing.assert_array_equal(block_views(net1, 0, 2)[0], block_views(net2, 0, 2)[0])
 
 
 def test_grow_rejects_bad_requests():
@@ -297,12 +306,10 @@ def _address(a):
 
 
 def assert_flat_store(net):
-    """Every view lies in its vector, contiguous, back to back in iter_params order."""
-    stores = {
-        "params": (net.params, [(w, b) for _, w, b in net.iter_params()]),
-        "grads": (net.grads, net.grad_views),
-        "momentum": (net.momentum, net.views(net.momentum)),
-    }
+    """Every view lies in its vector, contiguous, back to back in forward order."""
+    stores = {name: (vec, net.views(vec))
+              for name, vec in (("params", net.params), ("grads", net.grads),
+                                ("momentum", net.momentum))}
     for name, (vec, views) in stores.items():
         off = 0
         for w, b in views:
@@ -311,16 +318,18 @@ def assert_flat_store(net):
                 assert _address(a) - _address(vec) == off * vec.itemsize, name
                 off += a.size
         assert off == vec.size, name
-    for blk in net.blocks():
-        assert np.shares_memory(blk.params, net.params)
-        assert _address(blk.params) == _address(blk.weight)
-        assert blk.params.size == blk.weight.size + blk.bias.size
+    for path, (w, b) in zip(paths(net)[:-1], net.views(net.params)):
+        chunk = net.params[net.block(*path)[1]]
+        assert np.shares_memory(chunk, net.params)
+        assert _address(chunk) == _address(w)
+        assert chunk.size == w.size + b.size
 
 
 def _snapshot(net):
     """path -> (weight, bias, momentum weight, momentum bias), copied."""
     return {path: (w.copy(), b.copy(), mw.copy(), mb.copy())
-            for (path, w, b), (mw, mb) in zip(net.iter_params(), net.views(net.momentum))}
+            for path, (w, b), (mw, mb) in zip(paths(net), net.views(net.params),
+                                              net.views(net.momentum))}
 
 
 @pytest.mark.parametrize("family", ("plain", "res"))
@@ -338,13 +347,13 @@ def test_flat_store_views_after_every_growth(rule, where, family):
         resolved = resolve_init_rule(net, loc, rule)
         ensemble = None
         if resolved == "moment":
-            ensemble = MomentEnsemble.track(net.stages[loc].blocks[-1])
+            ensemble = MomentEnsemble.track(net, loc)
             ensemble.update()
         before = _snapshot(net)
         grow(net, loc, resolved, rng=substream(4, "grow", k), ensemble=ensemble)
         assert_flat_store(net)
         after = _snapshot(net)
-        new_path = (loc, len(net.stages[loc].blocks) - 1)
+        new_path = (loc, net.blocks_per_stage()[loc] - 1)
         assert set(after) == set(before) | {new_path}
         for path, arrays in before.items():
             for old, new in zip(arrays, after[path]):

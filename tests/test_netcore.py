@@ -12,6 +12,7 @@ from growbench.netcore import (
     _log_softmax,
     accuracy_and_loss,
     build_network,
+    layers,
     loss_grads_logits,
     lr_at,
     sgd_step,
@@ -25,7 +26,17 @@ def small_arch(family="res", widths=(6, 6), blocks=(2, 1), input_dim=5, classes=
 
 
 def flatten_params(net):
-    return np.concatenate([w.ravel() for _, w, b in net.iter_params() for w in (w, b)])
+    return np.concatenate([w.ravel() for w, b in net.views(net.params) for w in (w, b)])
+
+
+def blocks(net):
+    """(kind, weight, bias) of every block in forward order, weight and bias as views."""
+    return [(kind, w, b) for (kind, _), (w, b) in zip(layers(net.arch)[:-1], net.views(net.params))]
+
+
+def classifier(net):
+    """The classifier's (weight, bias) views."""
+    return net.views(net.params)[-1]
 
 
 def numeric_grads(net, feats, labels, eps=1e-5):
@@ -35,7 +46,7 @@ def numeric_grads(net, feats, labels, eps=1e-5):
         return l
 
     out = []
-    for _, w, b in net.iter_params():
+    for w, b in net.views(net.params):
         for arr in (w, b):
             g = np.zeros_like(arr)
             flat = arr.ravel()
@@ -74,17 +85,18 @@ def test_build_differs_across_seeds():
 def test_first_block_shape_maps_input_dim():
     arch = ArchSpec("plain", (StageSpec(8, 1),), input_dim=5, num_classes=3)
     net = build_network(arch, 0)
-    assert net.stages[0].blocks[0].weight.shape == (8, 5)
-    assert net.stages[0].blocks[0].kind is BlockKind.DOWNSAMPLE
+    kind, weight, _ = blocks(net)[0]
+    assert weight.shape == (8, 5)
+    assert kind is BlockKind.DOWNSAMPLE
 
 
 def test_he_std_formula_and_sample():
     assert math.sqrt(2 / 50) == 0.2
     arch = ArchSpec("plain", (StageSpec(50, 2),), input_dim=50, num_classes=2)
     net = build_network(arch, 3)
-    w = net.stages[0].blocks[1].weight  # square 50x50, in_width 50
+    w = blocks(net)[1][1]  # square 50x50, in_width 50
     assert abs(w.std() - 0.2) < 0.015
-    assert not net.stages[0].blocks[0].bias.any()
+    assert not blocks(net)[0][2].any()
 
 
 def test_build_rejects_bad_arch():
@@ -111,10 +123,11 @@ def test_parse_arch_round_trip():
 
 def reference_logits(net, x):
     """The allocating forward: relu(x @ W.T + b) per block, plus x for residual blocks."""
-    for blk in net.blocks():
-        a = np.maximum(x @ blk.weight.T + blk.bias, 0.0)
-        x = x + a if blk.kind is BlockKind.RESIDUAL else a
-    return x @ net.clf_weight.T + net.clf_bias
+    for kind, w, b in blocks(net):
+        a = np.maximum(x @ w.T + b, 0.0)
+        x = x + a if kind is BlockKind.RESIDUAL else a
+    clf_w, clf_b = classifier(net)
+    return x @ clf_w.T + clf_b
 
 
 def logits(net, x):
@@ -124,12 +137,13 @@ def logits(net, x):
 
 def test_residual_zero_block_is_identity():
     net = build_network(small_arch(widths=(5,), blocks=(1,), input_dim=5), 0)
-    blk = net.stages[0].blocks[0]
-    assert blk.kind is BlockKind.RESIDUAL
-    blk.weight[:] = 0.0
-    blk.bias[:] = 0.0
-    net.clf_weight[:] = np.eye(3, 5)
-    net.clf_bias[:] = 0.0
+    kind, w, b = blocks(net)[0]
+    assert kind is BlockKind.RESIDUAL
+    w[:] = 0.0
+    b[:] = 0.0
+    clf_w, clf_b = classifier(net)
+    clf_w[:] = np.eye(3, 5)
+    clf_b[:] = 0.0
     x = np.arange(10, dtype=float).reshape(2, 5)
     np.testing.assert_array_equal(logits(net, x), x[:, :3])
 
@@ -181,8 +195,8 @@ def test_forward_rejects_dim_mismatch():
 def test_uniform_logits_loss_is_log_k():
     arch = ArchSpec("res", (StageSpec(6, 1),), input_dim=6, num_classes=10)
     net = build_network(arch, 0)
-    net.clf_weight[:] = 0.0
-    net.clf_bias[:] = 0.0
+    for a in classifier(net):
+        a[:] = 0.0
     loss, _ = loss_grads_logits(net, np.random.default_rng(0).normal(size=(4, 6)),
                              np.array([0, 3, 9, 5]))
     assert loss == pytest.approx(math.log(10), abs=1e-12)
@@ -226,25 +240,26 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
     # with all block weights zero, residual stages pass features through
     arch = ArchSpec("res", (StageSpec(5, 2),), input_dim=5, num_classes=3)
     net = build_network(arch, 1)
-    for blk in net.stages[0].blocks:
-        blk.weight[:] = 0.0
-        blk.bias[:] = 0.0
+    for _, w, b in blocks(net):
+        w[:] = 0.0
+        b[:] = 0.0
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(6, 5))
     labels = rng.integers(0, 3, size=6)
     loss_grads_logits(net, feats, labels)
 
     # closed-form softmax regression gradient on raw features
-    logits = feats @ net.clf_weight.T + net.clf_bias
+    w, b = classifier(net)
+    logits = feats @ w.T + b
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(6), labels] -= 1.0
     p /= 6.0
-    clf_w, clf_b = net.grad_views[-1]
+    clf_w, clf_b = net.views(net.grads)[-1]
     np.testing.assert_allclose(clf_w, p.T @ feats, atol=1e-12)
     np.testing.assert_allclose(clf_b, p.sum(axis=0), atol=1e-12)
     # every pre-activation is exactly 0, where the ReLU subgradient is 0
-    assert not any(w.any() or b.any() for w, b in net.grad_views[:-1])
+    assert not any(w.any() or b.any() for w, b in net.views(net.grads)[:-1])
 
 
 # --- sgd_step ---------------------------------------------------------------
@@ -286,9 +301,9 @@ def test_sgd_two_steps_momentum_unrolled():
 
 def test_sgd_weight_decay_in_buffer():
     net = build_network(small_arch(), 0)
-    w0 = net.clf_weight.copy()
+    w0 = classifier(net)[0].copy()
     _step(net, 0.0, lr=1.0, weight_decay=0.1)
-    np.testing.assert_allclose(net.clf_weight, w0 - 0.1 * w0, atol=1e-14)
+    np.testing.assert_allclose(classifier(net)[0], w0 - 0.1 * w0, atol=1e-14)
 
 
 
@@ -309,32 +324,61 @@ def test_copy_has_same_bits_and_trains_independently():
     loss_grads_logits(twin, x, labels)
     sgd_step(twin, 0.1, 0.9, 1e-4)
     assert not np.array_equal(twin.params, net.params)
-    twin_arrays = [a for _, w, b in twin.iter_params() for a in (w, b)]
+    twin_arrays = [a for w, b in twin.views(twin.params) for a in (w, b)]
     assert not any(np.shares_memory(a, net.params) for a in twin_arrays)
+
+
+@pytest.mark.parametrize("weight, bias", [
+    (np.zeros((6, 5)), np.zeros(6)),  # not square
+    (np.zeros((6, 6)), np.zeros(5)),  # bias length differs from weight rows
+    (np.zeros(36), np.zeros(6)),  # weight not 2-d
+    (np.zeros((6, 6)), np.zeros((6, 1))),  # bias not 1-d
+    (np.zeros((5, 5)), np.zeros(5)),  # square, but not the stage's width
+])
+def test_insert_block_rejects_wrong_shape(weight, bias):
+    net = build_network(small_arch(), 0)
+    before = net.params.copy()
+    with pytest.raises(ValueError, match="does not fit stage 1 of width 6"):
+        net.insert_block(1, weight, bias)
+    assert net.blocks_per_stage() == (2, 1)
+    assert net.params.tobytes() == before.tobytes()
+
+
+def test_insert_block_appends_to_arch_and_vectors():
+    net = build_network(small_arch(), 0)
+    before = net.params.copy()
+    net.insert_block(0, np.full((6, 6), 2.0), np.full(6, 3.0))
+    assert net.arch == small_arch(blocks=(3, 1))
+    w, b = net.views(net.params)[2]
+    assert (w == 2.0).all() and (b == 3.0).all()
+    assert net.params.size == net.grads.size == net.momentum.size == before.size + 42
+    assert not net.momentum.any()
+
 
 # --- stacks -----------------------------------------------------------------
 
 def reference_step(net, x, labels):
     """(loss, flat grads) of a (B, K) batch from allocating 2-D products alone."""
     acts, masks = [x], []
-    for blk in net.blocks():
-        z = acts[-1] @ blk.weight.T + blk.bias
+    for kind, w, b in blocks(net):
+        z = acts[-1] @ w.T + b
         masks.append(z > 0.0)
         a = np.maximum(z, 0.0)
-        acts.append(acts[-1] + a if blk.kind is BlockKind.RESIDUAL else a)
-    ls = _log_softmax(acts[-1] @ net.clf_weight.T + net.clf_bias)
+        acts.append(acts[-1] + a if kind is BlockKind.RESIDUAL else a)
+    clf_w, clf_b = classifier(net)
+    ls = _log_softmax(acts[-1] @ clf_w.T + clf_b)
     n = len(x)
     loss = float(-ls[np.arange(n), labels].mean())
     dlogits = np.exp(ls)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     grads = [(dlogits.T @ acts[-1], dlogits.sum(axis=0))]
-    dx = dlogits @ net.clf_weight
-    for k, blk in reversed(list(enumerate(net.blocks()))):
+    dx = dlogits @ clf_w
+    for k, (kind, w, _) in reversed(list(enumerate(blocks(net)))):
         dz = dx * masks[k]
         grads.append((dz.T @ acts[k], dz.sum(axis=0)))
-        dx = dx + dz @ blk.weight if blk.kind is BlockKind.RESIDUAL else dz @ blk.weight
-    ordered = [*reversed(grads[1:]), grads[0]]  # iter_params order: blocks, then classifier
+        dx = dx + dz @ w if kind is BlockKind.RESIDUAL else dz @ w
+    ordered = [*reversed(grads[1:]), grads[0]]  # views order: blocks, then classifier
     return loss, np.concatenate([a.ravel() for pair in ordered for a in pair])
 
 
@@ -388,9 +432,9 @@ def test_stack_rebinds_each_network_to_its_row():
     for s, net in enumerate(nets):
         np.testing.assert_array_equal(stack.params[s], before[s])
         assert np.shares_memory(net.params, stack.params[s])
-        assert np.shares_memory(net.stages[0].blocks[0].weight, stack.params[s])
+        assert np.shares_memory(blocks(net)[0][1], stack.params[s])
     stack.params[1] += 1.0
-    np.testing.assert_array_equal(nets[1].clf_bias, before[1][-3:] + 1.0)
+    np.testing.assert_array_equal(classifier(nets[1])[1], before[1][-3:] + 1.0)
     lone = build_network(arch, 0)
     assert np.shares_memory(stack_networks([lone]).params, lone.params)
 
@@ -427,9 +471,9 @@ def test_lr_vanilla_decays_from_start():
 def test_accuracy_all_correct_and_tie_rule():
     arch = ArchSpec("res", (StageSpec(4, 1),), input_dim=4, num_classes=3)
     net = build_network(arch, 0)
-    net.stages[0].blocks[0].weight[:] = 0.0
-    net.clf_weight[:] = 0.0
-    net.clf_bias[:] = 0.0
+    blocks(net)[0][1][:] = 0.0
+    for a in classifier(net):
+        a[:] = 0.0
     feats = np.random.default_rng(0).normal(size=(10, 4))
     labels = np.zeros(10, dtype=np.int64)
     # identical logits everywhere: ties resolve to class 0
