@@ -3,9 +3,11 @@
 Each case pins the first 16 hex digits of a sha256 over the numeric
 fields of the run's `EpochMetrics`, `GrowthEvent`s and summary (`e_bar`
 and the final errors), packed as float64 bytes. JSON text and wall time
-are never hashed, so a change to the metrics file format leaves the pins
-alone, while a change of one bit in any recorded number breaks them. A
-refactor that keeps every pin has not changed what a run computes.
+are not part of these pins, so a change to the metrics file format leaves
+them alone, while a change of one bit in any recorded number breaks them.
+A refactor that keeps every pin has not changed what a run computes. The
+slow preset test also pins each preset's metrics file, byte for byte with
+`wall_seconds` set to 0, so a change to the format shows there.
 
 Inputs and widths are narrow (K <= 8), so the bytes do not depend on the
 BLAS thread count.
@@ -14,11 +16,12 @@ BLAS thread count.
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from growbench.harness import DataConfig, PolicyConfig, TrainConfig, run
+from growbench.harness import DataConfig, PolicyConfig, TrainConfig, run, write_metrics
 from growbench.presets import preset_config
 
 POLICIES = ("fragrow", "periodic", "convergent")
@@ -112,12 +115,21 @@ PRESET_PINNED = {
     "underfit": "bc86c5a086cc6e68",
     "overfit": "53208efaae72ad39",
 }
+# First 16 hex digits of the sha256 of the same runs' metrics files, wall_seconds set to 0.
+PRESET_FILE_PINNED = {
+    "underfit": "6cbbf25d750f1bcf",
+    "overfit": "d6fa4f987e02d65d",
+}
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("preset", sorted(PRESET_PINNED))
-def test_preset_fingerprint_is_pinned(preset):
-    assert fingerprint(run(preset_config(preset))) == PRESET_PINNED[preset]
+def test_preset_fingerprint_is_pinned(preset, tmp_path):
+    result = run(preset_config(preset))
+    assert fingerprint(result) == PRESET_PINNED[preset]
+    path = tmp_path / "m.jsonl"
+    write_metrics(replace(result, wall_seconds=0.0), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == PRESET_FILE_PINNED[preset]
 
 
 @pytest.mark.parametrize("case", list(itertools.product(INITS, WHERES, FAMILIES)), ids="-".join)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -384,6 +385,17 @@ def test_read_metrics_names_path_and_line(tmp_path, edit, line, message):
     path = _corrupt(tmp_path, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: {message}"):
         read_metrics(path)
+
+
+# First 16 hex digits of the sha256 of tiny_config()'s metrics file with
+# wall_seconds set to 0: every byte of the format, key order and number text.
+METRICS_FILE_PINNED = "67f6aad733096831"
+
+
+def test_metrics_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_metrics(replace(run(tiny_config()), wall_seconds=0.0), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == METRICS_FILE_PINNED
 
 
 def test_read_metrics_requires_footer(tmp_path):
