@@ -180,6 +180,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise IdxCountMismatchError(
             f"{images_path} has {count} images but {labels_path} has {label_count} labels"
         )
+    if pixels.size == 0:
+        raise IdxError(f"{images_path}: {count} images of {rows}x{cols} pixels hold no data")
     features = pixels.astype(np.float64)
     features /= 255.0  # in place: the same bytes as astype(...) / 255, one N x D array
     return Dataset(features, labels, int(labels.max()) + 1)

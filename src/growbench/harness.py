@@ -29,7 +29,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -442,34 +442,10 @@ def _grow(b: _Branch, epoch: int, config: TrainConfig, states: list[PolicyState]
 
 # --- metrics file I/O -------------------------------------------------------
 
-# JSON keys of each record's fields. An epoch line holds EpochMetrics's fields, the footer
-# RunResult's after `metrics`, and each of its events GrowthEvent's, init_rule as "init".
-_EPOCH_KEYS = [f.name for f in fields(EpochMetrics)]
-_RESULT_KEYS = [f.name for f in fields(RunResult)]
-_FOOTER_KEYS = _RESULT_KEYS[1:]
-_EVENT_KEYS = ("epoch", "stage", "block_index", "init")
-
-
-def _metric_line(m: EpochMetrics) -> str:
-    return json.dumps(vars(m), allow_nan=False)  # field order; blocks as a list
-
-
-def _footer_line(result: RunResult) -> str:
-    footer = {key: getattr(result, key) for key in _FOOTER_KEYS}
-    footer["events"] = [dict(zip(_EVENT_KEYS, astuple(e))) for e in result.events]
-    return json.dumps(footer, allow_nan=False)
-
-
-def write_metrics(result: RunResult, path: str) -> None:
-    """One JSON object per epoch plus a footer with events and summary."""
-    try:
-        with open(path, "w") as f:
-            for m in result.metrics:
-                f.write(_metric_line(m) + "\n")
-            f.write(_footer_line(result) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
-
+# A metrics file holds one JSON object per EpochMetrics, then a footer of RunResult's fields
+# after `metrics`, with one object per GrowthEvent in `events`. Keys are field names in field
+# order, except GrowthEvent's init_rule, which is written as "init".
+_KEY = {"init_rule": "init"}
 
 # record field annotation -> (check, what its JSON value must be)
 _JSON_TYPES = {
@@ -478,36 +454,58 @@ _JSON_TYPES = {
     "float | None": (lambda v: v is None or type(v) in (int, float), "a number or null"),
     "bool": (lambda v: type(v) is bool, "a bool"),
     "str": (lambda v: type(v) is str, "a string"),
-    "tuple[int, ...]": (lambda v: all(type(b) is int for b in v), "a list of ints"),
+    "tuple[int, ...]": (lambda v: type(v) is list and all(type(b) is int for b in v),
+                        "a list of ints"),
+    "list[GrowthEvent]": (lambda v: type(v) is list, "a list"),
 }
 
 
-def _values(rec, keys, where: str) -> list:
-    """rec's values for `keys`; ValueError naming `where` if it is no object or lacks one."""
+def _to_json(record) -> dict:
+    return {_KEY.get(f.name, f.name): getattr(record, f.name) for f in fields(record)}
+
+
+def write_metrics(result: RunResult, path: str) -> None:
+    """One JSON object per epoch plus a footer with events and summary."""
+    footer = _to_json(result)
+    del footer["metrics"]
+    footer["events"] = [_to_json(e) for e in result.events]
+    text = "".join(json.dumps(rec, allow_nan=False) + "\n"
+                   for rec in [*map(_to_json, result.metrics), footer])
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+
+
+def _from_json(cls, rec, where: str, **given):
+    """A `cls` of `given` and of its other fields, read by key from `rec` and type-checked."""
     if not isinstance(rec, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
-    missing = [k for k in keys if k not in rec]
+    keyed = [(f, _KEY.get(f.name, f.name)) for f in fields(cls) if f.name not in given]
+    missing = [key for _, key in keyed if key not in rec]
     if missing:
         raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
-    return [rec[k] for k in keys]
+    for f, key in keyed:
+        check, what = _JSON_TYPES[f.type]
+        if not check(rec[key]):
+            raise ValueError(f"{where}: {key}: expected {what}, got {rec[key]!r}")
+    return cls(**given, **{f.name: tuple(rec[key]) if f.type.startswith("tuple") else rec[key]
+                           for f, key in keyed})
 
 
-def _checked(record, keys, where: str):
-    """`record`, once each field's value fits its annotation; an error names its JSON key."""
-    for f, key in zip(fields(record), keys):
-        if f.type in _JSON_TYPES:
-            check, what = _JSON_TYPES[f.type]
-            value = getattr(record, f.name)
-            if not check(value):
-                raise ValueError(f"{where}: {key}: expected {what}, got {value!r}")
-    return record
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
 
 
 def read_metrics(path: str) -> RunResult:
     """Reconstruct a RunResult from a metrics file written by write_metrics.
 
-    Invalid JSON, a record that is no object or lacks a key, and a value
-    of the wrong type raise ValueError("<path>:<line>: ...").
+    Invalid JSON, a non-finite number, a record that is no object or lacks
+    a key, and a value of the wrong type raise ValueError("<path>:<line>: ...").
     """
     records = []
     try:
@@ -515,27 +513,22 @@ def read_metrics(path: str) -> RunResult:
             for lineno, line in enumerate(f, 1):
                 try:
                     if line.strip():
-                        records.append((f"{path}:{lineno}", json.loads(line)))
+                        rec = json.loads(line, parse_float=_finite, parse_constant=_finite)
+                        records.append((f"{path}:{lineno}", rec))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise OSError(f"cannot read metrics from {path}: {exc}") from exc
     if not records or not isinstance(records[-1][1], dict) or "events" not in records[-1][1]:
         raise ValueError(f"{path}: missing footer line")
-    where = path
-    try:
-        metrics = []
-        for where, rec in records[:-1]:
-            *values, blocks, grew = _values(rec, _EPOCH_KEYS, where)
-            metrics.append(_checked(EpochMetrics(*values, tuple(blocks), grew), _EPOCH_KEYS, where))
-        where, footer = records[-1]
-        events, *summary = _values(footer, _FOOTER_KEYS, where)
-        events = [_checked(GrowthEvent(*_values(e, _EVENT_KEYS, f"{where}: event {i}")),
-                           _EVENT_KEYS, f"{where}: event {i}")
-                  for i, e in enumerate(events)]
-    except TypeError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-    return _checked(RunResult(metrics, events, *summary), _RESULT_KEYS, where)
+    metrics = [_from_json(EpochMetrics, rec, where) for where, rec in records[:-1]]
+    where, footer = records[-1]
+    result = _from_json(RunResult, footer, where, metrics=metrics)
+    result.events = [_from_json(GrowthEvent, e, f"{where}: event {i}")
+                     for i, e in enumerate(result.events)]
+    return result
 
 
 # --- multi-run comparison ---------------------------------------------------

@@ -364,7 +364,10 @@ def lr_at(lr_base: float, epoch: int, growth_done_epoch: int | None, total_epoch
 
 def accuracy_and_loss(net: Network, features: np.ndarray, labels: np.ndarray,
                       chunk: int = 4096) -> tuple[float, float]:
-    """Full-pass (accuracy %, mean cross-entropy); argmax ties go to the lowest class."""
+    """Full-pass (accuracy %, mean cross-entropy); argmax ties go to the lowest class.
+
+    `chunk` is part of the bytes: OpenBLAS can round a row differently at another row count.
+    """
     if len(features) == 0:
         raise ValueError("evaluation of an empty dataset is undefined")
     labels = _check_labels(labels, net.arch.num_classes)

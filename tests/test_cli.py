@@ -1,3 +1,5 @@
+import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -367,4 +369,17 @@ def test_plot_malformed_range_exit_2_names_flag(metrics_file, tmp_path, capsys, 
     out = tmp_path / "bad.svg"
     assert main(["plot", path, "--curves", "test_err", "--out", str(out), flag, text]) == 2
     assert f"bad {flag} '{text}'; expected LO:HI" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_refuses_non_finite_metrics_exit_1(metrics_file, tmp_path, capsys):
+    path, _ = metrics_file
+    lines = open(path).read().splitlines()
+    rec = json.loads(lines[1])
+    rec["train_acc"] = math.nan
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    out = tmp_path / "bad.svg"
+    assert main(["plot", str(bad), "--curves", "train_err", "--out", str(out)]) == 1
+    assert f"{bad}:2: non-finite number NaN" in capsys.readouterr().err
     assert not out.exists()

@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 
 from growbench.arch import ArchSpec, StageSpec
 from growbench.data import (
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
     Dataset,
     IdxCountMismatchError,
+    IdxError,
     IdxMagicError,
     IdxTruncatedError,
     Standardizer,
@@ -213,6 +217,16 @@ def test_idx_count_mismatch(tmp_path):
     write_idx(smaller, ip2, lp2, rows=4, cols=3)
     with pytest.raises(IdxCountMismatchError):
         load_idx(ip, lp2)
+
+
+@pytest.mark.parametrize("count, rows, cols", [(0, 4, 3), (2, 0, 3)])
+def test_idx_without_data_names_the_image_file(tmp_path, count, rows, cols):
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, count, rows, cols))
+    lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, count) + bytes(count))
+    with pytest.raises(IdxError, match=f"^{re.escape(str(ip))}: {count} images of "
+                                       f"{rows}x{cols} pixels hold no data$"):
+        load_idx(str(ip), str(lp))
 
 
 # --- CSV ------------------------------------------------------------------------

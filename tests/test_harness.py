@@ -4,7 +4,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from growbench.harness import (
     DataConfig,
+    EpochMetrics,
     PolicyConfig,
+    RunResult,
     TrainConfig,
     _Branch,
     _track_next,
@@ -28,7 +30,7 @@ from growbench.harness import (
 )
 from growbench import harness
 from growbench.data import Dataset, write_idx
-from growbench.morph import WherePolicy
+from growbench.morph import GrowthEvent, WherePolicy
 from growbench.netcore import build_network
 from growbench.arch import ArchSpec, StageSpec, parse_arch
 from growbench.timing import SHOULD_GROW, PolicyError, i_max, round_half_up
@@ -361,7 +363,17 @@ def _set_event_key(line, key, value):
     (lambda ls: ls[:3] + ["[1, 2]"] + ls[4:], 4, "expected a JSON object, got list"),
     (lambda ls: ls[:-1] + [_drop_key(ls[-1], "e_bar")], 13, "missing key.s. e_bar"),
     (lambda ls: ls[:-1] + [_drop_event_key(ls[-1])], 13, "event 1: missing key.s. stage"),
-    (lambda ls: [ls[0].replace('"blocks": [1, 1]', '"blocks": 2')] + ls[1:], 1, "'int' object is not iterable"),
+    (lambda ls: [ls[0].replace('"blocks": [1, 1]', '"blocks": 2')] + ls[1:], 1,
+     "blocks: expected a list of ints, got 2"),
+    (lambda ls: [ls[0], _set_key(ls[1], "train_acc", math.nan)] + ls[2:], 2,
+     "non-finite number NaN"),
+    (lambda ls: [ls[0], _set_key(ls[1], "orl", math.inf)] + ls[2:], 2,
+     "non-finite number Infinity"),
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "e_bar", -math.inf)], 13,
+     "non-finite number -Infinity"),
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "events", 3)], 13, "events: expected a list, got 3"),
+    (lambda ls: [ls[0].replace('"lr": 0.05', '"lr": 1e999')] + ls[1:], 1,
+     "non-finite number 1e999"),
     (lambda ls: [_set_key(ls[0], "train_acc", "abc")] + ls[1:], 1,
      "train_acc: expected a number, got 'abc'"),
     (lambda ls: [_set_key(ls[0], "epoch", 0.5)] + ls[1:], 1, "epoch: expected an int, got 0.5"),
@@ -396,6 +408,12 @@ def test_metrics_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "m.jsonl"
     write_metrics(replace(run(tiny_config()), wall_seconds=0.0), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == METRICS_FILE_PINNED
+
+
+def test_every_metrics_field_has_a_json_checker():
+    """read_metrics checks each field by its annotation: a new annotation needs a checker."""
+    records = [*fields(EpochMetrics), *fields(GrowthEvent), *fields(RunResult)[1:]]
+    assert [f.name for f in records if f.type not in harness._JSON_TYPES] == []
 
 
 def test_read_metrics_requires_footer(tmp_path):
@@ -508,6 +526,7 @@ def test_write_metrics_rejects_non_finite_values(tmp_path):
     res.metrics[0] = replace(res.metrics[0], train_loss=float("nan"))
     with pytest.raises(ValueError):
         write_metrics(res, str(tmp_path / "m.jsonl"))
+    assert not (tmp_path / "m.jsonl").exists()  # nothing is written, not even part of the file
 
 
 def test_run_propagates_dataset_errors():
