@@ -363,8 +363,8 @@ def _set_event_key(line, key, value):
     (lambda ls: ls[:3] + ["[1, 2]"] + ls[4:], 4, "expected a JSON object, got list"),
     (lambda ls: ls[:-1] + [_drop_key(ls[-1], "e_bar")], 13, "missing key.s. e_bar"),
     (lambda ls: ls[:-1] + [_drop_event_key(ls[-1])], 13, "event 1: missing key.s. stage"),
-    (lambda ls: [ls[0].replace('"blocks": [1, 1]', '"blocks": 2')] + ls[1:], 1,
-     "blocks: expected a list of ints, got 2"),
+    pytest.param(lambda ls: [ls[0].replace('"blocks": [1, 1]', '"blocks": 2')] + ls[1:], 1,
+                 "blocks: expected a list of ints, got 2", id="blocks-not-a-list"),
     (lambda ls: [ls[0], _set_key(ls[1], "train_acc", math.nan)] + ls[2:], 2,
      "non-finite number NaN"),
     (lambda ls: [ls[0], _set_key(ls[1], "orl", math.inf)] + ls[2:], 2,
