@@ -1,9 +1,13 @@
+import hashlib
 import re
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growbench.arch import ArchSpec, StageSpec
 from growbench.data import (
@@ -23,6 +27,7 @@ from growbench.data import (
 )
 from growbench.harness import DataConfig, build_datasets
 from growbench.netcore import accuracy_and_loss, build_network, loss_grads_logits, sgd_step
+from growbench.presets import preset_config
 from growbench.rng import substream
 
 
@@ -124,6 +129,23 @@ def test_split_rejects_val_fraction_outside_unit_interval(fraction):
     ds = gen_gaussians(2, 4, 10, sep=3.0, label_noise=0.0, seed=1)
     with pytest.raises(ValueError, match=r"val_fraction must be in \(0, 1\)"):
         split(ds, fraction, seed=0)
+
+
+def test_split_and_fit_leave_their_input_untouched():
+    feats = gen_gaussians(3, 6, 300, sep=5.0, label_noise=0.1, seed=8).features.copy()
+    feats[:, 2] = 4.0  # a constant column: std 0 -> 1
+    labels = np.repeat(np.arange(3), 300)
+    ds = Dataset(feats, labels, 3)
+    before = feats.tobytes(), labels.tobytes()
+    first = [*split(ds, 0.1, seed=3), Standardizer.fit(ds)]
+    second = [*split(ds, 0.1, seed=3), Standardizer.fit(ds)]
+    assert (feats.tobytes(), labels.tobytes()) == before
+    for a, b in zip(first[:2], second[:2]):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+    assert first[2].mean.tobytes() == second[2].mean.tobytes() == feats.mean(axis=0).tobytes()
+    assert first[2].std.tobytes() == second[2].std.tobytes()
+    assert first[2].std[2] == 1.0
 
 
 def test_standardizer_centers_train_split():
@@ -317,6 +339,97 @@ def test_build_datasets_gaussians_bytes_match_split_fit_apply():
     test_seed = int(substream(99, "test-pool-seed").integers(0, 2**63))
     test = gen_gaussians(3, 8, 40, 4.0, 0.1, test_seed)
     _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
+
+
+def _write_idx_pool(directory, name, pixels, labels, cols=1):
+    ds = Dataset(pixels.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
+    ip, lp = f"{directory}/{name}-images", f"{directory}/{name}-labels"
+    write_idx(ds, ip, lp, rows=pixels.shape[1] // cols, cols=cols)
+    return ip, lp, ds
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def _build_cases(draw):
+    """A data source and a train row count one below, at or one above a multiple of `rows`."""
+    source = draw(st.sampled_from(["gaussians", "idx"]))
+    n_val = draw(st.sampled_from([1, 2, 5]))
+    if source == "gaussians":
+        classes = draw(st.integers(2, 4))
+        case = dict(classes=classes, dim=draw(st.integers(classes, 10)),
+                    per_class=draw(st.integers(2, 30)), test_per_class=draw(st.integers(1, 5)),
+                    label_noise=draw(st.sampled_from([0.0, 0.2])), sep=4.0)
+        n = classes * case["per_class"]
+    else:
+        n = draw(st.integers(n_val + 1, 80))
+        case = dict(dim=draw(st.integers(1, 12)), classes=draw(st.integers(1, 4)),
+                    const=draw(st.integers(0, 255)), n=n, n_test=draw(st.integers(1, 8)))
+    n_val = min(n_val, n - 1)
+    target = n - n_val - draw(st.sampled_from([-1, 0, 1]))
+    rows = draw(st.sampled_from(_divisors(target))) if target >= 1 else 1
+    return source, case, (n_val + 0.5) / n, draw(st.integers(0, 2**31)), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_build_cases())
+@example(("idx", dict(dim=1, classes=2, const=3, n=40, n_test=3), 1.5 / 40, 0, 13))
+@example(("gaussians", dict(classes=3, dim=3, per_class=20, test_per_class=2, label_noise=0.0,
+                            sep=4.0), 1.5 / 60, 1, 59))
+def test_property_build_datasets_equals_split_fit_apply(case):
+    source, params, val_fraction, seed, _rows = case
+    if source == "gaussians":
+        cfg = DataConfig(val_fraction=val_fraction, data_seed=seed, **params)
+        pool = gen_gaussians(cfg.classes, cfg.dim, cfg.per_class, cfg.sep, cfg.label_noise, seed)
+        test_seed = int(substream(seed, "test-pool-seed").integers(0, 2**63))
+        test = gen_gaussians(cfg.classes, cfg.dim, cfg.test_per_class, cfg.sep, cfg.label_noise,
+                             test_seed)
+        _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
+        return
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(params["n"] + params["n_test"], params["dim"]),
+                          dtype=np.uint8)
+    pixels[:, 0] = params["const"]  # a constant column: std 0 -> 1
+    labels = rng.integers(0, params["classes"], size=len(pixels)).astype(np.int64)
+    labels[0] = params["classes"] - 1
+    with tempfile.TemporaryDirectory() as tmp:
+        ti, tl, pool = _write_idx_pool(tmp, "train", pixels[:params["n"]], labels[:params["n"]])
+        vi, vl, test = _write_idx_pool(tmp, "test", pixels[params["n"]:], labels[params["n"]:])
+        cfg = DataConfig(source="idx", train_images=ti, train_labels=tl, test_images=vi,
+                         test_labels=vl, val_fraction=val_fraction, data_seed=seed)
+        _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
+
+
+def _split_pins(splits):
+    return [hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()[:16]
+            for ds in splits]
+
+
+# First 16 hex digits of the sha256 of each split's feature then label bytes.
+SPLITS_PINNED = {
+    "underfit": ["d9103ef92d1b56ea", "dd1964471d5cf937", "d056ce8899b8e4c2"],
+    "overfit": ["69bc96f6e237ecff", "5426f43b27a3b25e", "126a3269b6fe8471"],
+    "mnist_idx": ["ff760c9be400017e", "34c9bd42b5fa4dd1", "b7d63966877cccde"],
+}
+
+
+@pytest.mark.parametrize("preset", ["underfit", "overfit"])
+def test_preset_split_bytes_are_pinned(preset):
+    assert _split_pins(build_datasets(preset_config(preset).data)) == SPLITS_PINNED[preset]
+
+
+def test_mnist_shaped_idx_split_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(28)
+    pixels = rng.integers(0, 256, size=(1300, 784), dtype=np.uint8)
+    pixels[:, :28] = 0  # a blank top row: constant columns
+    labels = rng.integers(0, 10, size=1300).astype(np.int64)
+    ti, tl, _ = _write_idx_pool(tmp_path, "train", pixels[:1000], labels[:1000], cols=28)
+    vi, vl, _ = _write_idx_pool(tmp_path, "test", pixels[1000:], labels[1000:], cols=28)
+    cfg = DataConfig(source="idx", train_images=ti, train_labels=tl, test_images=vi,
+                     test_labels=vl, val_fraction=0.05, data_seed=7)
+    assert _split_pins(build_datasets(cfg)) == SPLITS_PINNED["mnist_idx"]
 
 
 def test_build_datasets_peak_memory_is_bounded(tmp_path):
