@@ -6,11 +6,14 @@ writable). The Gaussian generator places class means on the corners of a
 scaled simplex, which gives direct control over how hard the task is
 (separation) and how much label noise there is to memorize.
 
-Set-up makes one float64 array per split: `load_idx` and
-`Standardizer.apply` work in place on the one array they allocate, and
-`harness.build_datasets` drops the pool once it is split, so set-up holds
-at most the pool and its train copy (a traced peak of about 1.5x the
-bytes of the splits it returns).
+Set-up keeps one float64 array per split and no full-size temporary.
+`split_standardized` moves the train rows forward inside the pool array
+that set-up read or generated, and fits and standardizes in place;
+`Standardizer.fit` makes numpy's mean and std bytes through one buffer
+of `CHUNK_BYTES`. A `harness.build_datasets` call peaks at about 1.1x
+the bytes of the splits it returns (traced, MNIST-shaped IDX pools).
+The public `split`, `Standardizer.fit` and `Standardizer.apply` never
+mutate their input.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
+
+# Byte size of the one buffer that set-up's chunked passes go through.
+CHUNK_BYTES = 1 << 18
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -77,7 +83,13 @@ class Dataset:
 
 def gen_gaussians(num_classes: int, dim: int, per_class: int, sep: float,
                   label_noise: float, seed: int) -> Dataset:
-    """Isotropic Gaussian classes with means on a scaled simplex.
+    """`gaussian_arrays` as a Dataset."""
+    return Dataset(*gaussian_arrays(num_classes, dim, per_class, sep, label_noise, seed), num_classes)
+
+
+def gaussian_arrays(num_classes: int, dim: int, per_class: int, sep: float,
+                    label_noise: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of isotropic Gaussian classes with means on a scaled simplex.
 
     Means sit at (sep / sqrt(2)) * e_k, so every pair of class means is
     exactly `sep` apart (requires dim >= num_classes). Features add unit
@@ -110,8 +122,21 @@ def gen_gaussians(num_classes: int, dim: int, per_class: int, sep: float,
         idx = noise_rng.choice(n, size=k, replace=False)
         labels = labels.copy()
         labels[idx] = noise_rng.integers(0, num_classes, size=k)
+    return features, labels
 
-    return Dataset(features, labels, num_classes)
+
+def _split_indices(n: int, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    if n < 2:
+        raise ValueError("need at least 2 points to split")
+    perm = substream(seed, "split").permutation(n)
+    n_val = max(1, math.floor(val_fraction * n))
+    return np.sort(perm[n_val:]), np.sort(perm[:n_val])
+
+
+def _chunk_rows(dim: int) -> int:
+    return max(1, CHUNK_BYTES // (8 * max(dim, 1)))
 
 
 def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -120,16 +145,70 @@ def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Da
     val takes max(1, floor(val_fraction * N)) points; the two parts are
     disjoint and together cover the input exactly.
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    n = len(dataset)
-    if n < 2:
-        raise ValueError("need at least 2 points to split")
-    perm = substream(seed, "split").permutation(n)
-    n_val = max(1, math.floor(val_fraction * n))
-    val_idx = np.sort(perm[:n_val])
-    train_idx = np.sort(perm[n_val:])
+    train_idx, val_idx = _split_indices(len(dataset), val_fraction, seed)
     return dataset.take(train_idx), dataset.take(val_idx)
+
+
+def split_standardized(features: np.ndarray, labels: np.ndarray, val_fraction: float,
+                       seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                           Standardizer]:
+    """`split`, then `Standardizer.fit` on train and `apply` to both, in place.
+
+    Consumes `features`, a C-contiguous N x D array the caller made and
+    reads no more. The val rows are copied out; the sorted train rows then
+    move forward inside it, chunk by chunk (train_idx[i] >= i, so no row is
+    overwritten before it is read). Returns train features (a view of
+    `features`) and labels, val features and labels, and the Standardizer.
+    """
+    train_idx, val_idx = _split_indices(len(labels), val_fraction, seed)
+    val = features[val_idx]
+    rows = _chunk_rows(features.shape[1])
+    for lo in range(0, len(train_idx), rows):
+        idx = train_idx[lo:lo + rows]
+        features[lo:lo + len(idx)] = features[idx]
+    train = features[:len(train_idx)]
+    tf = Standardizer(*_mean_std(train))
+    tf.apply_in_place(train)
+    tf.apply_in_place(val)
+    return train, labels[train_idx], val, labels[val_idx], tf
+
+
+def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x.mean(axis=0) and x.std(axis=0), with std 0 -> 1, through one chunk buffer.
+
+    numpy sums a C-contiguous matrix down axis 0 row after row, so chaining
+    each chunk's column sums with the running sum as the chunk's first row
+    gives numpy's own bytes. A single column (summed pairwise) or another
+    layout goes to numpy whole.
+    """
+    n, dim = x.shape
+    if dim == 1 or not x.flags.c_contiguous:
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    else:
+        rows = _chunk_rows(dim)
+        buf = np.empty((min(rows, n) + 1, dim))
+        mean = _column_sums(x, buf, rows, np.copyto)
+        mean /= n
+        std = _column_sums(x, buf, rows, lambda out, chunk: np.square(
+            np.subtract(chunk, mean, out=out), out=out))
+        std /= n
+        np.sqrt(std, out=std)
+    return mean, np.where(std == 0.0, 1.0, std)
+
+
+def _column_sums(x: np.ndarray, buf: np.ndarray, rows: int, fill) -> np.ndarray:
+    """Column sums of fill(x) in numpy's row order, `rows` rows at a time.
+
+    fill(out, chunk) writes each chunk's transform into buf[1:], and buf[0]
+    carries the running sum from the second chunk on.
+    """
+    first = 1
+    for lo in range(0, len(x), rows):
+        m = min(rows, len(x) - lo)
+        fill(buf[1:m + 1], x[lo:lo + m])
+        buf[0] = buf[first:m + 1].sum(axis=0)
+        first = 0
+    return buf[0].copy()
 
 
 @dataclass(frozen=True)
@@ -141,15 +220,17 @@ class Standardizer:
 
     @classmethod
     def fit(cls, dataset: Dataset) -> "Standardizer":
-        mean = dataset.features.mean(axis=0)
-        std = dataset.features.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
-        return cls(mean, std)
+        return cls(*_mean_std(dataset.features))
 
     def apply(self, dataset: Dataset) -> Dataset:
         feats = dataset.features - self.mean
         feats /= self.std  # in place: the same bytes as (x - mean) / std, one N x D array
         return Dataset(feats, dataset.labels, dataset.num_classes)
+
+    def apply_in_place(self, features: np.ndarray) -> None:
+        """`apply`'s bytes, written over `features`, which must be the caller's own."""
+        features -= self.mean
+        features /= self.std
 
 
 def _read_exact(f, count: int, path: str, what: str) -> bytes:
@@ -160,20 +241,35 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Load an IDX image/label pair (big-endian, u8 pixels).
+    """Load an IDX image/label pair (big-endian, u8 pixels) as a Dataset.
 
     Pixels are scaled to [0, 1] and flattened row-major, so D = rows*cols.
+    """
+    features, labels = read_idx(images_path, labels_path)
+    return Dataset(features, labels, int(labels.max()) + 1)
+
+
+def read_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of an IDX image/label pair, as `load_idx` reads them.
+
+    A header whose count, rows or cols is negative, or that announces no
+    pixels, raises an IdxError naming the file.
     """
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path, "header"))
         if magic != IDX_IMAGES_MAGIC:
             raise IdxMagicError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+        for name, value in (("image count", count), ("rows", rows), ("cols", cols)):
+            if value < 0:
+                raise IdxError(f"{images_path}: negative {name} {value} in the header")
         raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">ii", _read_exact(f, 8, labels_path, "header"))
         if magic != IDX_LABELS_MAGIC:
             raise IdxMagicError(f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
+        if label_count < 0:
+            raise IdxError(f"{labels_path}: negative label count {label_count} in the header")
         raw = _read_exact(f, label_count, labels_path, "label data")
         labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if count != label_count:
@@ -182,9 +278,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         )
     if pixels.size == 0:
         raise IdxError(f"{images_path}: {count} images of {rows}x{cols} pixels hold no data")
-    features = pixels.astype(np.float64)
-    features /= 255.0  # in place: the same bytes as astype(...) / 255, one N x D array
-    return Dataset(features, labels, int(labels.max()) + 1)
+    # one pass, one N x D array: the same bytes as astype(float64) / 255
+    return np.divide(pixels, 255.0, dtype=np.float64), labels
 
 
 def write_idx(dataset: Dataset, images_path: str, labels_path: str,
@@ -209,9 +304,15 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str,
 def load_csv(path: str) -> Dataset:
     """CSV with a header row; the final column is the integer class label.
 
-    A row of the wrong width, a cell that is no number or a negative label
-    names `path:line`.
+    A row of the wrong width, a cell that is no finite number or a
+    negative label names `path:line`.
     """
+    features, labels = read_csv(path)
+    return Dataset(features, labels, int(labels.max()) + 1)
+
+
+def read_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of a CSV file, as `load_csv` reads them."""
     features, labels = [], []
     with open(path, newline="") as f:
         reader = _csv.reader(f)
@@ -227,9 +328,11 @@ def load_csv(path: str) -> Dataset:
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
+            if not all(map(math.isfinite, features[-1])):
+                cell = next(v for v, x in zip(row, features[-1]) if not math.isfinite(x))
+                raise ValueError(f"{where}: non-finite value {cell.strip()!r}")
             if labels[-1] < 0:
                 raise ValueError(f"{where}: negative label {labels[-1]}")
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    labels = np.array(labels, dtype=np.int64)
-    return Dataset(np.array(features, dtype=np.float64), labels, int(labels.max()) + 1)
+    return np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .arch import parse_arch
-from .data import Dataset, Standardizer, gen_gaussians, load_csv, load_idx, split
+from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
 from .morph import (
     GrowthEvent,
     MomentEnsemble,
@@ -163,40 +163,50 @@ class RunResult:
     wall_seconds: float
 
 
+# Set-up generates and loads through these two names, which a profiler can
+# wrap here (perfbench/spans.py does): they are data's array readers, not
+# the Dataset-returning data.gen_gaussians and data.load_idx.
+gen_gaussians, load_idx = gaussian_arrays, read_idx
+
+
+def _read_source(cfg: DataConfig, test: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (features, labels) arrays of the train/val pool or of the test split."""
+    if cfg.source == "gaussians":
+        seed = cfg.data_seed
+        if test:
+            seed = int(substream(cfg.data_seed, "test-pool-seed").integers(0, 2**63))
+        return gen_gaussians(cfg.classes, cfg.dim, cfg.test_per_class if test else cfg.per_class,
+                             cfg.sep, cfg.label_noise, seed)
+    if cfg.source == "idx":
+        if test:
+            return load_idx(cfg.test_images, cfg.test_labels)
+        return load_idx(cfg.train_images, cfg.train_labels)
+    return read_csv(cfg.test_csv if test else cfg.train_csv)
+
+
 def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, val, test), standardized on the train split.
 
-    The pool is dropped once split, and the test split is loaded only
-    after train and val are standardized, so set-up never holds more
-    float64 data than the pool and its train copy. A test label outside
-    the pool's classes is rejected here, naming the test label file.
+    The same bytes as `split`, `Standardizer.fit` and `apply`, made in the
+    arrays set-up reads or generates: train lives in the pool's array,
+    val is copied out of it and test is standardized where it is read,
+    so set-up peaks at about 1.1x the bytes it returns. A test label
+    outside the pool's classes is rejected here, naming the test label
+    file; only the three returned splits are checked for NaN.
     """
-    if cfg.source == "gaussians":
-        pool = gen_gaussians(cfg.classes, cfg.dim, cfg.per_class, cfg.sep,
-                             cfg.label_noise, cfg.data_seed)
-    elif cfg.source == "idx":
-        pool = load_idx(cfg.train_images, cfg.train_labels)
-    else:
-        pool = load_csv(cfg.train_csv)
-    train, val = split(pool, cfg.val_fraction, cfg.data_seed)
-    del pool
-    tf = Standardizer.fit(train)
-    train = tf.apply(train)
-    val = tf.apply(val)
-    if cfg.source == "gaussians":
-        test_seed = int(substream(cfg.data_seed, "test-pool-seed").integers(0, 2**63))
-        test = gen_gaussians(cfg.classes, cfg.dim, cfg.test_per_class, cfg.sep,
-                             cfg.label_noise, test_seed)
-    elif cfg.source == "idx":
-        test = load_idx(cfg.test_images, cfg.test_labels)
-    else:
-        test = load_csv(cfg.test_csv)
-    top = int(test.labels.max())
-    if top >= train.num_classes:
+    features, labels = _read_source(cfg, test=False)
+    classes = cfg.classes if cfg.source == "gaussians" else int(labels.max()) + 1
+    train_x, train_y, val_x, val_y, tf = split_standardized(features, labels, cfg.val_fraction,
+                                                            cfg.data_seed)
+    test_x, test_y = _read_source(cfg, test=True)
+    top = int(test_y.max())
+    if top >= classes:
         source = cfg.test_labels if cfg.source == "idx" else cfg.test_csv
         raise ValueError(f"{source}: label {top} outside the training pool's classes "
-                         f"[0, {train.num_classes})")
-    return train, val, tf.apply(test)
+                         f"[0, {classes})")
+    tf.apply_in_place(test_x)
+    return (Dataset(train_x, train_y, classes), Dataset(val_x, val_y, classes),
+            Dataset(test_x, test_y, classes))
 
 
 def config_added_blocks(config: TrainConfig) -> int:
