@@ -10,8 +10,9 @@ Set-up keeps one float64 array per split and no full-size temporary.
 `split_standardized` moves the train rows forward inside the pool array
 that set-up read or generated, and fits and standardizes in place;
 `Standardizer.fit` makes numpy's mean and std bytes through one buffer
-of `CHUNK_BYTES`. A `harness.build_datasets` call peaks at about 1.1x
-the bytes of the splits it returns (traced, MNIST-shaped IDX pools).
+of `CHUNK_BYTES`. A `harness.build_datasets` call peaks at about 1.07x
+the bytes of the splits it returns (traced, on MNIST-shaped IDX data
+and on both presets).
 The public `split`, `Standardizer.fit` and `Standardizer.apply` never
 mutate their input.
 """

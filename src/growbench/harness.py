@@ -190,7 +190,7 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     The same bytes as `split`, `Standardizer.fit` and `apply`, made in the
     arrays set-up reads or generates: train lives in the pool's array,
     val is copied out of it and test is standardized where it is read,
-    so set-up peaks at about 1.1x the bytes it returns. A test label
+    so set-up peaks at about 1.07x the bytes it returns. A test label
     outside the pool's classes is rejected here, naming the test label
     file; only the three returned splits are checked for NaN.
     """

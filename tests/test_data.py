@@ -321,15 +321,19 @@ def test_splits_are_read_only_views_of_the_callers_arrays():
 
 # --- build_datasets: same bytes as split, fit, apply; bounded set-up memory ------
 
+def _write_idx_pool(directory, name, pixels, labels, cols=1):
+    ds = Dataset(pixels.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
+    ip, lp = f"{directory}/{name}-images", f"{directory}/{name}-labels"
+    write_idx(ds, ip, lp, rows=pixels.shape[1] // cols, cols=cols)
+    return ip, lp, ds
+
+
 def _write_u8_idx(tmp_path, name, n, dim, classes, seed):
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(n, dim), dtype=np.uint8)
     labels = rng.integers(0, classes, size=n).astype(np.int64)
     labels[0] = classes - 1
-    ds = Dataset(pixels.astype(np.float64) / 255.0, labels, classes)
-    ip, lp = str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels")
-    write_idx(ds, ip, lp, rows=dim, cols=1)
-    return ip, lp, ds
+    return _write_idx_pool(tmp_path, name, pixels, labels)
 
 
 def _split_fit_apply(pool, test, cfg):
@@ -361,13 +365,6 @@ def test_build_datasets_gaussians_bytes_match_split_fit_apply():
     test_seed = int(substream(99, "test-pool-seed").integers(0, 2**63))
     test = gen_gaussians(3, 8, 40, 4.0, 0.1, test_seed)
     _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
-
-
-def _write_idx_pool(directory, name, pixels, labels, cols=1):
-    ds = Dataset(pixels.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
-    ip, lp = f"{directory}/{name}-images", f"{directory}/{name}-labels"
-    write_idx(ds, ip, lp, rows=pixels.shape[1] // cols, cols=cols)
-    return ip, lp, ds
 
 
 def _divisors(n):
