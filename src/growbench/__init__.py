@@ -1,7 +1,7 @@
 """growbench: staged-network growth training with risk-aware growth timing."""
 
 from .arch import ArchSpec, StageSpec, parse_arch
-from .data import Dataset, gen_gaussians, load_idx, split
+from .data import Dataset
 from .harness import (
     DataConfig,
     EpochMetrics,

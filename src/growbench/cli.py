@@ -348,6 +348,20 @@ def _seed_count(text: str) -> int:
     return int(text)
 
 
+def _finite_number(text: str) -> float:
+    try:
+        return _finite_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
+def _positive_number(text: str) -> float:
+    value = _finite_number(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="growbench",
@@ -382,9 +396,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--ylabel", default="")
     p_plot.add_argument("--x-range", dest="x_range", default=None)
     p_plot.add_argument("--y-range", dest="y_range", default=None)
-    p_plot.add_argument("--alpha", type=float, default=None,
+    p_plot.add_argument("--alpha", type=_finite_number, default=None,
                         help="policy alpha (needed for the interval curve)")
-    p_plot.add_argument("--i-max", dest="i_max", type=float, default=None,
+    p_plot.add_argument("--i-max", dest="i_max", type=_positive_number, default=None,
                         help="interval cap (needed for the interval curve)")
 
     return parser

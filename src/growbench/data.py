@@ -6,15 +6,13 @@ writable). The Gaussian generator places class means on the corners of a
 scaled simplex, which gives direct control over how hard the task is
 (separation) and how much label noise there is to memorize.
 
-Set-up keeps one float64 array per split and no full-size temporary.
-`split_standardized` moves the train rows forward inside the pool array
-that set-up read or generated, and fits and standardizes in place;
-`Standardizer.fit` makes numpy's mean and std bytes through one buffer
-of `CHUNK_BYTES`. A `harness.build_datasets` call peaks at about 1.07x
-the bytes of the splits it returns (traced, on MNIST-shaped IDX data
-and on both presets).
-The public `split`, `Standardizer.fit` and `Standardizer.apply` never
-mutate their input.
+The readers return fresh (features, labels) arrays, and set-up keeps one
+float64 array per split and no full-size temporary:
+`split_standardized` moves the train rows forward inside the pool array,
+takes numpy's mean and std bytes through one buffer of `CHUNK_BYTES`, and
+standardizes in place. A `harness.build_datasets` call peaks at about
+1.07x the bytes of the splits it returns (traced, on MNIST-shaped IDX
+data and on both presets).
 """
 
 from __future__ import annotations
@@ -78,15 +76,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
-
-
-def gen_gaussians(num_classes: int, dim: int, per_class: int, sep: float,
-                  label_noise: float, seed: int) -> Dataset:
-    """`gaussian_arrays` as a Dataset."""
-    return Dataset(*gaussian_arrays(num_classes, dim, per_class, sep, label_noise, seed), num_classes)
-
 
 def gaussian_arrays(num_classes: int, dim: int, per_class: int, sep: float,
                     label_noise: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,6 +116,11 @@ def gaussian_arrays(num_classes: int, dim: int, per_class: int, sep: float,
 
 
 def _split_indices(n: int, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (train, val) row indices of a deterministic shuffled split, drawn from `seed`.
+
+    val takes max(1, floor(val_fraction * n)) rows; the two parts are
+    disjoint and together cover range(n) exactly.
+    """
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     if n < 2:
@@ -140,20 +134,10 @@ def _chunk_rows(dim: int) -> int:
     return max(1, CHUNK_BYTES // (8 * max(dim, 1)))
 
 
-def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled (train, val) split, drawn from `seed`.
-
-    val takes max(1, floor(val_fraction * N)) points; the two parts are
-    disjoint and together cover the input exactly.
-    """
-    train_idx, val_idx = _split_indices(len(dataset), val_fraction, seed)
-    return dataset.take(train_idx), dataset.take(val_idx)
-
-
 def split_standardized(features: np.ndarray, labels: np.ndarray, val_fraction: float,
                        seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                                            Standardizer]:
-    """`split`, then `Standardizer.fit` on train and `apply` to both, in place.
+    """Split a pool, fit the standardization on train and apply it to both, in place.
 
     Consumes `features`, a C-contiguous N x D array the caller made and
     reads no more. The val rows are copied out; the sorted train rows then
@@ -177,13 +161,13 @@ def split_standardized(features: np.ndarray, labels: np.ndarray, val_fraction: f
 def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x.mean(axis=0) and x.std(axis=0), with std 0 -> 1, through one chunk buffer.
 
-    numpy sums a C-contiguous matrix down axis 0 row after row, so chaining
-    each chunk's column sums with the running sum as the chunk's first row
-    gives numpy's own bytes. A single column (summed pairwise) or another
-    layout goes to numpy whole.
+    `x` is C-contiguous, and numpy sums such a matrix down axis 0 row after
+    row, so chaining each chunk's column sums with the running sum as the
+    chunk's first row gives numpy's own bytes. A single column, which numpy
+    sums pairwise, goes to numpy whole.
     """
     n, dim = x.shape
-    if dim == 1 or not x.flags.c_contiguous:
+    if dim == 1:
         mean, std = x.mean(axis=0), x.std(axis=0)
     else:
         rows = _chunk_rows(dim)
@@ -219,17 +203,8 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
 
-    @classmethod
-    def fit(cls, dataset: Dataset) -> "Standardizer":
-        return cls(*_mean_std(dataset.features))
-
-    def apply(self, dataset: Dataset) -> Dataset:
-        feats = dataset.features - self.mean
-        feats /= self.std  # in place: the same bytes as (x - mean) / std, one N x D array
-        return Dataset(feats, dataset.labels, dataset.num_classes)
-
     def apply_in_place(self, features: np.ndarray) -> None:
-        """`apply`'s bytes, written over `features`, which must be the caller's own."""
+        """The bytes of (features - mean) / std, written over `features`, the caller's own."""
         features -= self.mean
         features /= self.std
 
@@ -241,18 +216,10 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
     return data
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Load an IDX image/label pair (big-endian, u8 pixels) as a Dataset.
+def read_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of an IDX image/label pair (big-endian, u8 pixels).
 
     Pixels are scaled to [0, 1] and flattened row-major, so D = rows*cols.
-    """
-    features, labels = read_idx(images_path, labels_path)
-    return Dataset(features, labels, int(labels.max()) + 1)
-
-
-def read_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """(features, labels) of an IDX image/label pair, as `load_idx` reads them.
-
     A header whose count, rows or cols is negative, or that announces no
     pixels, raises an IdxError naming the file.
     """
@@ -302,24 +269,20 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str,
         f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
-def load_csv(path: str) -> Dataset:
-    """CSV with a header row; the final column is the integer class label.
-
-    A row of the wrong width, a cell that is no finite number or a
-    negative label names `path:line`.
-    """
-    features, labels = read_csv(path)
-    return Dataset(features, labels, int(labels.max()) + 1)
-
-
 def read_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """(features, labels) of a CSV file, as `load_csv` reads them."""
+    """(features, labels) of a CSV file with a header row; the final column is the label.
+
+    A header with no feature column, a row of the wrong width, a cell that
+    is no finite number or a negative label names `path:line`.
+    """
     features, labels = [], []
     with open(path, newline="") as f:
         reader = _csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty CSV")
+        if len(header) < 2:
+            raise ValueError(f"{path}:1: the header needs a feature column before the label")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):

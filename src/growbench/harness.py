@@ -163,9 +163,8 @@ class RunResult:
     wall_seconds: float
 
 
-# Set-up generates and loads through these two names, which a profiler can
-# wrap here (perfbench/spans.py does): they are data's array readers, not
-# the Dataset-returning data.gen_gaussians and data.load_idx.
+# Set-up generates and loads through these two names for data's array
+# readers, so a profiler can wrap them here (perfbench/spans.py does).
 gen_gaussians, load_idx = gaussian_arrays, read_idx
 
 
@@ -187,12 +186,12 @@ def _read_source(cfg: DataConfig, test: bool) -> tuple[np.ndarray, np.ndarray]:
 def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, val, test), standardized on the train split.
 
-    The same bytes as `split`, `Standardizer.fit` and `apply`, made in the
-    arrays set-up reads or generates: train lives in the pool's array,
-    val is copied out of it and test is standardized where it is read,
-    so set-up peaks at about 1.07x the bytes it returns. A test label
-    outside the pool's classes is rejected here, naming the test label
-    file; only the three returned splits are checked for NaN.
+    Splits the pool, fits the standardization on train and applies it to
+    every split, in the arrays set-up reads or generates: train lives in
+    the pool's array, val is copied out of it and test is standardized
+    where it is read, so set-up peaks at about 1.07x the bytes it returns.
+    A test label outside the pool's classes is rejected here, naming the
+    test label file; only the three returned splits are checked for NaN.
     """
     features, labels = _read_source(cfg, test=False)
     classes = cfg.classes if cfg.source == "gaussians" else int(labels.max()) + 1

@@ -13,13 +13,14 @@ criterion.
 import json
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from growbench.arch import ArchSpec, StageSpec
 from growbench.cli import CliConfig, _build_config, parse_config_text, render_config
-from growbench.data import Dataset, load_idx, write_idx
+from growbench.data import Dataset, read_idx, write_idx
 from growbench.harness import DataConfig, PolicyConfig, run, write_metrics
 from growbench.morph import GrowthEvent
 from growbench.netcore import build_network, loss_grads_logits
@@ -370,8 +371,8 @@ def test_c7_determinism_and_io(cache, tmp_path):
     p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     write_metrics(first, p1)
     write_metrics(again, p2)
-    body1, foot1 = _strip_wall(open(p1).read().splitlines())
-    body2, foot2 = _strip_wall(open(p2).read().splitlines())
+    body1, foot1 = _strip_wall(Path(p1).read_text().splitlines())
+    body2, foot2 = _strip_wall(Path(p2).read_text().splitlines())
     determinism_ok = body1 == body2 and foot1 == foot2
 
     # IDX round trip, bit exact
@@ -382,12 +383,12 @@ def test_c7_determinism_and_io(cache, tmp_path):
     ds = Dataset(pixels.astype(np.float64) / 255.0, labels, 4)
     ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
     write_idx(ds, ip, lp, rows=3, cols=4)
-    back = load_idx(ip, lp)
+    back = Dataset(*read_idx(ip, lp), 4)
     ip2, lp2 = str(tmp_path / "i2.idx"), str(tmp_path / "l2.idx")
     write_idx(back, ip2, lp2, rows=3, cols=4)
     idx_ok = (back.features.tobytes() == ds.features.tobytes()
-              and open(ip, "rb").read() == open(ip2, "rb").read()
-              and open(lp, "rb").read() == open(lp2, "rb").read())
+              and Path(ip).read_bytes() == Path(ip2).read_bytes()
+              and Path(lp).read_bytes() == Path(lp2).read_bytes())
 
     # config echo round trip
     echo_ok = True

@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ def test_plot_blocks_step_function(metrics_file, tmp_path, capsys):
     blocks = [sum(m.blocks) for m in result.metrics]
     steps = sum(1 for a, b in zip(blocks, blocks[1:]) if b > a)
     assert steps == len(result.events)
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.count("<polyline") == 1
     # growth events drawn as dashed vertical markers
     assert text.count('stroke-dasharray') == len(result.events)
@@ -322,10 +323,10 @@ def test_plot_blocks_step_function(metrics_file, tmp_path, capsys):
 def test_plot_overlay_two_files(metrics_file, tmp_path):
     path, _ = metrics_file
     other = str(tmp_path / "copy.jsonl")
-    open(other, "w").write(open(path).read())
+    Path(other).write_text(Path(path).read_text())
     out = str(tmp_path / "overlay.svg")
     assert main(["plot", path, other, "--curves", "test_err", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.count("<polyline") == 2
     assert "run:test_err" in text and "copy:test_err" in text
 
@@ -335,7 +336,7 @@ def test_plot_deterministic_bytes(metrics_file, tmp_path):
     o1, o2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     assert main(["plot", path, "--curves", "lr,orl", "--out", o1]) == 0
     assert main(["plot", path, "--curves", "lr,orl", "--out", o2]) == 0
-    assert open(o1).read() == open(o2).read()
+    assert Path(o1).read_text() == Path(o2).read_text()
 
 
 def test_plot_interval_curve_needs_params(metrics_file, tmp_path, capsys):
@@ -372,9 +373,26 @@ def test_plot_malformed_range_exit_2_names_flag(metrics_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, text, expected", [
+    ("--alpha", "nan", "a finite number"), ("--alpha", "-inf", "a finite number"),
+    ("--alpha", "four", "a finite number"), ("--i-max", "inf", "a finite number"),
+    ("--i-max", "nan", "a finite number"), ("--i-max", "0", "a positive number"),
+    ("--i-max", "-2.5", "a positive number"),
+])
+def test_plot_bad_interval_flag_exit_2_names_flag(metrics_file, tmp_path, capsys, flag, text,
+                                                   expected):
+    path, _ = metrics_file
+    out = tmp_path / "bad.svg"
+    flags = {"--alpha": "4", "--i-max": "3", flag: text}
+    argv = ["plot", path, "--curves", "interval", "--out", str(out)]
+    assert main(argv + [f"{k}={v}" for k, v in flags.items()]) == 2
+    assert f"argument {flag}: expected {expected}, got '{text}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_refuses_non_finite_metrics_exit_1(metrics_file, tmp_path, capsys):
     path, _ = metrics_file
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     rec = json.loads(lines[1])
     rec["train_acc"] = math.nan
     bad = tmp_path / "bad.jsonl"

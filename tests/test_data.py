@@ -3,6 +3,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,10 +22,12 @@ from growbench.data import (
     IdxMagicError,
     IdxTruncatedError,
     Standardizer,
-    gen_gaussians,
-    load_csv,
-    load_idx,
-    split,
+    _mean_std,
+    _split_indices,
+    gaussian_arrays,
+    read_csv,
+    read_idx,
+    split_standardized,
     write_idx,
 )
 from growbench.harness import DataConfig, build_datasets
@@ -33,23 +36,23 @@ from growbench.presets import preset_config
 from growbench.rng import substream
 
 
-# --- gen_gaussians ------------------------------------------------------------
+# --- gaussian_arrays ----------------------------------------------------------
 
 def test_generator_deterministic_per_seed():
-    a = gen_gaussians(3, 6, 50, sep=4.0, label_noise=0.1, seed=11)
-    b = gen_gaussians(3, 6, 50, sep=4.0, label_noise=0.1, seed=11)
+    a = Dataset(*gaussian_arrays(3, 6, 50, sep=4.0, label_noise=0.1, seed=11), 3)
+    b = Dataset(*gaussian_arrays(3, 6, 50, sep=4.0, label_noise=0.1, seed=11), 3)
     assert a.features.tobytes() == b.features.tobytes()
     assert a.labels.tobytes() == b.labels.tobytes()
 
 
 def test_generator_class_balance_before_noise():
-    ds = gen_gaussians(4, 8, 25, sep=3.0, label_noise=0.0, seed=0)
+    ds = Dataset(*gaussian_arrays(4, 8, 25, sep=3.0, label_noise=0.0, seed=0), 4)
     counts = np.bincount(ds.labels, minlength=4)
     assert counts.tolist() == [25, 25, 25, 25]
 
 
 def test_generator_simplex_distances():
-    ds = gen_gaussians(3, 6, 2000, sep=5.0, label_noise=0.0, seed=3)
+    ds = Dataset(*gaussian_arrays(3, 6, 2000, sep=5.0, label_noise=0.0, seed=3), 3)
     means = np.stack([ds.features[ds.labels == k].mean(axis=0) for k in range(3)])
     for i in range(3):
         for j in range(i + 1, 3):
@@ -57,8 +60,8 @@ def test_generator_simplex_distances():
 
 
 def test_label_noise_resamples_exact_fraction():
-    clean = gen_gaussians(5, 8, 200, sep=4.0, label_noise=0.0, seed=7)
-    noisy = gen_gaussians(5, 8, 200, sep=4.0, label_noise=0.2, seed=7)
+    clean = Dataset(*gaussian_arrays(5, 8, 200, sep=4.0, label_noise=0.0, seed=7), 5)
+    noisy = Dataset(*gaussian_arrays(5, 8, 200, sep=4.0, label_noise=0.2, seed=7), 5)
     # noise draws from a separate stream: features are untouched
     assert clean.features.tobytes() == noisy.features.tobytes()
     k = round(0.2 * 1000)
@@ -70,17 +73,17 @@ def test_label_noise_resamples_exact_fraction():
 
 def test_generator_rejects_bad_args():
     with pytest.raises(ValueError):
-        gen_gaussians(1, 8, 10, 1.0, 0.0, 0)
+        gaussian_arrays(1, 8, 10, 1.0, 0.0, 0)
     with pytest.raises(ValueError):
-        gen_gaussians(5, 3, 10, 1.0, 0.0, 0)  # dim < classes
+        gaussian_arrays(5, 3, 10, 1.0, 0.0, 0)  # dim < classes
     with pytest.raises(ValueError):
-        gen_gaussians(3, 8, 10, 1.0, 0.5, 0)
+        gaussian_arrays(3, 8, 10, 1.0, 0.5, 0)
 
 
 def test_separable_task_is_learnable_quickly():
     # wide separation, 2 classes: a width-8 seed net hits >99% train
     # accuracy within 50 full-batch epochs
-    ds = gen_gaussians(2, 8, 100, sep=10.0, label_noise=0.0, seed=5)
+    ds = Dataset(*gaussian_arrays(2, 8, 100, sep=10.0, label_noise=0.0, seed=5), 2)
     arch = ArchSpec("res", (StageSpec(8, 1),), input_dim=8, num_classes=2)
     net = build_network(arch, 5)
     for _ in range(50):
@@ -89,82 +92,69 @@ def test_separable_task_is_learnable_quickly():
     assert accuracy_and_loss(net, ds.features, ds.labels)[0] > 99.0
 
 
-# --- split ----------------------------------------------------------------------
+# --- split and standardization --------------------------------------------------
 
 def test_split_counts_50000_to_500():
-    ds = gen_gaussians(2, 4, 25_000, sep=3.0, label_noise=0.0, seed=1)
-    train, val = split(ds, val_fraction=0.01, seed=0)
+    train, val = _split_indices(50_000, val_fraction=0.01, seed=0)
     assert len(val) == 500
     assert len(train) == 49_500
 
 
 def test_split_minimum_one_point():
-    ds = gen_gaussians(2, 4, 50, sep=3.0, label_noise=0.0, seed=1)
-    train, val = split(ds, val_fraction=0.01, seed=0)
+    train, val = _split_indices(100, val_fraction=0.01, seed=0)
     assert len(val) == 1
     assert len(train) == 99
 
 
 def test_split_partition_is_exact():
-    ds = gen_gaussians(3, 4, 40, sep=3.0, label_noise=0.0, seed=2)
-    train, val = split(ds, val_fraction=0.1, seed=9)
-    merged = np.vstack([train.features, val.features])
-    assert len(merged) == len(ds)
-    # row-level partition: every original row appears exactly once
-    orig = {row.tobytes() for row in ds.features}
-    got = [row.tobytes() for row in merged]
-    assert len(set(got)) == len(got)
-    assert set(got) == orig
+    train, val = _split_indices(120, val_fraction=0.1, seed=9)
+    merged = np.concatenate([train, val])
+    assert len(merged) == 120
+    # every row index appears exactly once, and each part is sorted
+    assert np.sort(merged).tolist() == list(range(120))
+    assert (np.diff(train) > 0).all() and (np.diff(val) > 0).all()
 
 
 def test_split_deterministic():
-    ds = gen_gaussians(3, 4, 40, sep=3.0, label_noise=0.0, seed=2)
-    t1, v1 = split(ds, 0.05, seed=4)
-    t2, v2 = split(ds, 0.05, seed=4)
-    assert v1.features.tobytes() == v2.features.tobytes()
-    t3, v3 = split(ds, 0.05, seed=5)
-    assert v1.features.tobytes() != v3.features.tobytes()
+    t1, v1 = _split_indices(120, 0.05, seed=4)
+    t2, v2 = _split_indices(120, 0.05, seed=4)
+    assert v1.tobytes() == v2.tobytes()
+    assert t1.tobytes() == t2.tobytes()
+    t3, v3 = _split_indices(120, 0.05, seed=5)
+    assert v1.tobytes() != v3.tobytes()
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, float("nan")])
 def test_split_rejects_val_fraction_outside_unit_interval(fraction):
-    ds = gen_gaussians(2, 4, 10, sep=3.0, label_noise=0.0, seed=1)
     with pytest.raises(ValueError, match=r"val_fraction must be in \(0, 1\)"):
-        split(ds, fraction, seed=0)
+        _split_indices(20, fraction, seed=0)
 
 
-def test_split_and_fit_leave_their_input_untouched():
-    feats = gen_gaussians(3, 6, 300, sep=5.0, label_noise=0.1, seed=8).features.copy()
+def test_mean_std_is_numpys_and_leaves_its_input_untouched():
+    feats, _ = gaussian_arrays(3, 6, 300, sep=5.0, label_noise=0.1, seed=8)
     feats[:, 2] = 4.0  # a constant column: std 0 -> 1
-    labels = np.repeat(np.arange(3), 300)
-    ds = Dataset(feats, labels, 3)
-    before = feats.tobytes(), labels.tobytes()
-    first = [*split(ds, 0.1, seed=3), Standardizer.fit(ds)]
-    second = [*split(ds, 0.1, seed=3), Standardizer.fit(ds)]
-    assert (feats.tobytes(), labels.tobytes()) == before
-    for a, b in zip(first[:2], second[:2]):
-        assert a.features.tobytes() == b.features.tobytes()
-        assert a.labels.tobytes() == b.labels.tobytes()
-    assert first[2].mean.tobytes() == second[2].mean.tobytes() == feats.mean(axis=0).tobytes()
-    assert first[2].std.tobytes() == second[2].std.tobytes()
-    assert first[2].std[2] == 1.0
+    before = feats.tobytes()
+    (mean, std), (mean2, std2) = _mean_std(feats), _mean_std(feats)
+    assert feats.tobytes() == before
+    assert mean.tobytes() == mean2.tobytes() == feats.mean(axis=0).tobytes()
+    assert std.tobytes() == std2.tobytes()
+    assert std.tobytes() == np.where(feats.std(axis=0) == 0.0, 1.0, feats.std(axis=0)).tobytes()
+    assert std[2] == 1.0
 
 
 def test_standardizer_centers_train_split():
-    ds = gen_gaussians(3, 6, 300, sep=5.0, label_noise=0.0, seed=8)
-    tf = Standardizer.fit(ds)
-    out = tf.apply(ds)
-    np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
+    features, labels = gaussian_arrays(3, 6, 300, sep=5.0, label_noise=0.0, seed=8)
+    train, *_ = split_standardized(features, labels, 0.1, seed=8)
+    np.testing.assert_allclose(train.mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(train.std(axis=0), 1.0, atol=1e-12)
 
 
-def test_standardizer_apply_bytes_and_input_untouched():
-    ds = gen_gaussians(3, 6, 300, sep=5.0, label_noise=0.0, seed=8)
-    before = ds.features.tobytes()
-    tf = Standardizer.fit(ds)
-    out = tf.apply(ds)
-    assert out.features.tobytes() == ((ds.features - tf.mean) / tf.std).tobytes()
-    assert ds.features.tobytes() == before
+def test_standardizer_apply_in_place_bytes():
+    features, _ = gaussian_arrays(3, 6, 300, sep=5.0, label_noise=0.0, seed=8)
+    tf = Standardizer(*_mean_std(features))
+    out = features.copy()
+    tf.apply_in_place(out)
+    assert out.tobytes() == ((features - tf.mean) / tf.std).tobytes()
 
 
 # --- IDX ------------------------------------------------------------------------
@@ -181,21 +171,21 @@ def test_idx_round_trip_bit_exact(tmp_path):
     ds, pixels = _u8_dataset()
     ip, lp = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
     write_idx(ds, ip, lp, rows=4, cols=3)
-    back = load_idx(ip, lp)
+    back = Dataset(*read_idx(ip, lp), ds.num_classes)
     assert back.features.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
     assert back.labels.tolist() == ds.labels.tolist()
     # write the reload: files must be byte-identical
     ip2, lp2 = str(tmp_path / "img2.idx"), str(tmp_path / "lab2.idx")
     write_idx(back, ip2, lp2, rows=4, cols=3)
-    assert open(ip, "rb").read() == open(ip2, "rb").read()
-    assert open(lp, "rb").read() == open(lp2, "rb").read()
+    assert Path(ip).read_bytes() == Path(ip2).read_bytes()
+    assert Path(lp).read_bytes() == Path(lp2).read_bytes()
 
 
 def test_idx_shapes_from_header(tmp_path):
     ds, _ = _u8_dataset(n=10, rows=28, cols=28)
     ip, lp = str(tmp_path / "i"), str(tmp_path / "l")
     write_idx(ds, ip, lp, rows=28, cols=28)
-    back = load_idx(ip, lp)
+    back = Dataset(*read_idx(ip, lp), ds.num_classes)
     assert len(back) == 10
     assert back.dim == 784
 
@@ -207,29 +197,29 @@ def test_idx_zero_image_row(tmp_path):
     ds0 = Dataset(feats, ds.labels, ds.num_classes)
     ip, lp = str(tmp_path / "i"), str(tmp_path / "l")
     write_idx(ds0, ip, lp, rows=4, cols=3)
-    back = load_idx(ip, lp)
-    assert not back.features[2].any()
+    features, _ = read_idx(ip, lp)
+    assert not features[2].any()
 
 
 def test_idx_bad_magic(tmp_path):
     ds, _ = _u8_dataset()
     ip, lp = str(tmp_path / "i"), str(tmp_path / "l")
     write_idx(ds, ip, lp, rows=4, cols=3)
-    blob = bytearray(open(ip, "rb").read())
+    blob = bytearray(Path(ip).read_bytes())
     blob[3] = 0x05
-    open(ip, "wb").write(bytes(blob))
+    Path(ip).write_bytes(bytes(blob))
     with pytest.raises(IdxMagicError):
-        load_idx(ip, lp)
+        read_idx(ip, lp)
 
 
 def test_idx_truncated(tmp_path):
     ds, _ = _u8_dataset()
     ip, lp = str(tmp_path / "i"), str(tmp_path / "l")
     write_idx(ds, ip, lp, rows=4, cols=3)
-    blob = open(ip, "rb").read()
-    open(ip, "wb").write(blob[:-5])
+    blob = Path(ip).read_bytes()
+    Path(ip).write_bytes(blob[:-5])
     with pytest.raises(IdxTruncatedError):
-        load_idx(ip, lp)
+        read_idx(ip, lp)
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -240,7 +230,7 @@ def test_idx_count_mismatch(tmp_path):
     write_idx(ds, ip, lp, rows=4, cols=3)
     write_idx(smaller, ip2, lp2, rows=4, cols=3)
     with pytest.raises(IdxCountMismatchError):
-        load_idx(ip, lp2)
+        read_idx(ip, lp2)
 
 
 @pytest.mark.parametrize("count, rows, cols, field", [
@@ -252,7 +242,7 @@ def test_idx_negative_header_field_names_the_image_file(tmp_path, count, rows, c
     ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, count, rows, cols) + bytes(784))
     lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 2) + bytes(2))
     with pytest.raises(IdxError, match=f"^{re.escape(str(ip))}: negative {field} in the header$"):
-        load_idx(str(ip), str(lp))
+        read_idx(str(ip), str(lp))
 
 
 def test_idx_negative_label_count_names_the_label_file(tmp_path):
@@ -260,7 +250,7 @@ def test_idx_negative_label_count_names_the_label_file(tmp_path):
     ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, 1, 2, 2) + bytes(4))
     lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, -1) + bytes(1))
     with pytest.raises(IdxError, match=f"^{re.escape(str(lp))}: negative label count -1 in the header$"):
-        load_idx(str(ip), str(lp))
+        read_idx(str(ip), str(lp))
 
 
 @pytest.mark.parametrize("count, rows, cols", [(0, 4, 3), (2, 0, 3)])
@@ -270,7 +260,7 @@ def test_idx_without_data_names_the_image_file(tmp_path, count, rows, cols):
     lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, count) + bytes(count))
     with pytest.raises(IdxError, match=f"^{re.escape(str(ip))}: {count} images of "
                                        f"{rows}x{cols} pixels hold no data$"):
-        load_idx(str(ip), str(lp))
+        read_idx(str(ip), str(lp))
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -278,14 +268,16 @@ def test_idx_without_data_names_the_image_file(tmp_path, count, rows, cols):
 def test_csv_loader(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("f0,f1,label\n0.5,1.5,0\n-1.0,2.0,2\n0.0,0.0,1\n")
-    ds = load_csv(str(p))
-    assert ds.num_classes == 3
-    assert ds.features.shape == (3, 2)
-    assert ds.labels.tolist() == [0, 2, 1]
+    features, labels = read_csv(str(p))
+    assert features.shape == (3, 2)
+    assert labels.tolist() == [0, 2, 1]
+    # set-up takes the class count from the largest label
+    cfg = DataConfig(source="csv", train_csv=str(p), test_csv=str(p), val_fraction=0.34)
+    assert [ds.num_classes for ds in build_datasets(cfg)] == [3, 3, 3]
     empty = tmp_path / "e.csv"
     empty.write_text("f0,label\n")
     with pytest.raises(ValueError):
-        load_csv(str(empty))
+        read_csv(str(empty))
 
 
 # --- Dataset validation -----------------------------------------------------------
@@ -308,8 +300,8 @@ def test_splits_are_read_only_views_of_the_callers_arrays():
     labels = np.array([0, 1, 0, 1, 0, 1])
     ds = Dataset(feats, labels, 2)
     assert np.shares_memory(ds.features, feats) and np.shares_memory(ds.labels, labels)
-    tf = Standardizer.fit(ds)
-    for out in (ds, ds.take(np.array([0, 3])), tf.apply(ds), *split(ds, 0.5, seed=0)):
+    cfg = DataConfig(classes=2, dim=2, per_class=6, test_per_class=2)
+    for out in (ds, *build_datasets(cfg)):
         with pytest.raises(ValueError, match="read-only"):
             out.features[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -319,7 +311,7 @@ def test_splits_are_read_only_views_of_the_callers_arrays():
     assert ds.features[0, 0] == -1.0
 
 
-# --- build_datasets: same bytes as split, fit, apply; bounded set-up memory ------
+# --- build_datasets: the reference's bytes; bounded set-up memory ----------------
 
 def _write_idx_pool(directory, name, pixels, labels, cols=1):
     ds = Dataset(pixels.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
@@ -337,11 +329,12 @@ def _write_u8_idx(tmp_path, name, n, dim, classes, seed):
 
 
 def _split_fit_apply(pool, test, cfg):
-    """Reference order: split the pool, fit on train, standardize every split."""
-    train, val = split(pool, cfg.val_fraction, cfg.data_seed)
-    mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+    """Reference order, in numpy: split the pool, fit on train, standardize every split."""
+    train_idx, val_idx = _split_indices(len(pool), cfg.val_fraction, cfg.data_seed)
+    splits = [(pool.features[idx], pool.labels[idx]) for idx in (train_idx, val_idx)]
+    mean, std = splits[0][0].mean(axis=0), splits[0][0].std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    return [((ds.features - mean) / std, ds.labels) for ds in (train, val, test)]
+    return [((x - mean) / std, y) for x, y in (*splits, (test.features, test.labels))]
 
 
 def _assert_same_bytes(got, want):
@@ -361,9 +354,9 @@ def test_build_datasets_idx_bytes_match_split_fit_apply(tmp_path):
 def test_build_datasets_gaussians_bytes_match_split_fit_apply():
     cfg = DataConfig(classes=3, dim=8, per_class=100, test_per_class=40, sep=4.0,
                      label_noise=0.1, data_seed=99, val_fraction=0.05)
-    pool = gen_gaussians(3, 8, 100, 4.0, 0.1, 99)
+    pool = Dataset(*gaussian_arrays(3, 8, 100, 4.0, 0.1, 99), 3)
     test_seed = int(substream(99, "test-pool-seed").integers(0, 2**63))
-    test = gen_gaussians(3, 8, 40, 4.0, 0.1, test_seed)
+    test = Dataset(*gaussian_arrays(3, 8, 40, 4.0, 0.1, test_seed), 3)
     _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
 
 
@@ -406,10 +399,11 @@ def test_property_build_datasets_equals_split_fit_apply(case):
 def _check_build_datasets(source, params, val_fraction, seed):
     if source == "gaussians":
         cfg = DataConfig(val_fraction=val_fraction, data_seed=seed, **params)
-        pool = gen_gaussians(cfg.classes, cfg.dim, cfg.per_class, cfg.sep, cfg.label_noise, seed)
+        pool = Dataset(*gaussian_arrays(cfg.classes, cfg.dim, cfg.per_class, cfg.sep,
+                                        cfg.label_noise, seed), cfg.classes)
         test_seed = int(substream(seed, "test-pool-seed").integers(0, 2**63))
-        test = gen_gaussians(cfg.classes, cfg.dim, cfg.test_per_class, cfg.sep, cfg.label_noise,
-                             test_seed)
+        test = Dataset(*gaussian_arrays(cfg.classes, cfg.dim, cfg.test_per_class, cfg.sep,
+                                        cfg.label_noise, test_seed), cfg.classes)
         _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
         return
     rng = np.random.default_rng(seed)
@@ -460,8 +454,8 @@ def test_mnist_shaped_idx_split_bytes_are_pinned(tmp_path):
 def test_build_datasets_peak_memory_is_bounded(tmp_path):
     # MNIST-shaped rows: the pool and the returned splits dominate. Set-up
     # keeps the train rows in the pool's array and standardizes in place,
-    # so it peaks near 1.07x the returned bytes; a train copy, as split
-    # makes, peaks near 1.5x, and holding every copy at once above 3x.
+    # so it peaks near 1.07x the returned bytes; a copy of the train rows
+    # peaks near 1.5x, and holding every copy at once above 3x.
     ti, tl, _ = _write_u8_idx(tmp_path, "train", 2000, 784, 10, seed=1)
     vi, vl, _ = _write_u8_idx(tmp_path, "test", 500, 784, 10, seed=2)
     cfg = DataConfig(source="idx", train_images=ti, train_labels=tl, test_images=vi,
@@ -485,9 +479,11 @@ def test_build_datasets_peak_memory_is_bounded(tmp_path):
     ("0.5,1.5,0\n0.5,1.5,-1\n", 3, "negative label -1"),
     ("0.5,1.5,0\n0.5,inf,1\n", 3, "non-finite value 'inf'"),
     ("0.5,1.5,0\nnan,1.5,1\n", 3, "non-finite value 'nan'"),
+    ("label\n0\n1\n", 1, "the header needs a feature column before the label"),
 ])
 def test_csv_loader_names_path_and_line(tmp_path, body, line, message):
     p = tmp_path / "bad.csv"
-    p.write_text("f0,f1,label\n" + body)
+    # a case that fails at the header, line 1, brings its own
+    p.write_text(body if line == 1 else "f0,f1,label\n" + body)
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: .*{message}"):
-        load_csv(str(p))
+        read_csv(str(p))

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_metrics_file_round_trip(tmp_path):
     assert back.e_bar == res.e_bar
     assert back.final_test_error == res.final_test_error
     assert back.wall_seconds == res.wall_seconds
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == tiny_config().total_epochs + 1
     footer = json.loads(lines[-1])
     assert set(footer) == {"events", "e_bar", "final_test_error",
@@ -426,7 +427,7 @@ def test_metrics_files_byte_identical_sans_wall(tmp_path):
     p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     write_metrics(run(tiny_config()), p1)
     write_metrics(run(tiny_config()), p2)
-    l1, l2 = open(p1).read().splitlines(), open(p2).read().splitlines()
+    l1, l2 = Path(p1).read_text().splitlines(), Path(p2).read_text().splitlines()
     assert l1[:-1] == l2[:-1]
     f1, f2 = json.loads(l1[-1]), json.loads(l2[-1])
     f1.pop("wall_seconds"), f2.pop("wall_seconds")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
-from growbench.data import gen_gaussians
+from growbench.data import Dataset, gaussian_arrays
 from growbench.netcore import (
     BlockKind,
     _log_softmax,
@@ -499,7 +499,7 @@ def test_loss_drops_on_separable_task():
     # of its start (median over seeds).
     ratios = []
     for seed in (0, 1, 2):
-        ds = gen_gaussians(2, 8, 60, sep=10.0, label_noise=0.0, seed=seed)
+        ds = Dataset(*gaussian_arrays(2, 8, 60, sep=10.0, label_noise=0.0, seed=seed), 2)
         arch = ArchSpec("res", (StageSpec(8, 1),), input_dim=8, num_classes=2)
         net = build_network(arch, seed)
         first, _ = loss_grads_logits(net, ds.features, ds.labels)
