@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .arch import parse_arch
+from .arch import ArchSpec, parse_arch
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
 from .morph import (
     GrowthEvent,
@@ -50,6 +50,7 @@ from .netcore import (
     Network,
     accuracy_and_loss,
     build_network,
+    layers,
     loss_grads_logits,
     lr_at,
     sgd_step,
@@ -160,6 +161,7 @@ class RunResult:
     e_bar: float | None
     final_test_error: float
     final_train_error: float
+    train_macs: int  # forward multiply-accumulates over the training split, all epochs
     wall_seconds: float
 
 
@@ -206,6 +208,12 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     tf.apply_in_place(test_x)
     return (Dataset(train_x, train_y, classes), Dataset(val_x, val_y, classes),
             Dataset(test_x, test_y, classes))
+
+
+def _row_macs(arch: ArchSpec, blocks: tuple[int, ...]) -> int:
+    """Weight multiply-accumulates of one row's forward pass through `arch` grown to `blocks`."""
+    stages = tuple(replace(st, blocks=n) for st, n in zip(arch.stages, blocks))
+    return sum(out * in_ for _, (out, in_) in layers(replace(arch, stages=stages)))
 
 
 def config_added_blocks(config: TrainConfig) -> int:
@@ -393,11 +401,13 @@ def _run_group(config: TrainConfig,
             fail(b.members, RuntimeError("final architecture does not match the target spec"))
         else:
             last = b.metrics[-1]
+            trained = [seed_arch.blocks_per_stage] + [m.blocks for m in b.metrics[:-1]]
+            macs = len(train) * sum(_row_macs(seed_arch, blocks) for blocks in trained)
             for i in b.members:
                 events = states[i].events
                 e_bar = average_training_epochs(events, config.total_epochs) if events else None
                 outcomes[i] = RunResult(list(b.metrics), events, e_bar, 100.0 - last.test_acc,
-                                        100.0 - last.train_acc, b.seconds)
+                                        100.0 - last.train_acc, macs, b.seconds)
     return outcomes
 
 

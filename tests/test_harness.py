@@ -144,7 +144,7 @@ def test_metrics_file_round_trip(tmp_path):
     assert len(lines) == tiny_config().total_epochs + 1
     footer = json.loads(lines[-1])
     assert set(footer) == {"events", "e_bar", "final_test_error",
-                           "final_train_error", "wall_seconds"}
+                           "final_train_error", "train_macs", "wall_seconds"}
     rec = json.loads(lines[0])
     assert list(rec) == ["epoch", "train_acc", "val_acc", "test_acc",
                          "train_loss", "orl", "lr", "blocks", "grew"]
@@ -402,7 +402,7 @@ def test_read_metrics_names_path_and_line(tmp_path, edit, line, message):
 
 # First 16 hex digits of the sha256 of tiny_config()'s metrics file with
 # wall_seconds set to 0: every byte of the format, key order and number text.
-METRICS_FILE_PINNED = "67f6aad733096831"
+METRICS_FILE_PINNED = "d75783ae468937fe"
 
 
 def test_metrics_file_bytes_are_pinned(tmp_path):
@@ -432,6 +432,14 @@ def test_metrics_files_byte_identical_sans_wall(tmp_path):
     f1, f2 = json.loads(l1[-1]), json.loads(l2[-1])
     f1.pop("wall_seconds"), f2.pop("wall_seconds")
     assert f1 == f2
+
+
+def test_train_macs_is_the_hand_count():
+    # 456 train rows; growth after epochs 5 and 8 takes a row's forward pass
+    # from 152 (8*8 + 8*8 + 3*8) to 216, then 280 multiply-accumulates.
+    res = run(tiny_config())
+    assert [e.epoch for e in res.events] == [5, 8]
+    assert res.train_macs == 456 * (5 * 152 + 3 * 216 + 4 * 280) == 1_152_768
 
 
 def test_footer_e_bar_consistent_with_events(tmp_path):
