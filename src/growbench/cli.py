@@ -261,7 +261,7 @@ def cmd_sweep_alpha(args: argparse.Namespace, overrides: list[str]) -> int:
         (f"alpha={a:g}", replace(base.train, policy=replace(base.train.policy, alpha=a)))
         for a in alphas
     ]
-    # wall time is relative to the alpha=4 row when there is one
+    # training cost is relative to the alpha=4 row when there is one
     table = compare(labeled, list(range(args.seeds)), anchor="alpha=4")
     print(table.to_text())
     csv_text = table.to_csv()

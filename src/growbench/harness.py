@@ -17,10 +17,8 @@ for all seeds. The runs of one seed share one trajectory until their
 growth decisions differ, and then it forks. Each epoch, the trajectories
 whose networks have one shape, across seeds and forks, train as one
 `netcore.Stack`. Every run still gets its solo run's bytes. A run's
-`wall_seconds` is charged under this sharing: its set-up (the shared data
-plus its own network), its trajectory's evaluation, decisions and growth,
-and 1/S of every training epoch it rode in a stack of S trajectories. It
-is an amortized cost, not what the run alone would take.
+`wall_seconds` is the wall time of the whole `run` call it was part of;
+its own cost is `train_macs`, a count that sharing does not change.
 """
 
 from __future__ import annotations
@@ -248,7 +246,6 @@ class _Branch:
     ensemble: MomentEnsemble | None
     growth_done_epoch: int | None
     metrics: list[EpochMetrics]
-    seconds: float  # this trajectory's charge so far; see the module docstring
     members: list[int]
 
     def fork(self, members: list[int]) -> _Branch:
@@ -258,7 +255,7 @@ class _Branch:
             ensemble = MomentEnsemble(net, ensemble.stage, ensemble.index, ensemble.shadow.copy(),
                                       ensemble.updates)
         return _Branch(self.seed, net, replace(self.where), ensemble, self.growth_done_epoch,
-                       list(self.metrics), self.seconds, members)
+                       list(self.metrics), members)
 
 
 def run(config: TrainConfig, policies: list[PolicyConfig] | None = None,
@@ -301,16 +298,14 @@ def _run_group(config: TrainConfig,
         budget = count_added_blocks(seed_arch, target_arch)
         max_interval = (i_max(config.total_epochs, config.min_finetune_epochs, budget)
                         if budget > 0 else 1.0)
-        shared = time.perf_counter() - t_start
         branches = []
         for seed in dict.fromkeys(seed for seed, _ in runs):
-            t0 = time.perf_counter()
             net = build_network(seed_arch, seed)
             where = WherePolicy(config.where, target_arch.blocks_per_stage)
             ensemble = _track_next(net, where) if config.init == "moment" else None
             members = [i for i, (s, _) in enumerate(runs) if s == seed]
-            branches.append(_Branch(seed, net, where, ensemble, 0 if budget == 0 else None, [],
-                                    shared + time.perf_counter() - t0, members))
+            growth_done = 0 if budget == 0 else None
+            branches.append(_Branch(seed, net, where, ensemble, growth_done, [], members))
     except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
         fail(range(len(runs)), exc)
         return outcomes
@@ -324,7 +319,6 @@ def _run_group(config: TrainConfig,
 
     def end_epoch(branch: _Branch, epoch: int, lr: float) -> list[_Branch]:
         """Evaluate, let every run decide, fork and grow; return the live trajectories."""
-        t0 = time.perf_counter()
         try:
             with np.errstate(all="ignore"):
                 report = evaluate(branch.net, train, val, test)
@@ -364,9 +358,6 @@ def _run_group(config: TrainConfig,
                 epoch, report.train_acc, report.val_acc, report.test_acc, report.train_loss,
                 orl_pp, lr, b.net.blocks_per_stage(), grew))
             alive.append(b)
-        dt = time.perf_counter() - t0
-        for _, b in paths:
-            b.seconds += dt
         return alive
 
     for epoch in range(config.total_epochs):
@@ -375,21 +366,19 @@ def _run_group(config: TrainConfig,
             groups.setdefault(branch.net.blocks_per_stage(), []).append(branch)
         branches = []
         for group in groups.values():
-            t0 = time.perf_counter()
             lrs = [lr_at(config.lr_base, epoch, b.growth_done_epoch, config.total_epochs)
                    for b in group]
             try:
                 failures = _train_epoch(group, lrs, epoch, config, train)
             except Exception as exc:  # noqa: BLE001 - a failed stack fails every run on it
                 failures = [exc] * len(group)
-            share = (time.perf_counter() - t0) / len(group)
             for branch, lr, failure in zip(group, lrs, failures):
-                branch.seconds += share
                 if failure is None:
                     branches += end_epoch(branch, epoch, lr)
                 else:
                     fail(branch.members, failure)
 
+    wall_seconds = time.perf_counter() - t_start
     for b in branches:
         remaining = states[b.members[0]].remaining
         if remaining != 0:
@@ -407,7 +396,7 @@ def _run_group(config: TrainConfig,
                 events = states[i].events
                 e_bar = average_training_epochs(events, config.total_epochs) if events else None
                 outcomes[i] = RunResult(list(b.metrics), events, e_bar, 100.0 - last.test_acc,
-                                        100.0 - last.train_acc, macs, b.seconds)
+                                        100.0 - last.train_acc, macs, wall_seconds)
     return outcomes
 
 
@@ -562,7 +551,7 @@ class ComparisonRow:
     train_error_median: float | None
     train_error_spread: float | None
     e_bar_median: float | None
-    time_pct: float | None
+    cost_pct: float | None
     errors: tuple[str, ...] = ()
 
 
@@ -573,7 +562,7 @@ _COLUMNS = (
     ("train err %", 12, "train_error_median"),
     ("spread", 8, "train_error_spread"),
     ("e_bar", 8, "e_bar_median"),
-    ("time %", 8, "time_pct"),
+    ("cost %", 8, "cost_pct"),
 )
 
 
@@ -618,10 +607,8 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
 
     Configs that differ only in `policy` run as one `run` call for all
     seeds: each seed trains one trajectory until their growth decisions
-    differ, and same-shape trajectories train as one stack. `time %` is
-    computed from `wall_seconds`, the amortized cost the module docstring
-    defines, not what a run alone would cost.
-    Training time is normalized so the median of the row labelled
+    differ, and same-shape trajectories train as one stack. `cost %` is
+    the median `train_macs`, normalized so the median of the row labelled
     `anchor` is 100%. When no row has that label, the first zero-growth
     ("vanilla") config anchors, and without one the first config.
     A failed run annotates its row and is excluded from the medians.
@@ -653,8 +640,8 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
     if anchor not in results:
         anchor = next((label for label, cfg in configs if config_added_blocks(cfg) == 0),
                       configs[0][0])
-    anchor_times = [r.wall_seconds for r in results[anchor]]
-    anchor_median = statistics.median(anchor_times) if anchor_times else None
+    anchor_costs = [r.train_macs for r in results[anchor]]
+    anchor_median = statistics.median(anchor_costs) if anchor_costs else None
 
     rows = []
     for label, _ in configs:
@@ -662,7 +649,7 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
         test_errs = [r.final_test_error for r in ok]
         train_errs = [r.final_train_error for r in ok]
         e_bars = [r.e_bar for r in ok if r.e_bar is not None]
-        times = [r.wall_seconds for r in ok]
+        costs = [r.train_macs for r in ok]
         rows.append(ComparisonRow(
             label=label,
             n_seeds=len(seeds),
@@ -672,9 +659,9 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
             train_error_median=statistics.median(train_errs) if train_errs else None,
             train_error_spread=_spread(train_errs),
             e_bar_median=statistics.median(e_bars) if e_bars else None,
-            time_pct=(
-                100.0 * statistics.median(times) / anchor_median
-                if times and anchor_median else None
+            cost_pct=(
+                100.0 * statistics.median(costs) / anchor_median
+                if costs and anchor_median else None
             ),
             errors=tuple(errors[label]),
         ))

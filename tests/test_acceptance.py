@@ -244,10 +244,13 @@ def test_c4_regularization_ordering(cache):
     slow = median([r.final_train_error for r in cache.results("overfit_periodic")])
     fast = median([r.final_train_error for r in cache.results("overfit_periodic_fast")])
     vanilla = median([r.final_train_error for r in cache.results("overfit_vanilla")])
-    ok = slow >= fast >= vanilla and (slow - vanilla) >= 1.0
+    costs = [median([r.train_macs for r in cache.results(label)])
+             for label in ("overfit_vanilla", "overfit_periodic_fast", "overfit_periodic")]
+    ok = slow >= fast >= vanilla and (slow - vanilla) >= 1.0 and costs[0] > costs[1] > costs[2]
     report(4, ok,
            f"median final train error: slow {slow:.2f} >= fast {fast:.2f} >= "
-           f"vanilla {vanilla:.2f}, slow-vanilla gap {slow - vanilla:.2f} (need >= 1.00)")
+           f"vanilla {vanilla:.2f}, slow-vanilla gap {slow - vanilla:.2f} (need >= 1.00); "
+           f"median train MACs: vanilla {costs[0]:,} > fast {costs[1]:,} > slow {costs[2]:,}")
 
 
 # --- criterion 5: fitting-risk regime separation ---------------------------------
