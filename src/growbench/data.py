@@ -261,6 +261,9 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str,
     pixels = np.rint(dataset.features * 255.0)
     if pixels.min() < 0 or pixels.max() > 255:
         raise ValueError("features outside [0, 1]; not representable as u8 pixels")
+    if dataset.labels.max() > 255:
+        raise ValueError(f"label {dataset.labels.max()} outside [0, 255]; not representable "
+                         "as a u8 label")
     with open(images_path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
         f.write(pixels.astype(np.uint8).tobytes())

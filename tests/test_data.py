@@ -181,6 +181,18 @@ def test_idx_round_trip_bit_exact(tmp_path):
     assert Path(lp).read_bytes() == Path(lp2).read_bytes()
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.full((2, 4), 1.5), [0, 1], r"^features outside \[0, 1\]; not representable as u8 pixels$"),
+    (np.zeros((2, 4)), [0, 300], r"^label 300 outside \[0, 255\]; not representable as a u8 label$"),
+])
+def test_write_idx_refuses_values_u8_cannot_hold(tmp_path, features, labels, message):
+    ds = Dataset(features, np.array(labels), max(labels) + 1)
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    with pytest.raises(ValueError, match=message):
+        write_idx(ds, str(ip), str(lp), rows=2, cols=2)
+    assert not ip.exists() and not lp.exists()
+
+
 def test_idx_shapes_from_header(tmp_path):
     ds, _ = _u8_dataset(n=10, rows=28, cols=28)
     ip, lp = str(tmp_path / "i"), str(tmp_path / "l")
