@@ -254,13 +254,15 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 def cmd_sweep_alpha(args: argparse.Namespace, overrides: list[str]) -> int:
     alphas = _parse_float_list(args.alphas, "alpha")
+    labels = [f"alpha={a:g}" for a in alphas]
+    dup = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if dup is not None:
+        raise ConfigError(f"--alphas {args.alphas!r}: two values give the row label {dup!r}")
     base = load_config(args.config, overrides)
     if base.train.policy.name != "fragrow":
         raise ConfigError("sweep-alpha requires policy.name = fragrow")
-    labeled = [
-        (f"alpha={a:g}", replace(base.train, policy=replace(base.train.policy, alpha=a)))
-        for a in alphas
-    ]
+    labeled = [(label, replace(base.train, policy=replace(base.train.policy, alpha=a)))
+               for label, a in zip(labels, alphas)]
     # training cost is relative to the alpha=4 row when there is one
     table = compare(labeled, list(range(args.seeds)), anchor="alpha=4")
     print(table.to_text())

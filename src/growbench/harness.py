@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .arch import ArchSpec, parse_arch
+from .arch import ArchError, ArchSpec, parse_arch
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
 from .morph import (
     GrowthEvent,
@@ -129,6 +129,11 @@ class TrainConfig:
             raise ValueError(f"unknown where-policy {self.where!r}, expected one of {WHERE_RULES}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        try:
+            config_added_blocks(self)
+        except ArchError as exc:
+            raise ArchError(f"seed_arch {self.seed_arch!r}, target_arch {self.target_arch!r}: "
+                            f"{exc}") from None
 
 
 @dataclass(frozen=True)

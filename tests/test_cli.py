@@ -206,6 +206,28 @@ def test_train_runtime_error_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("print_config", [False, True])
+@pytest.mark.parametrize("override, message", [
+    ("--model.seed_arch=foo", "bad architecture string 'foo'"),
+    ("--model.target_arch=plain:16x2-16x2", "stage count mismatch: 3 vs 2"),
+    ("--model.target_arch=res:16x2-16x2-16x2", "family mismatch: plain vs res"),
+    ("--model.seed_arch=plain:16x3-16x1-16x1", "stage 0: target has fewer blocks (2) than seed (3)"),
+])
+def test_train_incompatible_archs_exit_2_before_setup(tmp_path, monkeypatch, capsys, override,
+                                                      message, print_config):
+    def no_setup(*args):
+        raise AssertionError("the data was set up")
+
+    monkeypatch.setattr(harness, "build_datasets", no_setup)
+    argv = ["train", "underfit", override, f"--output.metrics_path={tmp_path / 'm.jsonl'}"]
+    assert main(argv + ["--print-config"] * print_config) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: seed_arch ")
+    assert message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_train_budget_beyond_finetune_floor_exit_1(tmp_path, capsys):
     path = write_tiny(tmp_path)  # 2 growths, 12 epochs
     assert main(["train", path, "--train.min_finetune_epochs=11"]) == 1
@@ -285,6 +307,16 @@ def test_sweep_alpha_non_finite_alpha_exit_2(tmp_path, capsys):
     assert main(["sweep-alpha", path, "--alphas", "2,nan", "--seeds", "1",
                  "--policy.name=fragrow"]) == 2
     assert "'nan' is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["4,4.0", "2,4,4.0000001"])
+def test_sweep_alpha_duplicate_row_label_exit_2_names_flag(tmp_path, capsys, alphas):
+    path = write_tiny(tmp_path)
+    assert main(["sweep-alpha", path, "--alphas", alphas, "--seeds", "1",
+                 "--policy.name=fragrow"]) == 2
+    captured = capsys.readouterr()
+    assert f"--alphas '{alphas}': two values give the row label 'alpha=4'" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_alpha_requires_fragrow(tmp_path):

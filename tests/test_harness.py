@@ -33,7 +33,7 @@ from growbench import harness
 from growbench.data import Dataset, write_idx
 from growbench.morph import GrowthEvent, WherePolicy
 from growbench.netcore import build_network
-from growbench.arch import ArchSpec, StageSpec, parse_arch
+from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.timing import SHOULD_GROW, PolicyError, i_max, round_half_up
 
 
@@ -586,6 +586,9 @@ def test_config_validation():
         tiny_config(total_epochs=4, min_finetune_epochs=4)
     with pytest.raises(ValueError):
         tiny_config(init="zero")  # test-only rule is not user-facing
+    with pytest.raises(ArchError, match=r"^seed_arch 'res:8x1-8x1', target_arch 'res:8x2': "
+                                        r"stage count mismatch: 2 vs 1$"):
+        tiny_config(target_arch="res:8x2")
     with pytest.raises(ValueError):
         PolicyConfig(name="lipgrow")
     with pytest.raises(ValueError):
