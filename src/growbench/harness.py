@@ -309,8 +309,8 @@ def _run_group(config: TrainConfig,
             where = WherePolicy(config.where, target_arch.blocks_per_stage)
             ensemble = _track_next(net, where) if config.init == "moment" else None
             members = [i for i, (s, _) in enumerate(runs) if s == seed]
-            growth_done = 0 if budget == 0 else None
-            branches.append(_Branch(seed, net, where, ensemble, growth_done, [], members))
+            branches.append(_Branch(seed, net, where, ensemble, 0 if budget == 0 else None, [],
+                                    members))
     except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
         fail(range(len(runs)), exc)
         return outcomes
