@@ -59,17 +59,20 @@ _MODEL_KEYS = ("seed_arch", "target_arch", "where", "init")
 _TRAIN_KEYS = ("total_epochs", "min_finetune_epochs", "lr_base", "batch_size", "run_seed")
 
 
-def _field_types(cls) -> dict[str, type]:
-    return {f.name: type(f.default) for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING}
+def _config_to_values(cfg: CliConfig) -> dict[str, dict[str, object]]:
+    return {
+        "model": {k: getattr(cfg.train, k) for k in _MODEL_KEYS},
+        "policy": dataclasses.asdict(cfg.train.policy),
+        "data": dataclasses.asdict(cfg.train.data),
+        "train": {k: getattr(cfg.train, k) for k in _TRAIN_KEYS},
+        "output": dataclasses.asdict(cfg.output),
+    }
 
 
+# section -> key -> the type of its default, in echo order
 _TYPES: dict[str, dict[str, type]] = {
-    "model": {k: type(getattr(TrainConfig(), k)) for k in _MODEL_KEYS},
-    "policy": _field_types(PolicyConfig),
-    "data": _field_types(DataConfig),
-    "train": {k: type(getattr(TrainConfig(), k)) for k in _TRAIN_KEYS},
-    "output": _field_types(OutputConfig),
+    section: {key: type(v) for key, v in values.items()}
+    for section, values in _config_to_values(CliConfig()).items()
 }
 
 
@@ -134,22 +137,6 @@ def _build_config(values: dict[str, dict[str, object]]) -> CliConfig:
     return CliConfig(train=train, output=output)
 
 
-def _config_to_values(cfg: CliConfig) -> dict[str, dict[str, object]]:
-    return {
-        "model": {k: getattr(cfg.train, k) for k in _MODEL_KEYS},
-        "policy": dataclasses.asdict(cfg.train.policy),
-        "data": dataclasses.asdict(cfg.train.data),
-        "train": {k: getattr(cfg.train, k) for k in _TRAIN_KEYS},
-        "output": dataclasses.asdict(cfg.output),
-    }
-
-
-def _format_value(v: object) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def render_config(cfg: CliConfig) -> str:
     """Echo the effective config; re-parsing this text reproduces cfg."""
     values = _config_to_values(cfg)
@@ -158,7 +145,7 @@ def render_config(cfg: CliConfig) -> str:
         out.append(f"# {desc}")
         out.append(f"[{section}]")
         for key, v in values[section].items():
-            out.append(f"{key} = {_format_value(v)}")
+            out.append(f"{key} = {v}")  # a float prints as its repr, which parses back exactly
         out.append("")
     return "\n".join(out)
 

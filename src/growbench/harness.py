@@ -34,9 +34,9 @@ import numpy as np
 from .arch import ArchError, ArchSpec, parse_arch
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
 from .morph import (
+    INIT_RULES,
     GrowthEvent,
     MomentEnsemble,
-    USER_INIT_RULES,
     WHERE_RULES,
     WherePolicy,
     count_added_blocks,
@@ -56,10 +56,6 @@ from .netcore import (
 )
 from .rng import substream
 from .timing import SHOULD_GROW, PolicyState, average_training_epochs, i_max, orl
-
-# The SGD recipe is fixed: every preset, test and experiment uses it.
-MOMENTUM = 0.9
-WEIGHT_DECAY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -104,6 +100,9 @@ class DataConfig:
             raise ValueError(f"unknown data source {self.source!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        for name in ("per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"data.{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,11 @@ class TrainConfig:
     run_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.total_epochs <= self.min_finetune_epochs:
-            raise ValueError("total_epochs must exceed min_finetune_epochs")
-        if self.init not in USER_INIT_RULES:
-            raise ValueError(f"unknown init rule {self.init!r}, expected one of {USER_INIT_RULES}")
+        if not 0 <= self.min_finetune_epochs < self.total_epochs:
+            raise ValueError(f"train.min_finetune_epochs must be in [0, total_epochs), got "
+                             f"{self.min_finetune_epochs} with total_epochs {self.total_epochs}")
+        if self.init not in INIT_RULES:
+            raise ValueError(f"unknown init rule {self.init!r}, expected one of {INIT_RULES}")
         if self.where not in WHERE_RULES:
             raise ValueError(f"unknown where-policy {self.where!r}, expected one of {WHERE_RULES}")
         if self.batch_size < 1:
@@ -188,6 +188,16 @@ def _read_source(cfg: DataConfig, test: bool) -> tuple[np.ndarray, np.ndarray]:
     return read_csv(cfg.test_csv if test else cfg.train_csv)
 
 
+def _pool_classes(labels: np.ndarray, source: str) -> int:
+    """K of a file-backed training pool, whose labels must cover every class 0..K-1, K >= 2."""
+    present = np.unique(labels)  # sorted, distinct and >= 0: K is the length of 0, 1, ... in it
+    k = int(np.count_nonzero(present == np.arange(len(present))))
+    if k < max(len(present), 2):
+        raise ValueError(f"{source}: no training row has label {k}; the labels must cover every "
+                         f"class from 0 to {max(present[-1], 1)}, with at least 2 classes")
+    return k
+
+
 def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, val, test), standardized on the train split.
 
@@ -195,11 +205,14 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     every split, in the arrays set-up reads or generates: train lives in
     the pool's array, val is copied out of it and test is standardized
     where it is read, so set-up peaks at about 1.07x the bytes it returns.
-    A test label outside the pool's classes is rejected here, naming the
-    test label file; only the three returned splits are checked for NaN.
+    A file-backed pool whose labels miss a class 0..K-1 (K >= 2) and a
+    test label outside the pool's classes are rejected here, naming the
+    label file; only the three returned splits are checked for NaN.
     """
     features, labels = _read_source(cfg, test=False)
-    classes = cfg.classes if cfg.source == "gaussians" else int(labels.max()) + 1
+    classes = cfg.classes
+    if cfg.source != "gaussians":
+        classes = _pool_classes(labels, cfg.train_labels if cfg.source == "idx" else cfg.train_csv)
     train_x, train_y, val_x, val_y, tf = split_standardized(features, labels, cfg.val_fraction,
                                                             cfg.data_seed)
     test_x, test_y = _read_source(cfg, test=True)
@@ -431,7 +444,7 @@ def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: Tra
                                                    f"at epoch {epoch}, batch {batch}")
                 if all(failures):
                     break
-            sgd_step(stack, lr, MOMENTUM, WEIGHT_DECAY)
+            sgd_step(stack, lr)
             for ensemble in ensembles:
                 ensemble.update()
     return failures

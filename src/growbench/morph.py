@@ -16,10 +16,7 @@ import numpy as np
 from .arch import ArchSpec, check_compatible
 from .netcore import BlockKind, Network, he_weight
 
-# "zero" is test-only: it makes a residual block an exact identity, which
-# pins the growth-is-non-destructive invariant. It is not offered in configs.
-USER_INIT_RULES = ("copy", "moment", "random")
-ALL_INIT_RULES = USER_INIT_RULES + ("zero",)
+INIT_RULES = ("copy", "moment", "random")
 
 EMA_DECAY = 0.99
 
@@ -114,7 +111,7 @@ def grow(net: Network, stage: int, init_rule: str,
     """
     if not 0 <= stage < len(net.arch.stages):
         raise GrowthError(f"stage index {stage} out of range")
-    if init_rule not in ALL_INIT_RULES:
+    if init_rule not in INIT_RULES:
         raise GrowthError(f"unknown init rule {init_rule!r}")
     width = net.arch.stages[stage].width
 
@@ -124,12 +121,10 @@ def grow(net: Network, stage: int, init_rule: str,
         if ensemble is None:
             raise GrowthError("moment init requires an ensemble")
         block = init_moment(ensemble)
-    elif init_rule == "random":
+    else:  # random
         if rng is None:
             raise GrowthError("random init requires a generator")
         block = he_weight(rng, width, width), np.zeros(width)
-    else:  # zero (test-only)
-        block = np.zeros((width, width)), np.zeros(width)
 
     net.insert_block(stage, *block)
     return block
@@ -142,8 +137,6 @@ def resolve_init_rule(net: Network, stage: int, requested: str) -> str:
     square; when the predecessor is a downsample block the new block falls
     back to random init.
     """
-    if requested not in ALL_INIT_RULES:
-        raise GrowthError(f"unknown init rule {requested!r}")
     if requested in ("copy", "moment") and net.block(stage)[0] is BlockKind.DOWNSAMPLE:
         return "random"
     return requested

@@ -82,6 +82,11 @@ def _one_blas_thread() -> None:
 
 _one_blas_thread()
 
+# The SGD recipe and evaluation's rows per forward pass; every preset and experiment uses these.
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+EVAL_CHUNK = 4096
+
 
 class BlockKind(enum.Enum):
     PLAIN = "plain"
@@ -334,15 +339,14 @@ def loss_grads_logits(net: Network | Stack, batch: np.ndarray,
     return losses, logits
 
 
-def sgd_step(net: Network | Stack, lr: float | np.ndarray, momentum: float,
-             weight_decay: float) -> None:
-    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in place over the whole store.
+def sgd_step(net: Network | Stack, lr: float | np.ndarray) -> None:
+    """v <- MOMENTUM*v + g + WEIGHT_DECAY*theta; theta <- theta - lr*v, in place over the store.
 
     For a Stack, `lr` may be an (S, 1) column: one learning rate per row.
     """
     v = net.momentum
-    v *= momentum
-    v += net.grads + weight_decay * net.params
+    v *= MOMENTUM
+    v += net.grads + WEIGHT_DECAY * net.params
     net.params -= lr * v
 
 
@@ -362,23 +366,24 @@ def lr_at(lr_base: float, epoch: int, growth_done_epoch: int | None, total_epoch
     return lr_base * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def accuracy_and_loss(net: Network, features: np.ndarray, labels: np.ndarray,
-                      chunk: int = 4096) -> tuple[float, float]:
+def accuracy_and_loss(net: Network, features: np.ndarray,
+                      labels: np.ndarray) -> tuple[float, float]:
     """Full-pass (accuracy %, mean cross-entropy); argmax ties go to the lowest class.
 
-    `chunk` is part of the bytes: OpenBLAS can round a row differently at another row count.
+    EVAL_CHUNK rows go through each forward pass. It is part of the bytes:
+    OpenBLAS can round a row differently at another row count.
     """
     if len(features) == 0:
         raise ValueError("evaluation of an empty dataset is undefined")
     labels = _check_labels(labels, net.arch.num_classes)
     st = stack_networks([net])
     features = _check_batch(st, np.asarray(features)[None])
-    outs = _workspace(st, min(chunk, features.shape[1]), 2)
+    outs = _workspace(st, min(EVAL_CHUNK, features.shape[1]), 2)
     correct = 0
     loss_sum = 0.0
-    for i in range(0, features.shape[1], chunk):
-        y = labels[i : i + chunk]
-        logits = _forward(st, features[:, i : i + chunk], outs)[0]
+    for i in range(0, features.shape[1], EVAL_CHUNK):
+        y = labels[i : i + EVAL_CHUNK]
+        logits = _forward(st, features[:, i : i + EVAL_CHUNK], outs)[0]
         correct += int((np.argmax(logits, axis=1) == y).sum())
         ls = _log_softmax(logits)
         loss_sum += float(-ls[np.arange(len(y)), y].sum())

@@ -16,7 +16,7 @@ from growbench.cli import (
     _build_config,
 )
 from growbench.data import Dataset, write_idx
-from growbench import harness
+from growbench import harness, netcore
 from growbench.harness import DataConfig, TrainConfig, run, write_metrics
 from growbench.presets import BASE_PRESETS, preset_config, preset_names
 
@@ -128,8 +128,8 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 
 def test_defaults_match_published_hyperparameters():
     cfg = TrainConfig()
-    assert harness.MOMENTUM == 0.9
-    assert harness.WEIGHT_DECAY == 1e-4
+    assert netcore.MOMENTUM == 0.9
+    assert netcore.WEIGHT_DECAY == 1e-4
     assert cfg.min_finetune_epochs == 30
     assert cfg.policy.alpha == 4.0
     assert cfg.data.val_fraction == 0.01
@@ -224,6 +224,31 @@ def test_train_incompatible_archs_exit_2_before_setup(tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: seed_arch ")
     assert message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("print_config", [False, True])
+@pytest.mark.parametrize("preset, override, message", [
+    ("underfit", "--data.test_per_class=0", "data.test_per_class must be positive, got 0"),
+    ("underfit", "--data.per_class=-3", "data.per_class must be positive, got -3"),
+    ("underfit_vanilla", "--train.min_finetune_epochs=-1",
+     "train.min_finetune_epochs must be in [0, total_epochs), got -1 with total_epochs 66"),
+    ("underfit", "--train.min_finetune_epochs=-1",
+     "train.min_finetune_epochs must be in [0, total_epochs), got -1 with total_epochs 66"),
+    ("underfit", "--train.min_finetune_epochs=66",
+     "train.min_finetune_epochs must be in [0, total_epochs), got 66 with total_epochs 66"),
+])
+def test_train_bad_count_exit_2_names_key_before_setup(tmp_path, monkeypatch, capsys, preset,
+                                                        override, message, print_config):
+    def no_setup(*args):
+        raise AssertionError("the data was set up")
+
+    monkeypatch.setattr(harness, "build_datasets", no_setup)
+    argv = ["train", preset, override, f"--output.metrics_path={tmp_path / 'm.jsonl'}"]
+    assert main(argv + ["--print-config"] * print_config) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "m.jsonl").exists()
 

@@ -88,7 +88,7 @@ def test_separable_task_is_learnable_quickly():
     net = build_network(arch, 5)
     for _ in range(50):
         loss_grads_logits(net, ds.features, ds.labels)
-        sgd_step(net, lr=0.05, momentum=0.9, weight_decay=0.0)
+        sgd_step(net, lr=0.05)
     assert accuracy_and_loss(net, ds.features, ds.labels)[0] > 99.0
 
 
@@ -430,6 +430,10 @@ def _check_build_datasets(source, params, val_fraction, seed):
         vi, vl, test = _write_idx_pool(tmp, "test", pixels[params["n"]:], labels[params["n"]:])
         cfg = DataConfig(source="idx", train_images=ti, train_labels=tl, test_images=vi,
                          test_labels=vl, val_fraction=val_fraction, data_seed=seed)
+        if len(np.unique(pool.labels)) < max(params["classes"], 2):  # a pool must cover its classes
+            with pytest.raises(ValueError, match=f"^{re.escape(tl)}: no training row has label"):
+                build_datasets(cfg)
+            return
         _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
 
 

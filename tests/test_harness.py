@@ -581,11 +581,47 @@ def test_test_label_outside_pool_classes_fails_at_setup(tmp_path, monkeypatch, s
         run(cfg)
 
 
+_UNCOVERED_POOLS = [  # (labels, first missing label, largest label or 1)
+    ([0] * 21, 1, 1),  # one class
+    ([0, 2, 3] * 7, 1, 3),
+    ([0, 1, 2] * 6 + [1, 5000000, 0], 3, 5000000),  # one stray label; IDX cannot hold it
+]
+
+
+@pytest.mark.parametrize("source, labels, missing, top", [
+    (source, *case) for source in ("idx", "csv") for case in _UNCOVERED_POOLS
+    if source == "csv" or case[2] < 256])
+def test_pool_labels_must_cover_every_class(tmp_path, monkeypatch, source, labels, missing, top):
+    train_fields, train_file = _write_labelled_pair(tmp_path, source, "train", labels)
+    test_fields, _ = _write_labelled_pair(tmp_path, source, "test", [0, 1] * 5)
+    cfg = tiny_config(data=DataConfig(source=source, **train_fields, **test_fields))
+
+    def no_network(*args):
+        raise AssertionError("the network was built")
+
+    monkeypatch.setattr(harness, "build_network", no_network)
+    message = (f"{train_file}: no training row has label {missing}; the labels must cover every "
+               f"class from 0 to {top}, with at least 2 classes")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("source", ["idx", "csv"])
+def test_file_backed_run_writes_its_metrics(tmp_path, source):
+    train_fields, _ = _write_labelled_pair(tmp_path, source, "train", [0, 1, 2] * 20)
+    test_fields, _ = _write_labelled_pair(tmp_path, source, "test", [2, 1, 0] * 5)
+    cfg = tiny_config(data=DataConfig(source=source, **train_fields, **test_fields))
+    assert [type(ds.num_classes) for ds in build_datasets(cfg.data)] == [int] * 3
+    result = run(cfg)
+    write_metrics(result, str(tmp_path / "m.jsonl"))
+    assert read_metrics(str(tmp_path / "m.jsonl")) == result
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(total_epochs=4, min_finetune_epochs=4)
     with pytest.raises(ValueError):
-        tiny_config(init="zero")  # test-only rule is not user-facing
+        tiny_config(init="zero")  # an all-zero block is no init rule
     with pytest.raises(ArchError, match=r"^seed_arch 'res:8x1-8x1', target_arch 'res:8x2': "
                                         r"stage count mismatch: 2 vs 1$"):
         tiny_config(target_arch="res:8x2")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.morph import (
-    ALL_INIT_RULES,
+    INIT_RULES,
     GrowthError,
     MomentEnsemble,
     WherePolicy,
@@ -36,6 +36,13 @@ def paths(net):
 def block_views(net, stage, index):
     """(weight, bias) views of `stage`'s block `index` in `net.params`."""
     return net.views(net.params)[paths(net).index((stage, index))]
+
+
+def insert_zero_block(net, stage):
+    """Append an all-zero square block to `stage`: an exact identity in a residual net."""
+    width = net.arch.stages[stage].width
+    net.insert_block(stage, np.zeros((width, width)), np.zeros(width))
+    return net.views(net.params)[paths(net).index((stage, net.blocks_per_stage()[stage] - 1))]
 
 
 def logits(net, x):
@@ -195,8 +202,8 @@ def test_moment_ensemble_follows_reallocation():
     net = build_network(arch((2, 2)), 5)
     ens = MomentEnsemble.track(net, 1)
     s0 = net.params[net.block(1, 1)[1]].copy()
-    grow(net, 0, "zero")  # reallocates the parameter store and moves the tracked block
-    grow(net, 1, "zero")  # appends after the tracked block
+    insert_zero_block(net, 0)  # reallocates the parameter store and moves the tracked block
+    insert_zero_block(net, 1)  # appends after the tracked block
     assert (ens.net, ens.stage, ens.index) == (net, 1, 1)
     net.params[net.block(1, 1)[1]] += 2.0
     ens.update()
@@ -212,7 +219,7 @@ def test_moment_requires_an_update():
 
 def test_second_growth_tracks_new_preceding_block():
     net = build_network(arch((2,)), 5)
-    first_w, _ = grow(net, 0, "zero")
+    first_w, _ = insert_zero_block(net, 0)
     # re-tracking after growth must shadow the block just inserted
     ens = MomentEnsemble.track(net, 0)
     ens.update()
@@ -226,7 +233,7 @@ def test_grow_zero_init_preserves_function():
     net = build_network(arch((2, 2)), 9)
     x = np.random.default_rng(0).normal(size=(7, 6))
     before = logits(net, x)
-    grow(net, 1, "zero")
+    insert_zero_block(net, 1)
     np.testing.assert_array_equal(logits(net, x), before)
 
 
@@ -275,8 +282,9 @@ def test_grow_rejects_bad_requests():
     net = build_network(arch((2, 2)), 9)
     with pytest.raises(GrowthError):
         grow(net, 5, "copy")
-    with pytest.raises(GrowthError):
-        grow(net, 0, "sideways")
+    for rule in ("sideways", "zero"):
+        with pytest.raises(GrowthError):
+            grow(net, 0, rule)
     with pytest.raises(GrowthError):
         grow(net, 0, "random")  # no rng provided
     with pytest.raises(GrowthError):
@@ -334,7 +342,7 @@ def _snapshot(net):
 
 @pytest.mark.parametrize("family", ("plain", "res"))
 @pytest.mark.parametrize("where", ("sequential", "circulation"))
-@pytest.mark.parametrize("rule", ALL_INIT_RULES)
+@pytest.mark.parametrize("rule", INIT_RULES + ("zero",))  # zero: Network.insert_block of zeros
 def test_flat_store_views_after_every_growth(rule, where, family):
     seed, target = arch((1, 1, 1), family), arch((3, 2, 2), family)
     net = build_network(seed, 4)
@@ -344,13 +352,16 @@ def test_flat_store_views_after_every_growth(rule, where, family):
     for k in range(count_added_blocks(seed, target)):
         net.momentum[:] = rng.normal(size=net.momentum.size)
         loc = policy.advance(net.blocks_per_stage())
-        resolved = resolve_init_rule(net, loc, rule)
+        resolved = rule if rule == "zero" else resolve_init_rule(net, loc, rule)
         ensemble = None
         if resolved == "moment":
             ensemble = MomentEnsemble.track(net, loc)
             ensemble.update()
         before = _snapshot(net)
-        grow(net, loc, resolved, rng=substream(4, "grow", k), ensemble=ensemble)
+        if resolved == "zero":
+            insert_zero_block(net, loc)
+        else:
+            grow(net, loc, resolved, rng=substream(4, "grow", k), ensemble=ensemble)
         assert_flat_store(net)
         after = _snapshot(net)
         new_path = (loc, net.blocks_per_stage()[loc] - 1)

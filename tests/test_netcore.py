@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growbench import netcore
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.data import Dataset, gaussian_arrays
 from growbench.netcore import (
@@ -172,14 +173,35 @@ def test_forward_matches_reference_bitwise(family):
     x = rng.normal(size=(20, 7))
     y = rng.integers(0, 4, size=20)
     assert logits(net, x).tobytes() == reference_logits(net, x).tobytes()
-    for chunk in (6, 4096):  # 6: three full chunks and a partial last one
-        correct, loss_sum = 0, 0.0
-        for i in range(0, 20, chunk):
-            ref = reference_logits(net, x[i : i + chunk])
-            correct += int((np.argmax(ref, axis=1) == y[i : i + chunk]).sum())
-            loss_sum += float(-_log_softmax(ref)[np.arange(len(ref)), y[i : i + chunk]].sum())
-        acc, loss = accuracy_and_loss(net, x, y, chunk=chunk)
-        assert (acc, loss) == (100.0 * correct / 20, loss_sum / 20)
+    ref = reference_logits(net, x)
+    correct = int((np.argmax(ref, axis=1) == y).sum())
+    loss_sum = float(-_log_softmax(ref)[np.arange(20), y].sum())
+    assert accuracy_and_loss(net, x, y) == (100.0 * correct / 20, loss_sum / 20)
+
+
+def test_evaluation_runs_in_4096_row_chunks(monkeypatch):
+    # two full chunks and a partial last one, each with the reference's bits
+    arch = small_arch(family="res", widths=(4, 3), blocks=(1, 1), input_dim=3, classes=3)
+    net = build_network(arch, 5)
+    rng = np.random.default_rng(9)
+    n = 2 * 4096 + 5
+    x = rng.normal(size=(n, 3))
+    y = rng.integers(0, 3, size=n)
+    correct, loss_sum = 0, 0.0
+    for i in range(0, n, 4096):
+        ref = reference_logits(net, x[i : i + 4096])
+        correct += int((np.argmax(ref, axis=1) == y[i : i + 4096]).sum())
+        loss_sum += float(-_log_softmax(ref)[np.arange(len(ref)), y[i : i + 4096]].sum())
+    rows = []
+    forward = netcore._forward
+
+    def counting_forward(st, x, outs, masks=None):
+        rows.append(x.shape[1])
+        return forward(st, x, outs, masks)
+
+    monkeypatch.setattr(netcore, "_forward", counting_forward)
+    assert accuracy_and_loss(net, x, y) == (100.0 * correct / n, loss_sum / n)
+    assert rows == [4096, 4096, 5]
 
 
 def test_forward_rejects_dim_mismatch():
@@ -263,48 +285,52 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
 
 
 # --- sgd_step ---------------------------------------------------------------
+# The recipe is momentum 0.9 and weight decay 1e-4, folded into the buffer:
+# v <- 0.9 v + g + 1e-4 theta; theta <- theta - lr v.
 
-def _step(net, g, lr, momentum=0.0, weight_decay=0.0):
+def _step(net, g, lr):
     """One sgd_step with every gradient set to `g`."""
     net.grads[:] = g
-    sgd_step(net, lr, momentum, weight_decay)
+    sgd_step(net, lr)
 
 
-def test_sgd_plain_step_without_momentum():
+def test_sgd_first_step_from_zero_momentum():
     net = build_network(small_arch(), 0)
     before = flatten_params(net).copy()
     _step(net, 0.5, lr=0.1)
-    np.testing.assert_allclose(flatten_params(net), before - 0.1 * 0.5, atol=1e-15)
+    np.testing.assert_allclose(flatten_params(net), before - 0.1 * (0.5 + 1e-4 * before),
+                               rtol=0, atol=1e-15)
 
 
 def test_sgd_zero_lr_updates_buffers_only():
     net = build_network(small_arch(), 0)
-    before = flatten_params(net).copy()
-    _step(net, 1.0, lr=0.0, momentum=0.9)
-    np.testing.assert_array_equal(flatten_params(net), before)
-    assert net.views(net.momentum)[-1][0].max() == 1.0  # v = g after one step
-    np.testing.assert_array_equal(net.momentum, net.grads)
+    before = net.params.copy()
+    _step(net, 1.0, lr=0.0)
+    np.testing.assert_array_equal(net.params, before)
+    np.testing.assert_allclose(net.momentum, 1.0 + 1e-4 * before, rtol=0, atol=1e-15)
+    _step(net, 1.0, lr=0.0)
+    np.testing.assert_allclose(net.momentum, 1.9 * (1.0 + 1e-4 * before), rtol=0, atol=1e-15)
 
 
 def test_sgd_two_steps_momentum_unrolled():
-    # v1 = g, v2 = 0.9 g + g; total delta = -lr (g + 1.9 g)
     net = build_network(small_arch(), 0)
-    g = 0.25
-    lr = 0.1
-    before = flatten_params(net).copy()
-    _step(net, g, lr, momentum=0.9)
-    _step(net, g, lr, momentum=0.9)
-    np.testing.assert_allclose(
-        flatten_params(net), before - lr * (g + 1.9 * g), atol=1e-14
-    )
+    g, lr = 0.25, 0.1
+    t0 = net.params.copy()
+    v1 = g + 1e-4 * t0
+    t1 = t0 - lr * v1
+    v2 = 0.9 * v1 + g + 1e-4 * t1
+    _step(net, g, lr)
+    _step(net, g, lr)
+    np.testing.assert_allclose(net.params, t1 - lr * v2, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(net.momentum, v2, rtol=0, atol=1e-14)
 
 
 def test_sgd_weight_decay_in_buffer():
     net = build_network(small_arch(), 0)
     w0 = classifier(net)[0].copy()
-    _step(net, 0.0, lr=1.0, weight_decay=0.1)
-    np.testing.assert_allclose(classifier(net)[0], w0 - 0.1 * w0, atol=1e-14)
-
+    _step(net, 0.0, lr=1.0)
+    np.testing.assert_allclose(classifier(net)[0], w0 - 1e-4 * w0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(net.views(net.momentum)[-1][0], 1e-4 * w0, rtol=0, atol=1e-16)
 
 
 def test_copy_has_same_bits_and_trains_independently():
@@ -313,16 +339,16 @@ def test_copy_has_same_bits_and_trains_independently():
     labels = np.array([0, 1, 2, 0])
     for _ in range(2):
         loss_grads_logits(net, x, labels)
-        sgd_step(net, 0.1, 0.9, 1e-4)
+        sgd_step(net, 0.1)
     twin = net.copy()
     np.testing.assert_array_equal(twin.params, net.params)
     np.testing.assert_array_equal(twin.momentum, net.momentum)
     for a in (net, twin):
         loss_grads_logits(a, x, labels)
-        sgd_step(a, 0.1, 0.9, 1e-4)
+        sgd_step(a, 0.1)
     np.testing.assert_array_equal(twin.params, net.params)
     loss_grads_logits(twin, x, labels)
-    sgd_step(twin, 0.1, 0.9, 1e-4)
+    sgd_step(twin, 0.1)
     assert not np.array_equal(twin.params, net.params)
     twin_arrays = [a for w, b in twin.views(twin.params) for a in (w, b)]
     assert not any(np.shares_memory(a, net.params) for a in twin_arrays)
@@ -417,9 +443,9 @@ def test_property_stacked_step_equals_solo_steps(case, seed):
             loss, _ = loss_grads_logits(net, x[s], labels[s])
             assert float(losses[s]) == loss == ref_loss
             assert stack.grads[s].tobytes() == net.grads.tobytes() == ref_grads.tobytes()
-        sgd_step(stack, lrs, 0.9, 1e-4)
+        sgd_step(stack, lrs)
         for s, net in enumerate(solo):
-            sgd_step(net, float(lrs[s, 0]), 0.9, 1e-4)
+            sgd_step(net, float(lrs[s, 0]))
             assert stack.params[s].tobytes() == net.params.tobytes()
             assert stack.momentum[s].tobytes() == net.momentum.tobytes()
 
@@ -505,7 +531,7 @@ def test_loss_drops_on_separable_task():
         first, _ = loss_grads_logits(net, ds.features, ds.labels)
         for _ in range(50):
             loss_grads_logits(net, ds.features, ds.labels)
-            sgd_step(net, lr=0.05, momentum=0.9, weight_decay=0.0)
+            sgd_step(net, lr=0.05)
         final, _ = loss_grads_logits(net, ds.features, ds.labels)
         ratios.append(final / first)
     assert sorted(ratios)[1] < 0.1
