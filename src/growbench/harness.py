@@ -46,6 +46,7 @@ from .morph import (
 from .netcore import (
     BlockKind,
     Network,
+    accuracy,
     accuracy_and_loss,
     build_network,
     layers,
@@ -239,11 +240,13 @@ def config_added_blocks(config: TrainConfig) -> int:
 
 
 def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalReport:
-    """Full-pass accuracies on all three splits plus full-train loss."""
+    """Full-pass accuracies on all three splits plus full-train loss.
+
+    Only the train split's loss is recorded, so val and test compute argmax only.
+    """
     train_acc, train_loss = accuracy_and_loss(net, train.features, train.labels)
-    val_acc, _ = accuracy_and_loss(net, val.features, val.labels)
-    test_acc, _ = accuracy_and_loss(net, test.features, test.labels)
-    return EvalReport(train_acc, val_acc, test_acc, train_loss)
+    return EvalReport(train_acc, accuracy(net, val.features, val.labels),
+                      accuracy(net, test.features, test.labels), train_loss)
 
 
 def _track_next(net: Network, where: WherePolicy) -> MomentEnsemble | None:

@@ -27,7 +27,8 @@ the 2-D product, and every other op acts per element or along one row's
 axis, so row s computes exactly what network s would alone and a NaN in
 one row cannot reach another. A lone network is a stack of one.
 Training and evaluation share one forward pass, which writes block outputs
-(and, for training, z > 0 as 1.0 / 0.0 masks) in place into workspace views.
+(and, for training, z > 0 as 1.0 / 0.0 masks) in place into workspace views;
+evaluation also writes its logits into one reused buffer.
 
 The optimizer is SGD with momentum and weight decay folded into the
 momentum buffer, v <- mu*v + g + wd*theta; theta <- theta - lr*v, applied
@@ -43,6 +44,7 @@ import functools
 import glob
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -264,8 +266,12 @@ def _workspace(st: Stack, n: int, count: int) -> list[np.ndarray]:
 
 
 def _forward(st: Stack, x: np.ndarray, outs: list[np.ndarray],
-             masks: list[np.ndarray] | None = None) -> np.ndarray:
-    """(S, n, C) logits of a checked batch; block k writes outs[k][:, :n] and z > 0 into masks[k]."""
+             masks: list[np.ndarray] | None = None,
+             logits: np.ndarray | None = None) -> np.ndarray:
+    """(S, n, C) logits of a checked batch; block k writes outs[k][:, :n] and z > 0 into masks[k].
+
+    The logits go into `logits` when given, a new array otherwise.
+    """
     n = x.shape[1]
     for k, kind in enumerate(st.kinds):
         y = outs[k][:, :n]
@@ -277,7 +283,11 @@ def _forward(st: Stack, x: np.ndarray, outs: list[np.ndarray],
         if kind is BlockKind.RESIDUAL:
             y += x
         x = y
-    return x @ st.weights[-1].mT + st.biases[-1]
+    if logits is None:
+        return x @ st.weights[-1].mT + st.biases[-1]
+    np.matmul(x, st.weights[-1].mT, out=logits)
+    logits += st.biases[-1]
+    return logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -366,26 +376,53 @@ def lr_at(lr_base: float, epoch: int, growth_done_epoch: int | None, total_epoch
     return lr_base * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
+def _eval_chunks(net: Network, features: np.ndarray,
+                 labels: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(logits, labels) of each EVAL_CHUNK-row chunk; one workspace and logits buffer serve all.
+
+    EVAL_CHUNK is part of the bytes: OpenBLAS can round a row differently
+    at another row count.
+    """
+    n = len(features)
+    if n == 0:
+        raise ValueError("evaluation of an empty dataset is undefined")
+    labels = _check_labels(labels, net.arch.num_classes)
+    if labels.shape != (n,):
+        raise ValueError(f"labels have shape {labels.shape}, expected ({n},): one per feature row")
+    st = stack_networks([net])
+    features = _check_batch(st, np.asarray(features)[None])
+    rows = min(EVAL_CHUNK, n)
+    outs = _workspace(st, rows, 2)
+    buffer = np.empty((1, rows, net.arch.num_classes))
+    for i in range(0, n, EVAL_CHUNK):
+        x = features[:, i : i + EVAL_CHUNK]
+        yield _forward(st, x, outs, logits=buffer[:, : x.shape[1]])[0], labels[i : i + EVAL_CHUNK]
+
+
+def accuracy(net: Network, features: np.ndarray, labels: np.ndarray) -> float:
+    """Full-pass accuracy %; argmax ties go to the lowest class."""
+    correct = sum(int((np.argmax(logits, axis=1) == y).sum())
+                  for logits, y in _eval_chunks(net, features, labels))
+    return 100.0 * correct / len(features)
+
+
 def accuracy_and_loss(net: Network, features: np.ndarray,
                       labels: np.ndarray) -> tuple[float, float]:
     """Full-pass (accuracy %, mean cross-entropy); argmax ties go to the lowest class.
 
-    EVAL_CHUNK rows go through each forward pass. It is part of the bytes:
-    OpenBLAS can round a row differently at another row count.
+    A row's loss is log(sum(exp(shifted))) - shifted[label], with the
+    logits shifted by the row max in place: the same exact subtraction as
+    -_log_softmax(logits)[label] with its sign flipped, so the same bits,
+    without a (rows, C) log-softmax.
     """
-    if len(features) == 0:
-        raise ValueError("evaluation of an empty dataset is undefined")
-    labels = _check_labels(labels, net.arch.num_classes)
-    st = stack_networks([net])
-    features = _check_batch(st, np.asarray(features)[None])
-    outs = _workspace(st, min(EVAL_CHUNK, features.shape[1]), 2)
     correct = 0
     loss_sum = 0.0
-    for i in range(0, features.shape[1], EVAL_CHUNK):
-        y = labels[i : i + EVAL_CHUNK]
-        logits = _forward(st, features[:, i : i + EVAL_CHUNK], outs)[0]
-        correct += int((np.argmax(logits, axis=1) == y).sum())
-        ls = _log_softmax(logits)
-        loss_sum += float(-ls[np.arange(len(y)), y].sum())
-    n = features.shape[1]
-    return 100.0 * correct / n, loss_sum / n
+    for logits, y in _eval_chunks(net, features, labels):
+        rows = np.arange(len(y))
+        top = np.argmax(logits, axis=1)
+        correct += int((top == y).sum())
+        logits -= logits[rows, top][:, None]  # the row max, as max() returns it
+        picked = logits[rows, y]
+        np.exp(logits, out=logits)
+        loss_sum += float((np.log(logits.sum(axis=1)) - picked).sum())
+    return 100.0 * correct / len(features), loss_sum / len(features)

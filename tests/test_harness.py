@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from growbench.harness import (
 from growbench import harness
 from growbench.data import Dataset, write_idx
 from growbench.morph import GrowthEvent, WherePolicy
-from growbench.netcore import build_network
+from growbench.netcore import EVAL_CHUNK, build_network, layers
+from growbench.presets import preset_config
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.timing import SHOULD_GROW, PolicyError, i_max, round_half_up
 
@@ -512,6 +514,25 @@ def test_evaluate_chance_level_and_degenerate_val():
     assert abs(report.test_acc - 100.0 / 3) < 10.0
     same = evaluate(net, train, train, test)
     assert same.train_acc == same.val_acc
+
+
+def test_evaluate_peak_memory_is_one_set_of_chunk_buffers():
+    # underfit's splits on its target net. Each split's evaluation holds a
+    # two-slab workspace and one (chunk, C) logits buffer, plus vectors of
+    # one value per row, and peaks near 1.12x those bytes; a loss through
+    # a (chunk, C) log-softmax and its temporaries peaks near 2.2x.
+    cfg = preset_config("underfit")
+    train, val, test = build_datasets(cfg.data)
+    net = build_network(parse_arch(cfg.target_arch, train.dim, train.num_classes), 0)
+    width = max(shape[0] for _, shape in layers(net.arch)[:-1])
+    buffers = 8 * EVAL_CHUNK * (2 * width + train.num_classes)
+    tracemalloc.start()
+    try:
+        evaluate(net, train, val, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * buffers, f"peak {peak / buffers:.2f}x the chunk buffers"
 
 
 @pytest.mark.filterwarnings("error")

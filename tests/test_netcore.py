@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growbench import netcore
@@ -11,6 +11,7 @@ from growbench.data import Dataset, gaussian_arrays
 from growbench.netcore import (
     BlockKind,
     _log_softmax,
+    accuracy,
     accuracy_and_loss,
     build_network,
     layers,
@@ -122,6 +123,16 @@ def test_parse_arch_round_trip():
 
 # --- forward ----------------------------------------------------------------
 
+def chunked_reference(net, x, y):
+    """(accuracy %, mean loss) from reference_logits + _log_softmax + argmax, per 4096 rows."""
+    correct, loss_sum = 0, 0.0
+    for i in range(0, len(x), 4096):
+        ref = reference_logits(net, x[i : i + 4096])
+        correct += int((np.argmax(ref, axis=1) == y[i : i + 4096]).sum())
+        loss_sum += float(-_log_softmax(ref)[np.arange(len(ref)), y[i : i + 4096]].sum())
+    return 100.0 * correct / len(x), loss_sum / len(x)
+
+
 def reference_logits(net, x):
     """The allocating forward: relu(x @ W.T + b) per block, plus x for residual blocks."""
     for kind, w, b in blocks(net):
@@ -173,10 +184,7 @@ def test_forward_matches_reference_bitwise(family):
     x = rng.normal(size=(20, 7))
     y = rng.integers(0, 4, size=20)
     assert logits(net, x).tobytes() == reference_logits(net, x).tobytes()
-    ref = reference_logits(net, x)
-    correct = int((np.argmax(ref, axis=1) == y).sum())
-    loss_sum = float(-_log_softmax(ref)[np.arange(20), y].sum())
-    assert accuracy_and_loss(net, x, y) == (100.0 * correct / 20, loss_sum / 20)
+    assert accuracy_and_loss(net, x, y) == chunked_reference(net, x, y)
 
 
 def test_evaluation_runs_in_4096_row_chunks(monkeypatch):
@@ -187,21 +195,64 @@ def test_evaluation_runs_in_4096_row_chunks(monkeypatch):
     n = 2 * 4096 + 5
     x = rng.normal(size=(n, 3))
     y = rng.integers(0, 3, size=n)
-    correct, loss_sum = 0, 0.0
-    for i in range(0, n, 4096):
-        ref = reference_logits(net, x[i : i + 4096])
-        correct += int((np.argmax(ref, axis=1) == y[i : i + 4096]).sum())
-        loss_sum += float(-_log_softmax(ref)[np.arange(len(ref)), y[i : i + 4096]].sum())
+    acc, loss = chunked_reference(net, x, y)
     rows = []
     forward = netcore._forward
 
-    def counting_forward(st, x, outs, masks=None):
+    def counting_forward(st, x, *args, **kwargs):
         rows.append(x.shape[1])
-        return forward(st, x, outs, masks)
+        return forward(st, x, *args, **kwargs)
 
     monkeypatch.setattr(netcore, "_forward", counting_forward)
-    assert accuracy_and_loss(net, x, y) == (100.0 * correct / n, loss_sum / n)
+    assert accuracy_and_loss(net, x, y) == (acc, loss)
     assert rows == [4096, 4096, 5]
+    rows.clear()
+    assert accuracy(net, x, y) == acc
+    assert rows == [4096, 4096, 5]
+
+
+@st.composite
+def eval_nets(draw):
+    """Plain or residual nets of 2-20 classes, downsampling where a stage's width changes."""
+    family = draw(st.sampled_from(("plain", "res")))
+    widths = draw(st.lists(st.sampled_from((4, 16)), min_size=1, max_size=2))
+    blocks = [draw(st.integers(1, 2)) for _ in widths]
+    return small_arch(family, tuple(widths), tuple(blocks), input_dim=draw(st.sampled_from((3, 24))),
+                      classes=draw(st.integers(2, 20)))
+
+
+@pytest.mark.parametrize("n", (1, 4095, 4096, 4097, 2 * 4096 + 5))
+@settings(max_examples=8, deadline=None)
+@given(arch=eval_nets(), seed=st.integers(0, 2**16), ties=st.booleans())
+@example(arch=small_arch("res", (4,), (1,), input_dim=3, classes=7), seed=3, ties=True)
+def test_property_evaluation_equals_log_softmax_reference(n, arch, seed, ties):
+    """accuracy_and_loss and accuracy give the reference's Python floats, bit for bit.
+
+    With `ties` the classifier is zeroed, so every logit is 0 and every
+    row's argmax is class 0.
+    """
+    net = build_network(arch, seed)
+    if ties:
+        for a in classifier(net):
+            a[:] = 0.0
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, arch.input_dim))
+    y = rng.integers(0, arch.num_classes, size=n)
+    acc, loss = chunked_reference(net, x, y)
+    if ties:
+        assert acc == 100.0 * np.count_nonzero(y == 0) / n
+    assert accuracy_and_loss(net, x, y) == (acc, loss)
+    assert accuracy(net, x, y) == acc
+
+
+@pytest.mark.parametrize("evaluate", (accuracy_and_loss, accuracy))
+def test_evaluation_rejects_a_label_count_unlike_the_row_count(evaluate):
+    # one label would broadcast over all 10 rows: a loss from one row divided by 10
+    net = build_network(small_arch(), 0)
+    x = np.random.default_rng(0).normal(size=(10, 5))
+    for labels in (np.array([1]), np.zeros(11, dtype=np.int64)):
+        with pytest.raises(ValueError, match=rf"labels have shape \({len(labels)},\), expected \(10,\)"):
+            evaluate(net, x, labels)
 
 
 def test_forward_rejects_dim_mismatch():
