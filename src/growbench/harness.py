@@ -104,6 +104,14 @@ class DataConfig:
         for name in ("per_class", "test_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError(f"data.{name} must be positive, got {getattr(self, name)}")
+        if self.source != "gaussians":
+            return
+        if self.classes < 2:
+            raise ValueError(f"data.classes must be at least 2, got {self.classes}")
+        if self.dim < self.classes:
+            raise ValueError(f"data.dim must be at least data.classes {self.classes}, got {self.dim}")
+        if not 0.0 <= self.label_noise < 0.5:
+            raise ValueError(f"data.label_noise must be in [0, 0.5), got {self.label_noise}")
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,9 @@ def test_train_incompatible_archs_exit_2_before_setup(tmp_path, monkeypatch, cap
      "train.min_finetune_epochs must be in [0, total_epochs), got -1 with total_epochs 66"),
     ("underfit", "--train.min_finetune_epochs=66",
      "train.min_finetune_epochs must be in [0, total_epochs), got 66 with total_epochs 66"),
+    ("underfit", "--data.classes=1", "data.classes must be at least 2, got 1"),
+    ("underfit", "--data.dim=3", "data.dim must be at least data.classes 20, got 3"),
+    ("underfit", "--data.label_noise=0.7", "data.label_noise must be in [0, 0.5), got 0.7"),
 ])
 def test_train_bad_count_exit_2_names_key_before_setup(tmp_path, monkeypatch, capsys, preset,
                                                         override, message, print_config):
