@@ -283,9 +283,7 @@ def _forward(st: Stack, x: np.ndarray, outs: list[np.ndarray],
         if kind is BlockKind.RESIDUAL:
             y += x
         x = y
-    if logits is None:
-        return x @ st.weights[-1].mT + st.biases[-1]
-    np.matmul(x, st.weights[-1].mT, out=logits)
+    logits = np.matmul(x, st.weights[-1].mT, out=logits)
     logits += st.biases[-1]
     return logits
 
