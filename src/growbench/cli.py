@@ -216,10 +216,14 @@ def cmd_train(args: argparse.Namespace, overrides: list[str]) -> int:
 def cmd_compare(args: argparse.Namespace, overrides: list[str]) -> int:
     if len(args.configs) < 2:
         raise ConfigError("compare needs at least two configs")
-    labeled = []
-    for source in args.configs:
-        label = os.path.splitext(os.path.basename(source))[0]
-        labeled.append((label, load_config(source, overrides).train))
+    labels = [os.path.splitext(os.path.basename(source))[0] for source in args.configs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            first = args.configs[labels.index(label)]
+            raise ConfigError(f"{first} and {args.configs[i]} give the same row label {label!r}; "
+                              "rename one of the files")
+    labeled = [(label, load_config(source, overrides).train)
+               for label, source in zip(labels, args.configs)]
     table = compare(labeled, list(range(args.seeds)))
     print(table.to_text())
     if args.csv:

@@ -34,7 +34,7 @@ SEEDS = (0, 1, 2, 3, 4)
 # Every preset label the criteria read.
 LABELS = ("overfit", "overfit_periodic", "overfit_convergent", "overfit_periodic_fast",
           "overfit_vanilla", "underfit", "underfit_periodic", "underfit_convergent",
-          "underfit_a2", "underfit_a6")
+          "underfit_vanilla", "underfit_a2", "underfit_a6")
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 50
@@ -251,6 +251,17 @@ def test_c4_regularization_ordering(cache):
            f"median final train error: slow {slow:.2f} >= fast {fast:.2f} >= "
            f"vanilla {vanilla:.2f}, slow-vanilla gap {slow - vanilla:.2f} (need >= 1.00); "
            f"median train MACs: vanilla {costs[0]:,} > fast {costs[1]:,} > slow {costs[2]:,}")
+
+
+def test_c4_underfit_growth_costs_less_than_vanilla(cache):
+    # the cost arm of criterion 4 on the other preset: every growing policy
+    # trains for fewer forward MACs than the target net from scratch
+    vanilla, *growing = (median([r.train_macs for r in cache.results(label)])
+                         for label in ("underfit_vanilla", "underfit", "underfit_periodic",
+                                       "underfit_convergent"))
+    report(4, all(cost < vanilla for cost in growing),
+           f"underfit median train MACs: vanilla {vanilla:,} > fragrow {growing[0]:,}, "
+           f"periodic {growing[1]:,}, convergent {growing[2]:,}")
 
 
 # --- criterion 5: fitting-risk regime separation ---------------------------------

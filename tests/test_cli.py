@@ -289,14 +289,14 @@ def test_compare_command(tmp_path, capsys):
     assert csv_path.read_text().startswith("config,")
 
 
-def test_compare_same_label_twice_exit_1(tmp_path, capsys):
+def test_compare_same_label_twice_exit_2_names_both_paths(tmp_path, capsys):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     a = write_tiny(tmp_path / "a", "x.cfg")
     b = write_tiny(tmp_path / "b", "x.cfg")
-    assert main(["compare", a, b, "--seeds", "1"]) == 1
+    assert main(["compare", a, b, "--seeds", "1"]) == 2
     captured = capsys.readouterr()
-    assert "duplicate config label 'x'" in captured.err
+    assert f"{a} and {b} give the same row label 'x'" in captured.err
     assert captured.out == ""
 
 

@@ -1,8 +1,11 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from growbench.svgplot import Series, render_chart
+from growbench.svgplot import Series, escape, render_chart
 
 
 def test_chart_is_well_formed_xml():
@@ -33,10 +36,22 @@ def test_event_markers_drawn():
 
 
 def test_title_escaped():
-    s = Series("a<b", (0, 1), (0.0, 1.0))
-    svg = render_chart([s], title="x < y & z")
-    ET.fromstring(svg)  # must stay well-formed
+    s = Series("a<b&c>d", (0, 1), (0.0, 1.0))
+    svg = render_chart([s], title="x < y & z", ylabel="<&> loss")
+    root = ET.fromstring(svg)  # must stay well-formed
     assert "x &lt; y &amp; z" in svg
+    assert "&lt;&amp;&gt; loss" in svg and "a&lt;b&amp;c&gt;d" in svg
+    texts = {el.text for el in root.iter() if el.tag.endswith("text")}
+    assert {"x < y & z", "<&> loss", "a<b&c>d"} <= texts
+
+
+@given(st.text())
+@example("&")
+@example("&amp;")
+@example("<tag attr=\"v\">a & 'b'</tag>")
+@example("µ < ε ≥ 0 & 日本 > ☃")
+def test_escape_matches_saxutils(text):
+    assert escape(text) == sax_escape(text)
 
 
 def test_empty_series_rejected():
