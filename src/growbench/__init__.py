@@ -1,13 +1,11 @@
 """growbench: staged-network growth training with risk-aware growth timing."""
 
 from .arch import ArchSpec, StageSpec, parse_arch
+from .config import DataConfig, PolicyConfig, TrainConfig
 from .data import Dataset
 from .harness import (
-    DataConfig,
     EpochMetrics,
-    PolicyConfig,
     RunResult,
-    TrainConfig,
     compare,
     evaluate,
     read_metrics,

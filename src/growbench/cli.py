@@ -1,171 +1,31 @@
 """Command-line entry point: train, compare, sweep-alpha, plot.
 
-Configs are line-oriented text with [section] headers and key = value
-pairs; every field of the training configuration is addressable and any
-key can be overridden on the command line with --section.key=value.
+A config is a file (see `config`) or a preset name, and any of its keys
+can be overridden with --section.key=value.
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import os
-import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-from .harness import (
-    DataConfig,
-    PolicyConfig,
-    RunResult,
-    TrainConfig,
-    compare,
-    read_metrics,
-    run,
-    write_metrics,
+from .config import (
+    CliConfig,
+    ConfigError,
+    _build_config,
+    _config_to_values,
+    _finite_float,
+    apply_overrides,
+    parse_config_text,
+    render_config,
 )
+from .harness import RunResult, compare, read_metrics, run, write_metrics
 from .presets import preset_config, preset_names
 from .svgplot import Series, render_chart
 from .timing import interval
-
-
-class ConfigError(ValueError):
-    """Config-file or override problem; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    metrics_path: str = "metrics.jsonl"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    train: TrainConfig = field(default_factory=TrainConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-
-
-# section name -> description used in echo output
-_SECTIONS = {
-    "model": "architecture and growth mechanics",
-    "policy": "when-to-grow policy",
-    "data": "dataset recipe and split",
-    "train": "optimization schedule",
-    "output": "artifact paths",
-}
-
-_MODEL_KEYS = ("seed_arch", "target_arch", "where", "init")
-_TRAIN_KEYS = ("total_epochs", "min_finetune_epochs", "lr_base", "batch_size", "run_seed")
-
-
-def _config_to_values(cfg: CliConfig) -> dict[str, dict[str, object]]:
-    return {
-        "model": {k: getattr(cfg.train, k) for k in _MODEL_KEYS},
-        "policy": dataclasses.asdict(cfg.train.policy),
-        "data": dataclasses.asdict(cfg.train.data),
-        "train": {k: getattr(cfg.train, k) for k in _TRAIN_KEYS},
-        "output": dataclasses.asdict(cfg.output),
-    }
-
-
-# section -> key -> the type of its default, in echo order
-_TYPES: dict[str, dict[str, type]] = {
-    section: {key: type(v) for key, v in values.items()}
-    for section, values in _config_to_values(CliConfig()).items()
-}
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
-    return value
-
-
-def _cast(section: str, key: str, raw: str, where: str) -> object:
-    ty = _TYPES[section][key]
-    raw = raw.strip()
-    try:
-        if ty is int:
-            return int(raw)
-        if ty is float:
-            return _finite_float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {section}.{key}: {exc}") from exc
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str, object]]:
-    """Parse section/key/value lines, rejecting unknown keys by line number."""
-    values: dict[str, dict[str, object]] = {s: {} for s in _SECTIONS}
-    section: str | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        where = f"{source}:{lineno}"
-        m = re.match(r"^\[([A-Za-z_]+)\]$", stripped)
-        if m:
-            section = m.group(1)
-            if section not in _SECTIONS:
-                raise ConfigError(f"{where}: unknown section [{section}]")
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{where}: expected 'key = value', got {stripped!r}")
-        if section is None:
-            raise ConfigError(f"{where}: key outside any [section]")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _TYPES[section]:
-            raise ConfigError(f"{where}: unknown key {section}.{key}")
-        if key in values[section]:
-            raise ConfigError(f"{where}: duplicate key {section}.{key}")
-        values[section][key] = _cast(section, key, raw, where)
-    return values
-
-
-def _build_config(values: dict[str, dict[str, object]]) -> CliConfig:
-    try:
-        policy = PolicyConfig(**values["policy"])
-        data = DataConfig(**values["data"])
-        train = TrainConfig(policy=policy, data=data,
-                            **values["model"], **values["train"])
-        output = OutputConfig(**values["output"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return CliConfig(train=train, output=output)
-
-
-def render_config(cfg: CliConfig) -> str:
-    """Echo the effective config; re-parsing this text reproduces cfg."""
-    values = _config_to_values(cfg)
-    out = []
-    for section, desc in _SECTIONS.items():
-        out.append(f"# {desc}")
-        out.append(f"[{section}]")
-        for key, v in values[section].items():
-            out.append(f"{key} = {v}")  # a float prints as its repr, which parses back exactly
-        out.append("")
-    return "\n".join(out)
-
-
-_OVERRIDE_RE = re.compile(r"^--([A-Za-z_]+)\.([A-Za-z_0-9]+)=(.*)$", re.DOTALL)
-
-
-def apply_overrides(values: dict[str, dict[str, object]], overrides: list[str]) -> None:
-    for token in overrides:
-        m = _OVERRIDE_RE.match(token)
-        if m is None:
-            raise ConfigError(
-                f"bad override {token!r}; expected --section.key=value"
-            )
-        section, key, raw = m.group(1), m.group(2), m.group(3)
-        if section not in _SECTIONS:
-            raise ConfigError(f"override {token!r}: unknown section {section!r}")
-        if key not in _TYPES[section]:
-            raise ConfigError(f"override {token!r}: unknown key {section}.{key}")
-        values[section][key] = _cast(section, key, raw, f"override {token!r}")
 
 
 def load_config(source: str, overrides: list[str] | None = None) -> CliConfig:

@@ -27,17 +27,16 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arch import ArchError, ArchSpec, parse_arch
+from .arch import ArchSpec, parse_arch
+from .config import DataConfig, PolicyConfig, TrainConfig, config_added_blocks
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
 from .morph import (
-    INIT_RULES,
     GrowthEvent,
     MomentEnsemble,
-    WHERE_RULES,
     WherePolicy,
     count_added_blocks,
     grow,
@@ -57,92 +56,6 @@ from .netcore import (
 )
 from .rng import substream
 from .timing import SHOULD_GROW, PolicyState, average_training_epochs, i_max, orl
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    name: str = "fragrow"
-    alpha: float = 4.0
-    period_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.name not in SHOULD_GROW:
-            raise ValueError(f"unknown policy {self.name!r}, expected one of {tuple(SHOULD_GROW)}")
-        if not 0.0 < self.period_scale <= 1.0:
-            raise ValueError(f"period_scale must be in (0, 1], got {self.period_scale}")
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Dataset recipe: one synthetic generator or file-backed source.
-
-    For `gaussians` the train/val pool and the held-out test pool are
-    generated from `data_seed` with distinct derived seeds.
-    """
-
-    source: str = "gaussians"
-    classes: int = 5
-    dim: int = 20
-    per_class: int = 400
-    test_per_class: int = 400
-    sep: float = 6.0
-    label_noise: float = 0.0
-    data_seed: int = 1234
-    val_fraction: float = 0.01
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    train_csv: str = ""
-    test_csv: str = ""
-
-    def __post_init__(self) -> None:
-        if self.source not in ("gaussians", "idx", "csv"):
-            raise ValueError(f"unknown data source {self.source!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        for name in ("per_class", "test_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"data.{name} must be positive, got {getattr(self, name)}")
-        if self.source != "gaussians":
-            return
-        if self.classes < 2:
-            raise ValueError(f"data.classes must be at least 2, got {self.classes}")
-        if self.dim < self.classes:
-            raise ValueError(f"data.dim must be at least data.classes {self.classes}, got {self.dim}")
-        if not 0.0 <= self.label_noise < 0.5:
-            raise ValueError(f"data.label_noise must be in [0, 0.5), got {self.label_noise}")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    seed_arch: str = "res:32x1-32x1-32x1"
-    target_arch: str = "res:32x3-32x3-32x3"
-    where: str = "sequential"
-    init: str = "copy"
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-    total_epochs: int = 66
-    min_finetune_epochs: int = 30
-    lr_base: float = 0.1
-    batch_size: int = 128
-    run_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.min_finetune_epochs < self.total_epochs:
-            raise ValueError(f"train.min_finetune_epochs must be in [0, total_epochs), got "
-                             f"{self.min_finetune_epochs} with total_epochs {self.total_epochs}")
-        if self.init not in INIT_RULES:
-            raise ValueError(f"unknown init rule {self.init!r}, expected one of {INIT_RULES}")
-        if self.where not in WHERE_RULES:
-            raise ValueError(f"unknown where-policy {self.where!r}, expected one of {WHERE_RULES}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        try:
-            config_added_blocks(self)
-        except ArchError as exc:
-            raise ArchError(f"seed_arch {self.seed_arch!r}, target_arch {self.target_arch!r}: "
-                            f"{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -239,12 +152,6 @@ def _row_macs(arch: ArchSpec, blocks: tuple[int, ...]) -> int:
     """Weight multiply-accumulates of one row's forward pass through `arch` grown to `blocks`."""
     stages = tuple(replace(st, blocks=n) for st, n in zip(arch.stages, blocks))
     return sum(out * in_ for _, (out, in_) in layers(replace(arch, stages=stages)))
-
-
-def config_added_blocks(config: TrainConfig) -> int:
-    """Growth budget implied by the config (independent of the dataset)."""
-    return count_added_blocks(parse_arch(config.seed_arch, 1, 2),
-                              parse_arch(config.target_arch, 1, 2))
 
 
 def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalReport:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .harness import DataConfig, PolicyConfig, TrainConfig
+from .config import DataConfig, PolicyConfig, TrainConfig
 
 BASE_PRESETS: dict[str, TrainConfig] = {
     "overfit": TrainConfig(

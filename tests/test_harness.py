@@ -35,7 +35,8 @@ from growbench.data import Dataset, write_idx
 from growbench.morph import GrowthEvent, WherePolicy
 from growbench.netcore import EVAL_CHUNK, build_network, layers
 from growbench.presets import preset_config
-from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
+from growbench.arch import ArchSpec, StageSpec, parse_arch
+from growbench.config import ConfigError
 from growbench.timing import SHOULD_GROW, PolicyError, i_max, round_half_up
 
 
@@ -643,8 +644,8 @@ def test_config_validation():
         tiny_config(total_epochs=4, min_finetune_epochs=4)
     with pytest.raises(ValueError):
         tiny_config(init="zero")  # an all-zero block is no init rule
-    with pytest.raises(ArchError, match=r"^seed_arch 'res:8x1-8x1', target_arch 'res:8x2': "
-                                        r"stage count mismatch: 2 vs 1$"):
+    with pytest.raises(ConfigError, match=r"^seed_arch 'res:8x1-8x1', target_arch 'res:8x2': "
+                                          r"stage count mismatch: 2 vs 1$"):
         tiny_config(target_arch="res:8x2")
     with pytest.raises(ValueError):
         PolicyConfig(name="lipgrow")
