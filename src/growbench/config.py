@@ -36,6 +36,14 @@ class PolicyConfig:
             raise ConfigError(f"period_scale must be in (0, 1], got {self.period_scale}")
 
 
+# data source -> the path keys it reads
+_SOURCE_PATHS = {
+    "gaussians": (),
+    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
+    "csv": ("train_csv", "test_csv"),
+}
+
+
 @dataclass(frozen=True)
 class DataConfig:
     """Dataset recipe: one synthetic generator or file-backed source.
@@ -61,13 +69,18 @@ class DataConfig:
     test_csv: str = ""
 
     def __post_init__(self) -> None:
-        if self.source not in ("gaussians", "idx", "csv"):
+        if self.source not in _SOURCE_PATHS:
             raise ConfigError(f"unknown data source {self.source!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         for name in ("per_class", "test_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"data.{name} must be positive, got {getattr(self, name)}")
+        if self.data_seed < 0:
+            raise ConfigError(f"data.data_seed must be non-negative, got {self.data_seed}")
+        for name in _SOURCE_PATHS[self.source]:
+            if not getattr(self, name):
+                raise ConfigError(f"data.{name} must be set when data.source = {self.source}")
         if self.source != "gaussians":
             return
         if self.classes < 2:
@@ -105,11 +118,19 @@ class TrainConfig:
             raise ConfigError(f"unknown where-policy {self.where!r}, expected one of {WHERE_RULES}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
+        if not self.lr_base > 0.0:
+            raise ConfigError(f"train.lr_base must be positive, got {self.lr_base}")
+        if self.run_seed < 0:
+            raise ConfigError(f"train.run_seed must be non-negative, got {self.run_seed}")
         try:
-            config_added_blocks(self)
+            budget = config_added_blocks(self)
         except ArchError as exc:
             raise ConfigError(f"seed_arch {self.seed_arch!r}, target_arch {self.target_arch!r}: "
                               f"{exc}") from None
+        if budget > self.total_epochs - self.min_finetune_epochs:
+            raise ConfigError(f"train.min_finetune_epochs = {self.min_finetune_epochs}: cannot add "
+                              f"{budget} blocks, one per epoch at most, in {self.total_epochs} "
+                              f"epochs and keep {self.min_finetune_epochs} to finetune")
 
 
 def config_added_blocks(config: TrainConfig) -> int:

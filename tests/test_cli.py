@@ -241,6 +241,15 @@ def test_train_incompatible_archs_exit_2_before_setup(tmp_path, monkeypatch, cap
     ("underfit", "--data.classes=1", "data.classes must be at least 2, got 1"),
     ("underfit", "--data.dim=3", "data.dim must be at least data.classes 20, got 3"),
     ("underfit", "--data.label_noise=0.7", "data.label_noise must be in [0, 0.5), got 0.7"),
+    ("underfit", "--train.run_seed=-1", "train.run_seed must be non-negative, got -1"),
+    ("underfit", "--data.data_seed=-5", "data.data_seed must be non-negative, got -5"),
+    ("underfit", "--train.lr_base=0", "train.lr_base must be positive, got 0.0"),
+    ("underfit", "--train.lr_base=-0.1", "train.lr_base must be positive, got -0.1"),
+    ("underfit", "--train.min_finetune_epochs=64",
+     "train.min_finetune_epochs = 64: cannot add 3 blocks, one per epoch at most, in 66 epochs "
+     "and keep 64 to finetune"),
+    ("underfit", "--data.source=idx", "data.train_images must be set when data.source = idx"),
+    ("underfit", "--data.source=csv", "data.train_csv must be set when data.source = csv"),
 ])
 def test_train_bad_count_exit_2_names_key_before_setup(tmp_path, monkeypatch, capsys, preset,
                                                         override, message, print_config):
@@ -256,10 +265,14 @@ def test_train_bad_count_exit_2_names_key_before_setup(tmp_path, monkeypatch, ca
     assert not (tmp_path / "m.jsonl").exists()
 
 
-def test_train_budget_beyond_finetune_floor_exit_1(tmp_path, capsys):
+def test_train_budget_beyond_finetune_floor_exit_2_before_setup(tmp_path, monkeypatch, capsys):
+    def no_setup(*args):
+        raise AssertionError("the data was set up")
+
+    monkeypatch.setattr(harness, "build_datasets", no_setup)
     path = write_tiny(tmp_path)  # 2 growths, 12 epochs
-    assert main(["train", path, "--train.min_finetune_epochs=11"]) == 1
-    assert "cannot add 2 blocks" in capsys.readouterr().err
+    assert main(["train", path, "--train.min_finetune_epochs=11"]) == 2
+    assert "train.min_finetune_epochs = 11: cannot add 2 blocks" in capsys.readouterr().err
     assert not (tmp_path / "metrics.jsonl").exists()
 
 

@@ -37,7 +37,7 @@ from growbench.netcore import EVAL_CHUNK, build_network, layers
 from growbench.presets import preset_config
 from growbench.arch import ArchSpec, StageSpec, parse_arch
 from growbench.config import ConfigError
-from growbench.timing import SHOULD_GROW, PolicyError, i_max, round_half_up
+from growbench.timing import SHOULD_GROW, i_max, round_half_up
 
 
 def tiny_config(**kw):
@@ -85,10 +85,9 @@ def test_growth_reaches_target_with_finetune_floor():
 
 def test_budget_beyond_finetune_floor_is_rejected():
     # 8 growths need 8 epochs, but total 10 - min finetune 5 leaves 5
-    cfg = tiny_config(seed_arch="plain:8x1", target_arch="plain:8x9",
-                      total_epochs=10, min_finetune_epochs=5)
-    with pytest.raises(PolicyError, match=r"8 blocks.* 10 epochs.* 5 to finetune"):
-        run(cfg)
+    with pytest.raises(ConfigError, match=r"8 blocks.* 10 epochs.* 5 to finetune"):
+        tiny_config(seed_arch="plain:8x1", target_arch="plain:8x9",
+                    total_epochs=10, min_finetune_epochs=5)
 
 
 def test_periodic_growth_epochs_match_schedule():
@@ -644,6 +643,8 @@ def test_config_validation():
         tiny_config(total_epochs=4, min_finetune_epochs=4)
     with pytest.raises(ValueError):
         tiny_config(init="zero")  # an all-zero block is no init rule
+    with pytest.raises(ConfigError, match=r"^train\.lr_base must be positive, got nan$"):
+        tiny_config(lr_base=math.nan)  # no override can give NaN, but a caller can
     with pytest.raises(ConfigError, match=r"^seed_arch 'res:8x1-8x1', target_arch 'res:8x2': "
                                           r"stage count mismatch: 2 vs 1$"):
         tiny_config(target_arch="res:8x2")
