@@ -3,8 +3,8 @@
 Configs are line-oriented text with [section] headers and key = value
 pairs; every field of the training configuration is addressable and any
 key can be overridden on the command line with --section.key=value.
-A value the run could not use raises ConfigError, naming the key, when
-the config is built: before any data is read.
+A value the run could not use raises ConfigError when the config is
+built, before any data is read.
 """
 
 from __future__ import annotations
