@@ -33,7 +33,7 @@ class PolicyConfig:
         if self.name not in SHOULD_GROW:
             raise ConfigError(f"unknown policy {self.name!r}, expected one of {tuple(SHOULD_GROW)}")
         if not 0.0 < self.period_scale <= 1.0:
-            raise ConfigError(f"period_scale must be in (0, 1], got {self.period_scale}")
+            raise ConfigError(f"policy.period_scale must be in (0, 1], got {self.period_scale}")
 
 
 # data source -> the path keys it reads
@@ -72,7 +72,7 @@ class DataConfig:
         if self.source not in _SOURCE_PATHS:
             raise ConfigError(f"unknown data source {self.source!r}")
         if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+            raise ConfigError(f"data.val_fraction must be in (0, 1), got {self.val_fraction}")
         for name in ("per_class", "test_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"data.{name} must be positive, got {getattr(self, name)}")
@@ -117,7 +117,7 @@ class TrainConfig:
         if self.where not in WHERE_RULES:
             raise ConfigError(f"unknown where-policy {self.where!r}, expected one of {WHERE_RULES}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
+            raise ConfigError(f"train.batch_size must be positive, got {self.batch_size}")
         if not self.lr_base > 0.0:
             raise ConfigError(f"train.lr_base must be positive, got {self.lr_base}")
         if self.run_seed < 0:

@@ -12,13 +12,14 @@ numpy's OpenBLAS on one thread by default, and only an explicit
 OPENBLAS_NUM_THREADS can change the bytes of a wide-input run (784 IDX
 pixels).
 
-`compare` runs the configs that differ only in `policy` as one `run` call
-for all seeds. The runs of one seed share one trajectory until their
-growth decisions differ, and then it forks. Each epoch, the trajectories
-whose networks have one shape, across seeds and forks, train as one
-`netcore.Stack`. Every run still gets its solo run's bytes. A run's
-`wall_seconds` is the wall time of the whole `run` call it was part of;
-its own cost is `train_macs`, a count that sharing does not change.
+`run` takes one config, or a list of configs that differ only in
+`run_seed` and `policy`: `compare` passes each such group for all seeds.
+The runs of one seed share one trajectory until their growth decisions
+differ, and then it forks. Each epoch, the trajectories whose networks
+have one shape, across seeds and forks, train as one `netcore.Stack`.
+Every run still gets its solo run's bytes. A run's `wall_seconds` is the
+wall time of the whole `run` call; its own cost is `train_macs`, a count
+that sharing does not change.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardiz
 from .morph import (
     GrowthEvent,
     MomentEnsemble,
-    WherePolicy,
     count_added_blocks,
     grow,
+    next_stage,
     resolve_init_rule,
 )
 from .netcore import (
@@ -129,7 +130,8 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     where it is read, so set-up peaks at about 1.07x the bytes it returns.
     A file-backed pool whose labels miss a class 0..K-1 (K >= 2) and a
     test label outside the pool's classes are rejected here, naming the
-    label file; only the three returned splits are checked for NaN.
+    label file, and a split that leaves a class no training row naming
+    `data.val_fraction`; only the three returned splits are checked for NaN.
     """
     features, labels = _read_source(cfg, test=False)
     classes = cfg.classes
@@ -137,6 +139,10 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
         classes = _pool_classes(labels, cfg.train_labels if cfg.source == "idx" else cfg.train_csv)
     train_x, train_y, val_x, val_y, tf = split_standardized(features, labels, cfg.val_fraction,
                                                             cfg.data_seed)
+    missing = np.flatnonzero(np.bincount(train_y, minlength=classes) == 0)
+    if len(missing):
+        raise ValueError(f"data.val_fraction = {cfg.val_fraction} leaves class {missing[0]} "
+                         f"with no training row: {len(train_y)} of {len(labels)} pool rows train")
     test_x, test_y = _read_source(cfg, test=True)
     top = int(test_y.max())
     if top >= classes:
@@ -164,9 +170,12 @@ def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalR
                       accuracy(net, test.features, test.labels), train_loss)
 
 
-def _track_next(net: Network, where: WherePolicy) -> MomentEnsemble | None:
-    """EMA shadow of the block preceding the next growth location, if square."""
-    location = where.peek(net.blocks_per_stage())
+def _track_next(net: Network, config: TrainConfig, target: ArchSpec,
+                last: int = -1) -> MomentEnsemble | None:
+    """Under moment init, the EMA shadow of the block preceding the next growth, if square."""
+    if config.init != "moment":
+        return None
+    location = next_stage(config.where, target.blocks_per_stage, net.blocks_per_stage(), last)
     if location is None or net.block(location)[0] is BlockKind.DOWNSAMPLE:
         return None
     return MomentEnsemble.track(net, location)
@@ -178,9 +187,7 @@ class _Branch:
 
     seed: int
     net: Network
-    where: WherePolicy
     ensemble: MomentEnsemble | None
-    growth_done_epoch: int | None
     metrics: list[EpochMetrics]
     members: list[int]
 
@@ -190,37 +197,37 @@ class _Branch:
         if ensemble is not None:
             ensemble = MomentEnsemble(net, ensemble.stage, ensemble.index, ensemble.shadow.copy(),
                                       ensemble.updates)
-        return _Branch(self.seed, net, replace(self.where), ensemble, self.growth_done_epoch,
-                       list(self.metrics), members)
+        return _Branch(self.seed, net, ensemble, list(self.metrics), members)
 
 
-def run(config: TrainConfig, policies: list[PolicyConfig] | None = None,
-        seeds: list[int] | None = None) -> RunResult | list:
-    """Execute one grow-train-finetune run and collect per-epoch metrics.
+def _shared_part(config: TrainConfig) -> TrainConfig:
+    """`config` with the fields one `run` call may vary per run, `run_seed` and `policy`, reset."""
+    return replace(config, run_seed=0, policy=PolicyConfig())
 
-    With `policies`, run `config` once per policy in place of its own and
-    return one RunResult or exception per policy. With `seeds`, do so for
-    each seed in place of `run_seed` and return one such list per seed.
-    Every result equals its solo run's apart from `wall_seconds` (see the
-    module docstring).
+
+def run(configs: TrainConfig | list[TrainConfig]) -> RunResult | list[RunResult | Exception]:
+    """Execute grow-train-finetune runs and collect per-epoch metrics.
+
+    One config: return its RunResult, or raise the error that failed it.
+    A list of configs that differ only in `run_seed` and `policy`: return
+    one RunResult or exception per config, in order, each equal to its
+    solo run's apart from `wall_seconds` (see the module docstring). Any
+    other list, the empty one too, raises ValueError before set-up.
     """
-    pols = [config.policy] if policies is None else list(policies)
-    seed_list = [config.run_seed] if seeds is None else list(seeds)
-    outcomes = _run_group(config, [(seed, pol) for seed in seed_list for pol in pols])
-    per_seed = [outcomes[k * len(pols) : (k + 1) * len(pols)] for k in range(len(seed_list))]
-    if seeds is not None:
-        return per_seed
-    if policies is not None:
-        return per_seed[0]
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
+    if isinstance(configs, TrainConfig):
+        outcome = _run_group([configs])[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    if len({_shared_part(cfg) for cfg in configs}) != 1:
+        raise ValueError("run needs one or more configs that differ only in run_seed and policy")
+    return _run_group(list(configs))
 
 
-def _run_group(config: TrainConfig,
-               runs: list[tuple[int, PolicyConfig]]) -> list[RunResult | Exception]:
-    """Run `config` once per (run_seed, policy) pair on shared, stacked trajectories."""
+def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
+    """Run each config on shared, stacked trajectories; they differ only in seed and policy."""
     t_start = time.perf_counter()
+    config = runs[0]
     outcomes: list[RunResult | Exception | None] = [None] * len(runs)
 
     def fail(members, exc: Exception) -> None:
@@ -235,13 +242,10 @@ def _run_group(config: TrainConfig,
         max_interval = (i_max(config.total_epochs, config.min_finetune_epochs, budget)
                         if budget > 0 else 1.0)
         branches = []
-        for seed in dict.fromkeys(seed for seed, _ in runs):
+        for seed in dict.fromkeys(cfg.run_seed for cfg in runs):
             net = build_network(seed_arch, seed)
-            where = WherePolicy(config.where, target_arch.blocks_per_stage)
-            ensemble = _track_next(net, where) if config.init == "moment" else None
-            members = [i for i, (s, _) in enumerate(runs) if s == seed]
-            branches.append(_Branch(seed, net, where, ensemble, 0 if budget == 0 else None, [],
-                                    members))
+            members = [i for i, cfg in enumerate(runs) if cfg.run_seed == seed]
+            branches.append(_Branch(seed, net, _track_next(net, config, target_arch), [], members))
     except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
         fail(range(len(runs)), exc)
         return outcomes
@@ -249,9 +253,9 @@ def _run_group(config: TrainConfig,
     states = [PolicyState(total_epochs=config.total_epochs,
                           min_finetune_epochs=config.min_finetune_epochs,
                           remaining=budget, max_interval=max_interval,
-                          alpha=pol.alpha, period_scale=pol.period_scale)
-              for _, pol in runs]
-    should_grow = [SHOULD_GROW[pol.name] for _, pol in runs]
+                          alpha=cfg.policy.alpha, period_scale=cfg.policy.period_scale)
+              for cfg in runs]
+    should_grow = [SHOULD_GROW[cfg.policy.name] for cfg in runs]
 
     def end_epoch(branch: _Branch, epoch: int, lr: float) -> list[_Branch]:
         """Evaluate, let every run decide, fork and grow; return the live trajectories."""
@@ -286,7 +290,7 @@ def _run_group(config: TrainConfig,
         for grew, b in paths:
             if grew:
                 try:
-                    _grow(b, epoch, config, [states[i] for i in b.members])
+                    _grow(b, epoch, config, target_arch, [states[i] for i in b.members])
                 except Exception as exc:  # noqa: BLE001 - fails the runs that grew here
                     fail(b.members, exc)
                     continue
@@ -302,8 +306,8 @@ def _run_group(config: TrainConfig,
             groups.setdefault(branch.net.blocks_per_stage(), []).append(branch)
         branches = []
         for group in groups.values():
-            lrs = [lr_at(config.lr_base, epoch, b.growth_done_epoch, config.total_epochs)
-                   for b in group]
+            lrs = [lr_at(config.lr_base, epoch, states[b.members[0]].growth_done_epoch,
+                         config.total_epochs) for b in group]
             try:
                 failures = _train_epoch(group, lrs, epoch, config, train)
             except Exception as exc:  # noqa: BLE001 - a failed stack fails every run on it
@@ -368,20 +372,21 @@ def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: Tra
     return failures
 
 
-def _grow(b: _Branch, epoch: int, config: TrainConfig, states: list[PolicyState]) -> None:
+def _grow(b: _Branch, epoch: int, config: TrainConfig, target: ArchSpec,
+          states: list[PolicyState]) -> None:
     """Insert the next block on `b` and record it in the states of its runs."""
-    location = b.where.advance(b.net.blocks_per_stage())
+    events = states[0].events
+    location = next_stage(config.where, target.blocks_per_stage, b.net.blocks_per_stage(),
+                          events[-1].stage if events else -1)
     if location is None:
         raise RuntimeError("policy fired with no unsaturated stage")
     rule = resolve_init_rule(b.net, location, config.init)
-    rng = substream(b.seed, "grow", len(states[0].events))
+    rng = substream(b.seed, "grow", len(events))
     grow(b.net, location, rule, rng=rng, ensemble=b.ensemble)
     event = GrowthEvent(epoch + 1, location, b.net.blocks_per_stage()[location] - 1, rule)
     for state in states:
         state.record_growth(event)
-    if states[0].remaining == 0:
-        b.growth_done_epoch = epoch + 1
-    b.ensemble = _track_next(b.net, b.where) if config.init == "moment" else None
+    b.ensemble = _track_next(b.net, config, target, location)
 
 
 # --- metrics file I/O -------------------------------------------------------
@@ -562,16 +567,15 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
     results: dict[str, list[RunResult]] = {label: [] for label in labels}
     errors: dict[str, list[str]] = {label: [] for label in labels}
     groups: dict[TrainConfig, list[tuple[str, TrainConfig]]] = {}
-    for label, cfg in configs:
-        groups.setdefault(replace(cfg, policy=PolicyConfig()), []).append((label, cfg))
+    for seed in seeds:
+        for label, cfg in configs:
+            groups.setdefault(_shared_part(cfg), []).append((label, replace(cfg, run_seed=seed)))
     for group in groups.values():
-        outcomes = run(group[0][1], policies=[cfg.policy for _, cfg in group], seeds=seeds)
-        for seed, per_policy in zip(seeds, outcomes):
-            for (label, _), out in zip(group, per_policy):
-                if isinstance(out, Exception):
-                    errors[label].append(f"seed {seed}: {out}")
-                else:
-                    results[label].append(out)
+        for (label, cfg), out in zip(group, run([cfg for _, cfg in group])):
+            if isinstance(out, Exception):
+                errors[label].append(f"seed {cfg.run_seed}: {out}")
+            else:
+                results[label].append(out)
 
     if anchor not in results:
         anchor = next((label for label, cfg in configs if config_added_blocks(cfg) == 0),

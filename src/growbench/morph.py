@@ -142,35 +142,19 @@ def resolve_init_rule(net: Network, stage: int, requested: str) -> str:
     return requested
 
 
-@dataclass
-class WherePolicy:
-    """Where-to-grow rule over per-stage block counts ("sequential"/"circulation").
+def next_stage(where: str, target: tuple[int, ...], current: tuple[int, ...],
+               last: int = -1) -> int | None:
+    """Stage the next growth goes to under where-to-grow rule `where`, or None at target.
 
-    Both rules scan the stages cyclically for the first one below its
-    target count, or return None when every stage is at target.
-    "sequential" starts the scan at stage 0, so stages fill front to back;
-    "circulation" starts it after the stage it last grew.
+    Both rules scan the stages cyclically for the first one below its target
+    count: "sequential" from stage 0, so stages fill front to back, and
+    "circulation" from the stage after `last`, the run's last growth (-1: none).
     """
-
-    name: str
-    target: tuple[int, ...]
-    last_visited: int = -1
-
-    def __post_init__(self) -> None:
-        if self.name not in WHERE_RULES:
-            raise GrowthError(f"unknown where-policy {self.name!r}, expected one of {WHERE_RULES}")
-
-    def peek(self, current: tuple[int, ...]) -> int | None:
-        n = len(self.target)
-        start = self.last_visited + 1 if self.name == "circulation" else 0
-        for i in (k % n for k in range(start, start + n)):
-            if current[i] < self.target[i]:
-                return i
-        return None
-
-    def advance(self, current: tuple[int, ...]) -> int | None:
-        """Pick the stage for the growth that is about to happen."""
-        loc = self.peek(current)
-        if loc is not None:
-            self.last_visited = loc
-        return loc
+    if where not in WHERE_RULES:
+        raise GrowthError(f"unknown where-policy {where!r}, expected one of {WHERE_RULES}")
+    n = len(target)
+    start = last + 1 if where == "circulation" else 0
+    for i in (k % n for k in range(start, start + n)):
+        if current[i] < target[i]:
+            return i
+    return None

@@ -133,6 +133,13 @@ class PolicyState:
         if self.remaining < 0:
             raise PolicyError("grew more blocks than the budget allows")
 
+    @property
+    def growth_done_epoch(self) -> int | None:
+        """Epochs completed when the last growth happened: 0 with no budget, None while growing."""
+        if self.remaining:
+            return None
+        return self.events[-1].epoch if self.events else 0
+
     def deadline_reached(self, epoch: int) -> bool:
         """Past this epoch the remaining growths must happen back to back."""
         return epoch >= self.total_epochs - self.min_finetune_epochs - self.remaining

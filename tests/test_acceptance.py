@@ -50,11 +50,12 @@ def run_seeds(config, policies):
 
     A failed run raises its error, as the run alone would.
     """
-    outcomes = run(config, policies=policies, seeds=list(SEEDS))
-    for out in (out for per_seed in outcomes for out in per_seed):
+    outcomes = run([replace(config, run_seed=seed, policy=pol)
+                    for seed in SEEDS for pol in policies])
+    for out in outcomes:
         if isinstance(out, Exception):
             raise out
-    return outcomes
+    return [outcomes[k * len(policies):(k + 1) * len(policies)] for k in range(len(SEEDS))]
 
 
 class RunCache:

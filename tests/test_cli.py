@@ -250,6 +250,9 @@ def test_train_incompatible_archs_exit_2_before_setup(tmp_path, monkeypatch, cap
      "and keep 64 to finetune"),
     ("underfit", "--data.source=idx", "data.train_images must be set when data.source = idx"),
     ("underfit", "--data.source=csv", "data.train_csv must be set when data.source = csv"),
+    ("underfit", "--train.batch_size=0", "train.batch_size must be positive, got 0"),
+    ("underfit", "--policy.period_scale=0", "policy.period_scale must be in (0, 1], got 0.0"),
+    ("underfit", "--data.val_fraction=1", "data.val_fraction must be in (0, 1), got 1.0"),
 ])
 def test_train_bad_count_exit_2_names_key_before_setup(tmp_path, monkeypatch, capsys, preset,
                                                         override, message, print_config):
@@ -262,6 +265,20 @@ def test_train_bad_count_exit_2_names_key_before_setup(tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_train_split_leaving_a_class_no_training_row_exit_1(tmp_path, monkeypatch, capsys):
+    def no_network(*args):
+        raise AssertionError("the network was built")
+
+    monkeypatch.setattr(harness, "build_network", no_network)
+    argv = ["train", "underfit", "--data.val_fraction=0.99999",
+            f"--output.metrics_path={tmp_path / 'm.jsonl'}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: data.val_fraction = 0.99999 leaves class 1 with no training "
+                            "row: 1 of 18000 pool rows train\n")
     assert not (tmp_path / "m.jsonl").exists()
 
 

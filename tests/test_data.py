@@ -279,12 +279,13 @@ def test_idx_without_data_names_the_image_file(tmp_path, count, rows, cols):
 
 def test_csv_loader(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("f0,f1,label\n0.5,1.5,0\n-1.0,2.0,2\n0.0,0.0,1\n")
+    p.write_text("f0,f1,label\n0.5,1.5,0\n-1.0,2.0,2\n0.0,0.0,1\n1.0,0.5,0\n2.0,-1.0,2\n"
+                 "0.5,0.5,1\n")
     features, labels = read_csv(str(p))
-    assert features.shape == (3, 2)
-    assert labels.tolist() == [0, 2, 1]
-    # set-up takes the class count from the largest label
-    cfg = DataConfig(source="csv", train_csv=str(p), test_csv=str(p), val_fraction=0.34)
+    assert features.shape == (6, 2)
+    assert labels.tolist() == [0, 2, 1, 0, 2, 1]
+    # set-up takes the class count from the largest label; 5 training rows keep every class
+    cfg = DataConfig(source="csv", train_csv=str(p), test_csv=str(p), val_fraction=0.17)
     assert [ds.num_classes for ds in build_datasets(cfg)] == [3, 3, 3]
     empty = tmp_path / "e.csv"
     empty.write_text("f0,label\n")
@@ -355,6 +356,20 @@ def _assert_same_bytes(got, want):
         assert ds.labels.tobytes() == labels.tobytes()
 
 
+def _assert_builds_reference(cfg, pool, test):
+    """build_datasets(cfg) has the reference bytes, or refuses a split that leaves a class
+    no training row."""
+    want = _split_fit_apply(pool, test, cfg)
+    trains = np.bincount(want[0][1], minlength=pool.num_classes)
+    if trains.all():
+        _assert_same_bytes(build_datasets(cfg), want)
+        return
+    message = (f"data.val_fraction = {cfg.val_fraction} leaves class {np.argmin(trains)} with no "
+               f"training row: {len(want[0][1])} of {len(pool)} pool rows train")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_datasets(cfg)
+
+
 def test_build_datasets_idx_bytes_match_split_fit_apply(tmp_path):
     ti, tl, pool = _write_u8_idx(tmp_path, "train", 300, 12, 4, seed=1)
     vi, vl, test = _write_u8_idx(tmp_path, "test", 80, 12, 4, seed=2)
@@ -416,7 +431,7 @@ def _check_build_datasets(source, params, val_fraction, seed):
         test_seed = int(substream(seed, "test-pool-seed").integers(0, 2**63))
         test = Dataset(*gaussian_arrays(cfg.classes, cfg.dim, cfg.test_per_class, cfg.sep,
                                         cfg.label_noise, test_seed), cfg.classes)
-        _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
+        _assert_builds_reference(cfg, pool, test)
         return
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(params["n"] + params["n_test"], params["dim"]),
@@ -434,7 +449,7 @@ def _check_build_datasets(source, params, val_fraction, seed):
             with pytest.raises(ValueError, match=f"^{re.escape(tl)}: no training row has label"):
                 build_datasets(cfg)
             return
-        _assert_same_bytes(build_datasets(cfg), _split_fit_apply(pool, test, cfg))
+        _assert_builds_reference(cfg, pool, test)
 
 
 def _split_pins(splits):

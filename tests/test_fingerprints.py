@@ -135,6 +135,5 @@ def test_preset_fingerprint_is_pinned(preset, tmp_path):
 @pytest.mark.parametrize("case", list(itertools.product(INITS, WHERES, FAMILIES)), ids="-".join)
 def test_shared_run_fingerprints_are_pinned(case):
     """The three policies as one shared run reproduce each policy's solo pin."""
-    results = run(case_config(POLICIES[0], *case),
-                  policies=[PolicyConfig(name=p) for p in POLICIES])
+    results = run([case_config(p, *case) for p in POLICIES])
     assert [fingerprint(r) for r in results] == [PINNED[(p, *case)] for p in POLICIES]

@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -32,7 +34,7 @@ from growbench.harness import (
 )
 from growbench import harness
 from growbench.data import Dataset, write_idx
-from growbench.morph import GrowthEvent, WherePolicy
+from growbench.morph import GrowthEvent
 from growbench.netcore import EVAL_CHUNK, build_network, layers
 from growbench.presets import preset_config
 from growbench.arch import ArchSpec, StageSpec, parse_arch
@@ -245,7 +247,7 @@ def policy_lists(draw):
          lr_base=0.05)
 def test_property_shared_run_equals_solo_runs(cfg, policies, lr_base):
     cfg = replace(cfg, lr_base=lr_base)
-    shared = run(cfg, policies=policies)
+    shared = run([replace(cfg, policy=pol) for pol in policies])
     assert len(shared) == len(policies)
     for pol, got in zip(policies, shared):
         try:
@@ -267,27 +269,26 @@ def test_property_shared_run_equals_solo_runs(cfg, policies, lr_base):
          seeds=[0, 1, 0], lr_base=0.05)
 def test_property_multi_seed_run_equals_solo_runs(cfg, policies, seeds, lr_base):
     """Every (seed, policy) of one stacked call has its solo run's result or error."""
-    cfg = replace(cfg, lr_base=lr_base)
-    stacked = run(cfg, policies=policies, seeds=seeds)
-    assert [len(per_seed) for per_seed in stacked] == [len(policies)] * len(seeds)
-    for seed, per_seed in zip(seeds, stacked):
-        for pol, got in zip(policies, per_seed):
-            try:
-                solo = run(replace(cfg, run_seed=seed, policy=pol))
-            except Exception as exc:  # noqa: BLE001 - the stacked run must fail alike
-                assert isinstance(got, Exception) and str(got) == str(exc)
-            else:
-                assert not isinstance(got, Exception), got
-                assert _sans_wall(got) == _sans_wall(solo)
+    configs = [replace(cfg, lr_base=lr_base, run_seed=seed, policy=pol)
+               for seed in seeds for pol in policies]
+    stacked = run(configs)
+    assert len(stacked) == len(policies) * len(seeds)
+    for config, got in zip(configs, stacked):
+        try:
+            solo = run(config)
+        except Exception as exc:  # noqa: BLE001 - the stacked run must fail alike
+            assert isinstance(got, Exception) and str(got) == str(exc)
+        else:
+            assert not isinstance(got, Exception), got
+            assert _sans_wall(got) == _sans_wall(solo)
 
 
 def _branches(cfg, seeds):
     """One fresh trajectory per seed, as `run` starts them, and the training split."""
     train, _, _ = build_datasets(cfg.data)
     arch = parse_arch(cfg.seed_arch, train.dim, train.num_classes)
-    target = parse_arch(cfg.target_arch, train.dim, train.num_classes).blocks_per_stage
-    return [_Branch(seed, build_network(arch, seed), WherePolicy(cfg.where, target), None, None,
-                    [], [k]) for k, seed in enumerate(seeds)], train
+    return [_Branch(seed, build_network(arch, seed), None, [], [k])
+            for k, seed in enumerate(seeds)], train
 
 
 @pytest.mark.filterwarnings("error")
@@ -307,12 +308,13 @@ def test_diverged_row_fails_only_itself_quietly():
 
 def test_branch_fork_is_an_independent_copy():
     net = build_network(parse_arch("res:8x1-8x1", 8, 3), 0)
-    where = WherePolicy("circulation", (2, 2), last_visited=0)
-    ensemble = _track_next(net, where)
+    config = tiny_config(init="moment", where="circulation")
+    ensemble = _track_next(net, config, parse_arch(config.target_arch, 8, 3), last=0)
     ensemble.update()
-    branch = _Branch(0, net, where, ensemble, None, [], [0, 1, 2])
+    metrics = [EpochMetrics(0, 50.0, 50.0, 50.0, 1.0, 0.0, 0.05, (1, 1), False)]
+    branch = _Branch(0, net, ensemble, metrics, [0, 1, 2])
     fork = branch.fork([2])
-    assert (fork.members, fork.where) == ([2], where)
+    assert (fork.seed, fork.members, fork.metrics) == (0, [2], metrics)
     assert fork.ensemble.net is fork.net  # the block the original tracks
     assert ensemble.net is net
     assert (fork.ensemble.stage, fork.ensemble.index) == (ensemble.stage, ensemble.index) == (1, 0)
@@ -322,10 +324,10 @@ def test_branch_fork_is_an_independent_copy():
     before = fork.net.params.copy(), fork.ensemble.shadow.copy()
     net.params += 1.0
     ensemble.update()
-    where.advance((1, 1))
+    branch.metrics.append(metrics[0])
     np.testing.assert_array_equal(fork.net.params, before[0])
     np.testing.assert_array_equal(fork.ensemble.shadow, before[1])
-    assert fork.where.last_visited == 0
+    assert len(fork.metrics) == 1
 
 def _corrupt(tmp_path, edit):
     """Write a tiny run's metrics file, pass its lines through `edit`, write it back."""
@@ -745,6 +747,50 @@ def test_compare_isolates_a_failing_policy(monkeypatch):
     assert rows["convergent"].errors == ("seed 0: policy broke at epoch 3",
                                          "seed 1: policy broke at epoch 3")
     assert table.rows[:2] == without
-    shared = run(labeled[0][1], policies=[cfg.policy for _, cfg in labeled])
+    shared = run([cfg for _, cfg in labeled])
     assert str(shared[2]) == "policy broke at epoch 3"
     assert [_sans_wall(r) for r in shared[:2]] == [_sans_wall(r) for r in solo_runs]
+
+
+@pytest.mark.parametrize("configs", [
+    [],
+    [tiny_config(), tiny_config(data=replace(tiny_config().data, data_seed=7))],
+], ids=["empty", "mixed-data-seed"])
+def test_run_list_refused_before_setup(monkeypatch, configs):
+    def no_setup(*args):
+        raise AssertionError("the data was set up")
+
+    monkeypatch.setattr(harness, "build_datasets", no_setup)
+    with pytest.raises(ValueError, match="^run needs one or more configs that differ only in "
+                                         "run_seed and policy$"):
+        run(configs)
+
+
+def test_compare_calls_harness_run_once_per_config_group(monkeypatch):
+    """A profiler that wraps `harness.run` sees each group of `compare` as one call."""
+    calls = []
+    real_run = harness.run
+
+    def counting_run(configs):
+        calls.append(len(configs))
+        return real_run(configs)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    labeled = [("fragrow", tiny_config(policy=PolicyConfig("fragrow"))),
+               ("vanilla", tiny_config(seed_arch="res:8x2-8x2")), ("periodic", tiny_config())]
+    table = compare(labeled, seeds=[0, 1])
+    assert calls == [4, 2]  # fragrow and periodic share one call for both seeds
+    assert [r.n_failed for r in table.rows] == [0, 0, 0]
+
+
+def test_benchmark_reads_only_names_the_harness_has(monkeypatch):
+    """Every name the benchmark wraps (spans.py) or reads (checks.py, workloads.py) exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
+    spec.loader.exec_module(spans)
+    read = ("config_added_blocks", "TrainConfig", "RunResult", "ComparisonTable",
+            "build_datasets", "compare", "run")
+    assert [name for name in (*spans.HARNESS_ENTRY_POINTS, *read)
+            if not callable(getattr(harness, name, None))] == []

@@ -8,11 +8,11 @@ from growbench.morph import (
     INIT_RULES,
     GrowthError,
     MomentEnsemble,
-    WherePolicy,
     count_added_blocks,
     grow,
     init_copy_preceding,
     init_moment,
+    next_stage,
     resolve_init_rule,
 )
 from growbench.netcore import BlockKind, build_network, loss_grads_logits
@@ -79,19 +79,18 @@ def test_count_rejects_incompatible():
 
 def test_sequential_picks_first_unsaturated():
     target = (8, 8, 8, 8)
-    policy = WherePolicy("sequential", target)
-    assert policy.peek((2, 2, 2, 2)) == 0
-    assert policy.peek((8, 3, 2, 2)) == 1
-    assert policy.peek(target) is None
+    assert next_stage("sequential", target, (2, 2, 2, 2)) == 0
+    assert next_stage("sequential", target, (8, 3, 2, 2)) == 1
+    assert next_stage("sequential", target, (8, 3, 2, 2), last=2) == 1  # ignores the last growth
+    assert next_stage("sequential", target, target) is None
 
 
 def test_sequential_order_non_decreasing():
     target = (3, 2, 4)
-    policy = WherePolicy("sequential", target)
     order = []
     counts = [1, 1, 1]
     while True:
-        loc = policy.advance(tuple(counts))
+        loc = next_stage("sequential", target, tuple(counts), order[-1] if order else -1)
         if loc is None:
             break
         order.append(loc)
@@ -102,23 +101,28 @@ def test_sequential_order_non_decreasing():
 
 def test_circulation_scans_after_last_visited():
     target = (8, 8, 8, 8)
-    assert WherePolicy("circulation", target, last_visited=0).peek((3, 2, 2, 2)) == 1
-    assert WherePolicy("circulation", target, last_visited=3).peek((3, 2, 2, 2)) == 0
+    assert next_stage("circulation", target, (3, 2, 2, 2), last=0) == 1
+    assert next_stage("circulation", target, (3, 2, 2, 2), last=3) == 0
     only_two = (8, 8, 2, 8)
     for last in (-1, 0, 1, 2, 3):  # -1: nothing grown yet
-        assert WherePolicy("circulation", target, last_visited=last).peek(only_two) == 2
+        assert next_stage("circulation", target, only_two, last) == 2
 
 
 def test_circulation_fairness_over_cycles():
     target = (9, 9, 9)
     counts = [1, 1, 1]
-    policy = WherePolicy("circulation", target)
     added = [0, 0, 0]
+    loc = -1
     for _ in range(3 * 5):  # 5 full cycles, nothing saturates
-        loc = policy.advance(tuple(counts))
+        loc = next_stage("circulation", target, tuple(counts), loc)
         counts[loc] += 1
         added[loc] += 1
     assert max(added) - min(added) <= 1
+
+
+def test_unknown_where_rule_is_a_growth_error():
+    with pytest.raises(GrowthError, match="unknown where-policy 'random'"):
+        next_stage("random", (2,), (1,))
 
 
 @st.composite
@@ -133,20 +137,23 @@ def seed_target_counts(draw):
 @settings(max_examples=300, deadline=None)
 @given(counts=seed_target_counts(), name=st.sampled_from(("sequential", "circulation")))
 def test_property_where_policy_fills_to_target(counts, name):
+    """Each call passes the previous pick as `last`; the picks add exactly target - seed."""
     seed, target = counts
-    policy = WherePolicy(name, target)
     current = list(seed)
     picks = []
     for _ in range(sum(target) - sum(seed)):
-        loc = policy.advance(tuple(current))
+        loc = next_stage(name, target, tuple(current), picks[-1] if picks else -1)
         assert loc is not None and current[loc] < target[loc]
+        if name == "circulation" and picks and loc == picks[-1]:
+            assert all(c == t for k, (c, t) in enumerate(zip(current, target)) if k != loc)
         current[loc] += 1
         picks.append(loc)
         if name == "circulation":
             added = [c - s for c, s, t in zip(current, seed, target) if c < t]
             assert not added or max(added) - min(added) <= 1
-    assert policy.advance(tuple(current)) is None
+    assert next_stage(name, target, tuple(current), picks[-1] if picks else -1) is None
     assert tuple(current) == target
+    assert [picks.count(k) for k in range(len(seed))] == [t - s for s, t in zip(seed, target)]
     if name == "sequential":
         assert picks == sorted(picks)
 
@@ -296,10 +303,9 @@ def test_budget_exactness_full_growth():
     target = arch((4, 3, 2))
     net = build_network(seed, 2)
     n = count_added_blocks(seed, target)
-    policy = WherePolicy("sequential", target.blocks_per_stage)
     events = 0
     while True:
-        loc = policy.advance(net.blocks_per_stage())
+        loc = next_stage("sequential", target.blocks_per_stage, net.blocks_per_stage())
         if loc is None:
             break
         rule = resolve_init_rule(net, loc, "copy")  # stage 0 starts downsample
@@ -347,11 +353,11 @@ def test_flat_store_views_after_every_growth(rule, where, family):
     seed, target = arch((1, 1, 1), family), arch((3, 2, 2), family)
     net = build_network(seed, 4)
     assert_flat_store(net)
-    policy = WherePolicy(where, target.blocks_per_stage)
     rng = np.random.default_rng(0)
+    loc = -1
     for k in range(count_added_blocks(seed, target)):
         net.momentum[:] = rng.normal(size=net.momentum.size)
-        loc = policy.advance(net.blocks_per_stage())
+        loc = next_stage(where, target.blocks_per_stage, net.blocks_per_stage(), loc)
         resolved = rule if rule == "zero" else resolve_init_rule(net, loc, rule)
         ensemble = None
         if resolved == "moment":
