@@ -13,10 +13,11 @@ OPENBLAS_NUM_THREADS can change the bytes of a wide-input run (784 IDX
 pixels).
 
 `run` takes one config, or a list of configs that differ only in
-`run_seed` and `policy`: `compare` passes each such group for all seeds.
-The runs of one seed share one trajectory until their growth decisions
-differ, and then it forks. Each epoch, the trajectories whose networks
-have one shape, across seeds and forks, train as one `netcore.Stack`.
+`run_seed`, `seed_arch` and `policy`: `compare` passes each such group
+for all seeds. The runs of one seed and seed net share one trajectory
+until their growth decisions differ, and then it forks. Each epoch, the
+trajectories whose networks have one shape train as one `netcore.Stack`,
+so a target-size ("vanilla") run joins grown runs at the target shape.
 Every run still gets its solo run's bytes. A run's `wall_seconds` is the
 wall time of the whole `run` call; its own cost is `train_macs`, a count
 that sharing does not change.
@@ -35,14 +36,7 @@ import numpy as np
 from .arch import ArchSpec, parse_arch
 from .config import DataConfig, PolicyConfig, TrainConfig, config_added_blocks
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
-from .morph import (
-    GrowthEvent,
-    MomentEnsemble,
-    count_added_blocks,
-    grow,
-    next_stage,
-    resolve_init_rule,
-)
+from .morph import GrowthEvent, MomentEnsemble, grow, next_stage, resolve_init_rule
 from .netcore import (
     BlockKind,
     Network,
@@ -56,7 +50,7 @@ from .netcore import (
     stack_networks,
 )
 from .rng import substream
-from .timing import SHOULD_GROW, PolicyState, average_training_epochs, i_max, orl
+from .timing import SHOULD_GROW, PolicyState, average_training_epochs, orl
 
 
 @dataclass(frozen=True)
@@ -201,16 +195,16 @@ class _Branch:
 
 
 def _shared_part(config: TrainConfig) -> TrainConfig:
-    """`config` with the fields one `run` call may vary per run, `run_seed` and `policy`, reset."""
-    return replace(config, run_seed=0, policy=PolicyConfig())
+    """`config` with the fields one `run` call may vary per run reset: seed, seed net and policy."""
+    return replace(config, run_seed=0, seed_arch=config.target_arch, policy=PolicyConfig())
 
 
 def run(configs: TrainConfig | list[TrainConfig]) -> RunResult | list[RunResult | Exception]:
     """Execute grow-train-finetune runs and collect per-epoch metrics.
 
     One config: return its RunResult, or raise the error that failed it.
-    A list of configs that differ only in `run_seed` and `policy`: return
-    one RunResult or exception per config, in order, each equal to its
+    A list of configs that differ only in `run_seed`, `seed_arch` and
+    `policy`: one RunResult or exception per config, in order, each its
     solo run's apart from `wall_seconds` (see the module docstring). Any
     other list, the empty one too, raises ValueError before set-up.
     """
@@ -220,12 +214,13 @@ def run(configs: TrainConfig | list[TrainConfig]) -> RunResult | list[RunResult 
             raise outcome
         return outcome
     if len({_shared_part(cfg) for cfg in configs}) != 1:
-        raise ValueError("run needs one or more configs that differ only in run_seed and policy")
+        raise ValueError("run needs one or more configs that differ only in run_seed, seed_arch "
+                         "and policy")
     return _run_group(list(configs))
 
 
 def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
-    """Run each config on shared, stacked trajectories; they differ only in seed and policy."""
+    """Run each config on shared, stacked trajectories (see the module docstring)."""
     t_start = time.perf_counter()
     config = runs[0]
     outcomes: list[RunResult | Exception | None] = [None] * len(runs)
@@ -236,26 +231,20 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
 
     try:
         train, val, test = build_datasets(config.data)
-        seed_arch = parse_arch(config.seed_arch, train.dim, train.num_classes)
+        seed_archs = {c.seed_arch: parse_arch(c.seed_arch, train.dim, train.num_classes) for c in runs}
         target_arch = parse_arch(config.target_arch, train.dim, train.num_classes)
-        budget = count_added_blocks(seed_arch, target_arch)
-        max_interval = (i_max(config.total_epochs, config.min_finetune_epochs, budget)
-                        if budget > 0 else 1.0)
+        keys = [(cfg.run_seed, cfg.seed_arch) for cfg in runs]
         branches = []
-        for seed in dict.fromkeys(cfg.run_seed for cfg in runs):
-            net = build_network(seed_arch, seed)
-            members = [i for i, cfg in enumerate(runs) if cfg.run_seed == seed]
+        for seed, arch in dict.fromkeys(keys):
+            net = build_network(seed_archs[arch], seed)
+            members = [i for i, key in enumerate(keys) if key == (seed, arch)]
             branches.append(_Branch(seed, net, _track_next(net, config, target_arch), [], members))
+        states = [PolicyState(config.total_epochs, config.min_finetune_epochs,
+                              config_added_blocks(cfg), cfg.policy.alpha, cfg.policy.period_scale)
+                  for cfg in runs]
     except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
         fail(range(len(runs)), exc)
         return outcomes
-
-    states = [PolicyState(total_epochs=config.total_epochs,
-                          min_finetune_epochs=config.min_finetune_epochs,
-                          remaining=budget, max_interval=max_interval,
-                          alpha=cfg.policy.alpha, period_scale=cfg.policy.period_scale)
-              for cfg in runs]
-    should_grow = [SHOULD_GROW[cfg.policy.name] for cfg in runs]
 
     def end_epoch(branch: _Branch, epoch: int, lr: float) -> list[_Branch]:
         """Evaluate, let every run decide, fork and grow; return the live trajectories."""
@@ -275,7 +264,8 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
         for i in branch.members:
             states[i].val_history.append(report.val_acc)
             try:
-                grows = states[i].remaining > 0 and should_grow[i](states[i], epoch, orl_pp)
+                grows = (states[i].remaining > 0
+                         and SHOULD_GROW[runs[i].policy.name](states[i], epoch, orl_pp))
             except Exception as exc:  # noqa: BLE001 - a failing policy fails only its run
                 fail([i], exc)
                 continue
@@ -330,8 +320,9 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
             fail(b.members, RuntimeError("final architecture does not match the target spec"))
         else:
             last = b.metrics[-1]
-            trained = [seed_arch.blocks_per_stage] + [m.blocks for m in b.metrics[:-1]]
-            macs = len(train) * sum(_row_macs(seed_arch, blocks) for blocks in trained)
+            seed_blocks = seed_archs[runs[b.members[0]].seed_arch].blocks_per_stage
+            trained = [seed_blocks] + [m.blocks for m in b.metrics[:-1]]
+            macs = len(train) * sum(_row_macs(target_arch, blocks) for blocks in trained)
             for i in b.members:
                 events = states[i].events
                 e_bar = average_training_epochs(events, config.total_epochs) if events else None

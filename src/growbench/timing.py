@@ -113,25 +113,37 @@ class PolicyState:
     """Mutable when-to-grow state owned by the training loop.
 
     `val_history` holds the val accuracy of every completed epoch and
-    must be current before the policy is consulted.
+    must be current before the policy is consulted. `remaining`,
+    `last_growth_epoch` and `max_interval` are derived from the schedule,
+    `budget` and `events`, so the state cannot disagree with its events.
     """
 
     total_epochs: int
     min_finetune_epochs: int
-    remaining: int
-    max_interval: float
+    budget: int  # blocks the run adds in all
     alpha: float = 4.0
     period_scale: float = 1.0
-    last_growth_epoch: int = 0
     events: list[GrowthEvent] = field(default_factory=list)
     val_history: list[float] = field(default_factory=list)
+    max_interval: float = field(init=False)  # the interval cap; 1.0 when nothing is added
+
+    def __post_init__(self) -> None:
+        self.max_interval = (i_max(self.total_epochs, self.min_finetune_epochs, self.budget)
+                             if self.budget > 0 else 1.0)
+
+    @property
+    def remaining(self) -> int:
+        return self.budget - len(self.events)
+
+    @property
+    def last_growth_epoch(self) -> int:
+        """0-based epoch at whose end the last growth was decided; 0 before any."""
+        return self.events[-1].epoch - 1 if self.events else 0
 
     def record_growth(self, event: GrowthEvent) -> None:
-        self.events.append(event)
-        self.last_growth_epoch = event.epoch - 1  # decided at the end of that epoch
-        self.remaining -= 1
-        if self.remaining < 0:
+        if self.remaining <= 0:
             raise PolicyError("grew more blocks than the budget allows")
+        self.events.append(event)
 
     @property
     def growth_done_epoch(self) -> int | None:

@@ -3,9 +3,9 @@ contracts, and directional mechanism checks on the shipped presets (and,
 for criterion 6, one fixture the test builds itself).
 
 Heavy preset runs are shared across criteria through a lazily filled
-session cache. Runs that differ only in policy are computed together,
-for every seed, by one `run` call, which gives each its solo run's
-result. The full module takes about 2.5 minutes on a 2-core machine.
+session cache. Runs that differ only in policy and seed net (the
+`_vanilla` labels) are computed together, for every seed, by one `run`
+call, which gives each its solo run's result. The full module takes about 2.5 minutes on a 2-core machine.
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.
 """
@@ -21,7 +21,7 @@ import pytest
 from growbench.arch import ArchSpec, StageSpec
 from growbench.cli import CliConfig, _build_config, parse_config_text, render_config
 from growbench.data import Dataset, read_idx, write_idx
-from growbench.harness import DataConfig, PolicyConfig, run, write_metrics
+from growbench.harness import DataConfig, _shared_part, run, write_metrics
 from growbench.morph import GrowthEvent
 from growbench.netcore import build_network, loss_grads_logits
 from growbench.presets import preset_config
@@ -45,24 +45,23 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def run_seeds(config, policies):
-    """One `run` call of `config` per policy over SEEDS: [[result per policy] per seed].
+def run_seeds(configs):
+    """One `run` call of `configs` over SEEDS: [[result per config] per seed].
 
     A failed run raises its error, as the run alone would.
     """
-    outcomes = run([replace(config, run_seed=seed, policy=pol)
-                    for seed in SEEDS for pol in policies])
+    outcomes = run([replace(cfg, run_seed=seed) for seed in SEEDS for cfg in configs])
     for out in outcomes:
         if isinstance(out, Exception):
             raise out
-    return [outcomes[k * len(policies):(k + 1) * len(policies)] for k in range(len(SEEDS))]
+    return [outcomes[k * len(configs):(k + 1) * len(configs)] for k in range(len(SEEDS))]
 
 
 class RunCache:
     """Lazily executed preset runs, shared by the mechanism criteria.
 
     A miss fills every label in LABELS that differs from the missing one
-    only in `policy`, for all SEEDS, from one `run` call.
+    only in `policy` and `seed_arch`, for all SEEDS, from one `run` call.
     """
 
     def __init__(self):
@@ -76,14 +75,14 @@ class RunCache:
         return preset_config(label)
 
     def _base(self, label: str):
-        return replace(self.config(label), policy=PolicyConfig())
+        return _shared_part(self.config(label))
 
     def get(self, label: str, seed: int):
         key = (label, seed)
         if key not in self._runs:
             group = [label] + [other for other in LABELS
                                if other != label and self._base(other) == self._base(label)]
-            outcomes = run_seeds(self.config(label), [self.config(g).policy for g in group])
+            outcomes = run_seeds([self.config(g) for g in group])
             for s, per_seed in zip(SEEDS, outcomes):
                 self._runs.update({(g, s): out for g, out in zip(group, per_seed)})
         return self._runs[key]
@@ -352,7 +351,8 @@ def test_c6_policy_comparison(cache, tmp_path):
             "convergent": cache.results("underfit_convergent"),
         }),
         ("checkerboard", checker.policy.alpha, dict(zip(POLICIES, zip(*run_seeds(
-            checker, [replace(checker.policy, name=policy) for policy in POLICIES]))))),
+            [replace(checker, policy=replace(checker.policy, name=policy))
+             for policy in POLICIES]))))),
     ]
     arms = [underfit_arm(name, runs, alpha) for name, alpha, runs in fixtures]
     asserted = [claim_ok for premise, claim_ok, _ in arms if premise]

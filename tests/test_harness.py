@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import tempfile
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -262,17 +263,22 @@ def test_property_shared_run_equals_solo_runs(cfg, policies, lr_base):
 @settings(max_examples=40, deadline=None)
 @given(cfg=small_configs(), policies=policy_lists(),
        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
-       lr_base=st.sampled_from((0.05, 0.05, 1e3)))
+       lr_base=st.sampled_from((0.05, 0.05, 1e3)), vanilla=st.booleans())
 @example(cfg=replace(tiny_config(init="moment", where="circulation"), target_arch="res:8x3-8x2"),
          policies=[PolicyConfig("convergent"), PolicyConfig("fragrow", alpha=1.0),
                    PolicyConfig("periodic", period_scale=0.5)],
-         seeds=[0, 1, 0], lr_base=0.05)
-def test_property_multi_seed_run_equals_solo_runs(cfg, policies, seeds, lr_base):
-    """Every (seed, policy) of one stacked call has its solo run's result or error."""
-    configs = [replace(cfg, lr_base=lr_base, run_seed=seed, policy=pol)
-               for seed in seeds for pol in policies]
+         seeds=[0, 1, 0], lr_base=0.05, vanilla=True)
+def test_property_multi_seed_run_equals_solo_runs(cfg, policies, seeds, lr_base, vanilla):
+    """Every (seed, variant) of one stacked call has its solo run's result or error.
+
+    The variants are the policies and, with `vanilla`, the target net trained from scratch.
+    """
+    variants = [replace(cfg, policy=pol) for pol in policies]
+    if vanilla:
+        variants.append(replace(cfg, seed_arch=cfg.target_arch))
+    configs = [replace(v, lr_base=lr_base, run_seed=seed) for seed in seeds for v in variants]
     stacked = run(configs)
-    assert len(stacked) == len(policies) * len(seeds)
+    assert len(stacked) == len(variants) * len(seeds)
     for config, got in zip(configs, stacked):
         try:
             solo = run(config)
@@ -755,14 +761,15 @@ def test_compare_isolates_a_failing_policy(monkeypatch):
 @pytest.mark.parametrize("configs", [
     [],
     [tiny_config(), tiny_config(data=replace(tiny_config().data, data_seed=7))],
-], ids=["empty", "mixed-data-seed"])
+    [tiny_config(), tiny_config(target_arch="res:8x3-8x2")],
+], ids=["empty", "mixed-data-seed", "mixed-target-arch"])
 def test_run_list_refused_before_setup(monkeypatch, configs):
     def no_setup(*args):
         raise AssertionError("the data was set up")
 
     monkeypatch.setattr(harness, "build_datasets", no_setup)
     with pytest.raises(ValueError, match="^run needs one or more configs that differ only in "
-                                         "run_seed and policy$"):
+                                         "run_seed, seed_arch and policy$"):
         run(configs)
 
 
@@ -779,18 +786,43 @@ def test_compare_calls_harness_run_once_per_config_group(monkeypatch):
     labeled = [("fragrow", tiny_config(policy=PolicyConfig("fragrow"))),
                ("vanilla", tiny_config(seed_arch="res:8x2-8x2")), ("periodic", tiny_config())]
     table = compare(labeled, seeds=[0, 1])
-    assert calls == [4, 2]  # fragrow and periodic share one call for both seeds
+    assert calls == [6]  # all three share one call for both seeds: only policy and seed net differ
     assert [r.n_failed for r in table.rows] == [0, 0, 0]
 
 
-def test_benchmark_reads_only_names_the_harness_has(monkeypatch):
-    """Every name the benchmark wraps (spans.py) or reads (checks.py, workloads.py) exists."""
+def _perfbench_spans(monkeypatch):
+    """The benchmark's tracer module, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_reads_only_names_the_harness_has(monkeypatch):
+    """Every name the benchmark wraps (spans.py) or reads (checks.py, workloads.py) exists."""
+    spans = _perfbench_spans(monkeypatch)
     read = ("config_added_blocks", "TrainConfig", "RunResult", "ComparisonTable",
             "build_datasets", "compare", "run")
     assert [name for name in (*spans.HARNESS_ENTRY_POINTS, *read)
             if not callable(getattr(harness, name, None))] == []
+
+
+def test_benchmark_tracer_accounts_for_a_short_run(monkeypatch):
+    """The benchmark's tracer sizes every policy decision and accounts for a run's wall time."""
+    spans = _perfbench_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        t0 = time.perf_counter()
+        outcomes = harness.run([tiny_config(policy=PolicyConfig(name))
+                                for name in ("fragrow", "periodic")])
+        wall = time.perf_counter() - t0
+    assert harness.run is run and SHOULD_GROW["periodic"].__name__ == "periodic_should_grow"
+    decides = [s for s in tracer.spans if s.name == "decide"]
+    # each run decides at the end of every epoch up to its last growth
+    assert len(decides) == sum(r.events[-1].epoch for r in outcomes)
+    assert {s.size for s in decides} == {0, 1}  # periodic's second growth is deadline-forced
+    metrics, accounted = spans.layer_metrics(tracer.spans, [wall])
+    assert metrics["timing.growths_forced"] == sum(s.size for s in decides)
+    assert 98.0 <= accounted <= 102.0

@@ -23,10 +23,16 @@ from growbench.timing import (
 
 
 def make_state(**kw):
-    defaults = dict(total_epochs=180, min_finetune_epochs=30, remaining=24,
-                    max_interval=6.25, alpha=4.0)
+    """A state with interval cap (total - finetune) / budget, 150 / 24 = 6.25 by default."""
+    defaults = dict(total_epochs=180, min_finetune_epochs=30, budget=24, alpha=4.0)
     defaults.update(kw)
     return PolicyState(**defaults)
+
+
+def grown_at(state, epoch):
+    """`state` after one growth decided at the end of 0-based `epoch`."""
+    state.record_growth(GrowthEvent(epoch=epoch + 1, stage=0, block_index=1, init_rule="copy"))
+    return state
 
 
 # --- orl ----------------------------------------------------------------------
@@ -127,9 +133,8 @@ def test_round_half_up():
 # --- fragrow ------------------------------------------------------------------
 
 def test_fragrow_waits_for_dynamic_interval():
-    state = make_state()
+    state = grown_at(make_state(), 10)
     orl_pp = orl(79.25, 74.95)  # 4.30 -> I ~ 3.59
-    state.last_growth_epoch = 10
     assert not fragrow_should_grow(state, 13, orl_pp)  # 3 elapsed
     assert fragrow_should_grow(state, 14, orl_pp)  # 4 elapsed
 
@@ -137,49 +142,46 @@ def test_fragrow_waits_for_dynamic_interval():
 def test_fragrow_saturated_interval():
     state = make_state()
     orl_pp = orl(98.88, 67.53)  # 31.35 -> I ~ 6.25
-    state.last_growth_epoch = 0
+    assert state.last_growth_epoch == 0  # no growth yet: gaps count from epoch 0
     assert not fragrow_should_grow(state, 6, orl_pp)
     assert fragrow_should_grow(state, 7, orl_pp)
 
 
 def test_fragrow_floor_one_epoch():
-    state = make_state()
+    state = grown_at(make_state(), 5)
     orl_pp = orl(50.0, 50.0)  # 0 -> tiny I
-    state.last_growth_epoch = 5
     assert not fragrow_should_grow(state, 5, orl_pp)
     assert fragrow_should_grow(state, 6, orl_pp)
 
 
 def test_fragrow_forced_completion_deadline():
-    state = make_state(remaining=3)
+    state = grown_at(make_state(total_epochs=55, budget=4), 21)  # cap 25 / 4 = 6.25, 3 left
     orl_pp = orl(99.0, 50.0)  # would wait ~6.25
-    state.last_growth_epoch = 146
-    assert 180 - 30 - 3 == 147
-    assert not fragrow_should_grow(state, 146, orl_pp)
-    assert fragrow_should_grow(state, 147, orl_pp)
+    assert state.remaining == 3
+    assert 55 - 30 - 3 == 22
+    assert not fragrow_should_grow(state, 21, orl_pp)
+    assert fragrow_should_grow(state, 22, orl_pp)
 
 
 # --- periodic -----------------------------------------------------------------
 
 def test_periodic_period_rounding():
-    assert periodic_period(make_state(max_interval=6.25)) == 6
-    assert periodic_period(make_state(max_interval=6.5)) == 7
-    assert periodic_period(make_state(max_interval=0.3)) == 1
-    assert periodic_period(make_state(max_interval=6.25, period_scale=0.2)) == 1
+    assert periodic_period(make_state()) == 6  # cap 150 / 24 = 6.25
+    assert periodic_period(make_state(total_epochs=186)) == 7  # cap 156 / 24 = 6.5
+    assert periodic_period(make_state(period_scale=0.2)) == 1  # 1.25 rounds to 1
+    assert periodic_period(make_state(period_scale=0.05)) == 1  # 0.3125 rounds to 0: the floor
 
 
 def test_periodic_grows_on_schedule():
-    state = make_state(max_interval=6.25)
-    state.last_growth_epoch = 0
+    state = make_state()  # cap 6.25, no growth yet
     assert not periodic_should_grow(state, 0, 0.0)
     assert not periodic_should_grow(state, 5, 0.0)
     assert periodic_should_grow(state, 6, 0.0)
 
 
 def test_periodic_deadline_cascade():
-    state = make_state(total_epochs=40, min_finetune_epochs=10, remaining=24,
-                       max_interval=0.625)
-    state.last_growth_epoch = 6
+    state = grown_at(make_state(total_epochs=40, min_finetune_epochs=10, budget=25), 6)
+    assert periodic_period(state) == 1  # cap 30 / 25 = 1.2, and no epoch since the growth
     assert periodic_should_grow(state, 6, 0.0)  # deadline 40-10-24 = 6
 
 
@@ -191,30 +193,26 @@ def _with_history(state, accs):
 
 
 def test_convergent_ignores_rising_accuracy():
-    state = make_state(remaining=4)
+    state = make_state(budget=4)
     _with_history(state, [50 + 0.5 * i for i in range(12)])
-    state.last_growth_epoch = 0
     assert not convergent_should_grow(state, 11, 0.0)
 
 
 def test_convergent_fires_on_flat_window():
-    state = make_state(remaining=4)
+    state = make_state(budget=4)
     _with_history(state, [60.0] * 6)
-    state.last_growth_epoch = 0
     assert convergent_should_grow(state, 5, 0.0)
 
 
 def test_convergent_needs_full_window_since_growth():
-    state = make_state(remaining=4)
+    state = grown_at(make_state(budget=4), 3)
     _with_history(state, [60.0] * 6)
-    state.last_growth_epoch = 3
     assert not convergent_should_grow(state, 5, 0.0)  # only 2 epochs since growth
 
 
 def test_convergent_tolerates_small_wiggle():
-    state = make_state(remaining=4)  # PLATEAU_EPS is 0.05
+    state = make_state(budget=4)  # PLATEAU_EPS is 0.05
     _with_history(state, [60.0, 60.0, 60.0, 60.04, 60.02, 60.01, 60.03, 60.0])
-    state.last_growth_epoch = 0
     assert convergent_should_grow(state, 7, 0.0)
 
 
@@ -243,7 +241,7 @@ def test_average_epochs_rejects_empty_or_late():
 def test_fragrow_never_slower_than_periodic_interval():
     # the dynamic interval never exceeds the cap, and the cap in any
     # integer-cap configuration equals the periodic period
-    state = make_state(max_interval=5.0)
+    state = make_state(budget=30)  # cap 150 / 30 = 5.0
     rng = np.random.default_rng(1)
     for _ in range(300):
         orl_pp = orl(*sorted(rng.uniform(0, 100, size=2))[::-1])
@@ -251,12 +249,29 @@ def test_fragrow_never_slower_than_periodic_interval():
 
 
 def test_budget_invariant_via_record_growth():
-    state = make_state(remaining=1)
+    state = make_state(budget=1)
     state.record_growth(GrowthEvent(epoch=3, stage=0, block_index=1, init_rule="copy"))
     assert state.remaining == 0
     assert state.last_growth_epoch == 2  # decided at the end of 0-based epoch 2
+    events = list(state.events)
     with pytest.raises(PolicyError):
         state.record_growth(GrowthEvent(epoch=4, stage=0, block_index=2, init_rule="copy"))
+    assert state.events == events  # a refused growth is not recorded
+    assert state.remaining == 0
+
+
+def test_state_derives_its_growth_facts_from_budget_and_events():
+    state = make_state(budget=3)
+    assert (state.max_interval, state.remaining, state.growth_done_epoch) == (50.0, 3, None)
+    for epoch in (4, 9, 13):
+        grown_at(state, epoch)
+    assert (state.remaining, state.last_growth_epoch, state.growth_done_epoch) == (0, 13, 14)
+    assert state.max_interval == 50.0  # the cap is the budget's, not what is left of it
+    vanilla = make_state(budget=0)
+    assert (vanilla.max_interval, vanilla.remaining, vanilla.growth_done_epoch) == (1.0, 0, 0)
+    for name in ("remaining", "max_interval", "last_growth_epoch"):
+        with pytest.raises(TypeError):
+            make_state(**{name: 1})
 
 
 # --- policy properties over synthetic traces ----------------------------------
@@ -266,9 +281,8 @@ POLICIES = tuple(SHOULD_GROW)
 
 def simulate(policy, total, finetune, budget, orls, vals, alpha=4.0, period_scale=1.0):
     """Drive one policy as harness.run does, from per-epoch orl and val-acc traces."""
-    state = PolicyState(total_epochs=total, min_finetune_epochs=finetune, remaining=budget,
-                        max_interval=i_max(total, finetune, budget), alpha=alpha,
-                        period_scale=period_scale)
+    state = PolicyState(total_epochs=total, min_finetune_epochs=finetune, budget=budget,
+                        alpha=alpha, period_scale=period_scale)
     should_grow = SHOULD_GROW[policy]
     for epoch in range(total):
         state.val_history.append(vals[epoch])
