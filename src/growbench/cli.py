@@ -46,6 +46,13 @@ def load_config(source: str, overrides: list[str] | None = None) -> CliConfig:
     return _build_config(values)
 
 
+def _check_output_dir(path: str, name: str) -> None:
+    """Refuse an output path in a directory that does not exist; "" (no --csv) passes."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{name} = {path}: directory {directory} does not exist")
+
+
 def _summarize(result: RunResult) -> str:
     lines = [
         f"final test error:  {result.final_test_error:.2f} %",
@@ -66,6 +73,7 @@ def cmd_train(args: argparse.Namespace, overrides: list[str]) -> int:
     if args.print_config:
         print(render_config(cfg), end="")
         return 0
+    _check_output_dir(cfg.output.metrics_path, "output.metrics_path")
     result = run(cfg.train)
     write_metrics(result, cfg.output.metrics_path)
     print(f"metrics written to {cfg.output.metrics_path}")
@@ -84,6 +92,7 @@ def cmd_compare(args: argparse.Namespace, overrides: list[str]) -> int:
                               "rename one of the files")
     labeled = [(label, load_config(source, overrides).train)
                for label, source in zip(labels, args.configs)]
+    _check_output_dir(args.csv, "--csv")
     table = compare(labeled, list(range(args.seeds)))
     print(table.to_text())
     if args.csv:
@@ -114,6 +123,7 @@ def cmd_sweep_alpha(args: argparse.Namespace, overrides: list[str]) -> int:
         raise ConfigError("sweep-alpha requires policy.name = fragrow")
     labeled = [(label, replace(base.train, policy=replace(base.train.policy, alpha=a)))
                for label, a in zip(labels, alphas)]
+    _check_output_dir(args.csv, "--csv")
     # training cost is relative to the alpha=4 row when there is one
     table = compare(labeled, list(range(args.seeds)), anchor="alpha=4")
     print(table.to_text())

@@ -537,18 +537,24 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
             anchor: str | None = None) -> ComparisonTable:
     """Run every config for every seed; report per-config medians.
 
-    Configs that differ only in `policy` run as one `run` call for all
-    seeds: each seed trains one trajectory until their growth decisions
-    differ, and same-shape trajectories train as one stack. `cost %` is
-    the median `train_macs`, normalized so the median of the row labelled
-    `anchor` is 100%. When no row has that label, the first zero-growth
-    ("vanilla") config anchors, and without one the first config.
-    A failed run annotates its row and is excluded from the medians.
+    Configs that differ only in `policy` and `seed_arch` run as one `run`
+    call for all seeds: each seed and seed net trains one trajectory until
+    growth decisions differ, and same-shape trajectories train as one
+    stack. `cost %` is the median `train_macs`, normalized so the median
+    of the row labelled `anchor` is 100%. When no row has that label, the
+    first zero-growth ("vanilla") config anchors, and without one the
+    first config.
+    A failed run annotates its row and is excluded from the medians. An
+    empty config or seed list, a repeated seed and a repeated label raise
+    ValueError before set-up.
     """
     if not configs:
         raise ValueError("compare needs at least one config")
     if not seeds:
         raise ValueError("compare needs at least one seed")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"seed {repeated} is listed twice: each seed is one run of every config")
 
     labels = [label for label, _ in configs]
     dup = next((label for i, label in enumerate(labels) if label in labels[:i]), None)

@@ -202,8 +202,35 @@ def test_train_missing_config_exit_2(capsys):
 
 def test_train_runtime_error_exit_1(tmp_path, capsys):
     path = write_tiny(tmp_path)
-    code = main(["train", path, "--output.metrics_path=/proc/readonly/m.jsonl"])
+    code = main(["train", path, f"--output.metrics_path={tmp_path}"])  # a directory, not a file
     assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write metrics to {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv, name, path", [
+    (["train", "underfit_vanilla", "--output.metrics_path={}"], "output.metrics_path", "m.jsonl"),
+    (["compare", "underfit", "underfit_vanilla", "--csv", "{}"], "--csv", "t.csv"),
+    (["sweep-alpha", "underfit", "--csv", "{}"], "--csv", "s.csv"),
+], ids=["train", "compare", "sweep-alpha"])
+def test_output_path_in_missing_directory_exit_2_before_setup(tmp_path, monkeypatch, capsys, argv,
+                                                              name, path):
+    def no_setup(*args):
+        raise AssertionError("the data was set up")
+
+    monkeypatch.setattr(harness, "build_datasets", no_setup)
+    missing = tmp_path / "no" / "such"
+    path = str(missing / path)
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {name} = {path}: directory {missing} does not exist\n"
+    assert captured.out == ""
+
+
+def test_print_config_writes_nothing_so_checks_no_output_directory(tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    assert main(["train", "underfit", f"--output.metrics_path={missing / 'm.jsonl'}",
+                 "--print-config"]) == 0
+    assert f"metrics_path = {missing / 'm.jsonl'}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("print_config", [False, True])

@@ -733,6 +733,16 @@ def test_compare_rejects_duplicate_labels():
                 seeds=[0])
 
 
+def test_compare_refuses_a_repeated_seed_before_setup(monkeypatch):
+    def no_setup(*args):
+        raise AssertionError("the data was set up")
+
+    monkeypatch.setattr(harness, "build_datasets", no_setup)
+    with pytest.raises(ValueError, match=r"^seed 3 is listed twice: each seed is one run of "
+                                         r"every config$"):
+        compare([("a", tiny_config())], [3, 0, 3])
+
+
 def test_compare_isolates_a_failing_policy(monkeypatch):
     labeled = [(name, tiny_config(policy=PolicyConfig(name)))
                for name in ("fragrow", "periodic", "convergent")]
