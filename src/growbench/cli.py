@@ -47,10 +47,12 @@ def load_config(source: str, overrides: list[str] | None = None) -> CliConfig:
 
 
 def _check_output_dir(path: str, name: str) -> None:
-    """Refuse an output path in a directory that does not exist; "" (no --csv) passes."""
+    """Refuse an output path that is a directory or lies in a missing one; "" (no --csv) passes."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"{name} = {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"{name} = {path}: is a directory")
 
 
 def _summarize(result: RunResult) -> str:
@@ -176,6 +178,7 @@ def cmd_plot(args: argparse.Namespace, overrides: list[str]) -> int:
             raise ConfigError(f"unknown curve {c!r}; available: {', '.join(_CURVES)}")
     if "interval" in curves and (args.alpha is None or args.i_max is None):
         raise ConfigError("curve 'interval' is derived from orl and needs --alpha and --i-max")
+    _check_output_dir(args.out, "--out")
 
     series: list[Series] = []
     events_x: tuple[float, ...] = ()

@@ -36,9 +36,8 @@ import numpy as np
 from .arch import ArchSpec, parse_arch
 from .config import DataConfig, PolicyConfig, TrainConfig, config_added_blocks
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
-from .morph import GrowthEvent, MomentEnsemble, grow, next_stage, resolve_init_rule
+from .morph import GrowthEvent, MomentEnsemble, grow, next_stage
 from .netcore import (
-    BlockKind,
     Network,
     accuracy,
     accuracy_and_loss,
@@ -170,9 +169,7 @@ def _track_next(net: Network, config: TrainConfig, target: ArchSpec,
     if config.init != "moment":
         return None
     location = next_stage(config.where, target.blocks_per_stage, net.blocks_per_stage(), last)
-    if location is None or net.block(location)[0] is BlockKind.DOWNSAMPLE:
-        return None
-    return MomentEnsemble.track(net, location)
+    return None if location is None else MomentEnsemble.track(net, location)
 
 
 @dataclass
@@ -187,11 +184,8 @@ class _Branch:
 
     def fork(self, members: list[int]) -> _Branch:
         """An independent copy of this trajectory for `members`."""
-        net, ensemble = self.net.copy(), self.ensemble
-        if ensemble is not None:
-            ensemble = MomentEnsemble(net, ensemble.stage, ensemble.index, ensemble.shadow.copy(),
-                                      ensemble.updates)
-        return _Branch(self.seed, net, ensemble, list(self.metrics), members)
+        ensemble = self.ensemble and replace(self.ensemble, shadow=self.ensemble.shadow.copy())
+        return _Branch(self.seed, self.net.copy(), ensemble, list(self.metrics), members)
 
 
 def _shared_part(config: TrainConfig) -> TrainConfig:
@@ -344,7 +338,7 @@ def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: Tra
     stack = stack_networks([b.net for b in group])
     perms = np.stack([substream(b.seed, "shuffle", epoch).permutation(n_train) for b in group])
     lr = np.array(lrs)[:, None]
-    ensembles = [b.ensemble for b in group if b.ensemble is not None]
+    ensembles = [(b.ensemble, b.net) for b in group if b.ensemble is not None]
     failures: list[Exception | None] = [None] * len(group)
     with np.errstate(all="ignore"):
         for batch, lo in enumerate(range(0, n_train, config.batch_size)):
@@ -358,8 +352,8 @@ def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: Tra
                 if all(failures):
                     break
             sgd_step(stack, lr)
-            for ensemble in ensembles:
-                ensemble.update()
+            for ensemble, net in ensembles:
+                ensemble.update(net)
     return failures
 
 
@@ -371,9 +365,8 @@ def _grow(b: _Branch, epoch: int, config: TrainConfig, target: ArchSpec,
                           events[-1].stage if events else -1)
     if location is None:
         raise RuntimeError("policy fired with no unsaturated stage")
-    rule = resolve_init_rule(b.net, location, config.init)
     rng = substream(b.seed, "grow", len(events))
-    grow(b.net, location, rule, rng=rng, ensemble=b.ensemble)
+    rule = grow(b.net, location, config.init, rng=rng, ensemble=b.ensemble)
     event = GrowthEvent(epoch + 1, location, b.net.blocks_per_stage()[location] - 1, rule)
     for state in states:
         state.record_growth(event)

@@ -1,10 +1,11 @@
 """Growth bookkeeping and execution.
 
-Where-to-grow policies pick the stage; init rules build the new block's
-weights; `grow` splices the block into the network's flat parameter
-store with zero momentum. New blocks are always appended at the end of a
-stage and are never downsample blocks: downsampling exists only at stage
-boundaries of the seed network.
+Where-to-grow policies pick the stage; `grow` alone builds the new block
+by its init rule (copy and moment become random after a downsample
+block), splices it into the flat parameter store with zero momentum and
+returns the rule it used. A `MomentEnsemble` is a value, updated from the
+network it is given. New blocks are appended at stage ends and never
+downsample: downsampling exists only at stage boundaries of the seed net.
 """
 
 from __future__ import annotations
@@ -43,103 +44,70 @@ def count_added_blocks(seed: ArchSpec, target: ArchSpec) -> int:
     return sum(t.blocks - s.blocks for s, t in zip(seed.stages, target.stages))
 
 
-def _square_block(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(weight, bias) of a copy of a square block's weight-then-bias vector."""
-    flat = flat.copy()
-    return flat[: width * width].reshape(width, width), flat[width * width :]
-
-
-def init_copy_preceding(net: Network, stage: int) -> tuple[np.ndarray, np.ndarray]:
-    """New block's (weight, bias), deep-copied from `stage`'s last block."""
-    kind, span = net.block(stage)
-    if kind is BlockKind.DOWNSAMPLE:
-        raise GrowthError(
-            "cannot copy from a downsample block (in/out widths differ); "
-            "use random init for this location"
-        )
-    return _square_block(net.params[span], net.arch.stages[stage].width)
-
-
 @dataclass
 class MomentEnsemble:
-    """Exponential moving average of the parameters of `net`'s block `index` of `stage`.
+    """EMA of the parameters of `stage`'s block `index`, refreshed once per optimizer step.
 
-    The shadow starts as a copy of the block's slice of `net.params` and is
-    refreshed once per optimizer step: shadow <- d*shadow + (1-d)*current,
-    d = EMA_DECAY. Each update reads the slice of whatever vector
-    `net.params` is then, so it follows stacking and growth; growth only
-    appends at stage ends, so (stage, index) keeps naming the same block.
+    `update(net)` reads that block's slice of `net.params`: shadow <-
+    d*shadow + (1-d)*current, d = EMA_DECAY. Growth only appends at stage
+    ends, so (stage, index) keeps naming the same block.
     """
 
-    net: Network
     stage: int
     index: int
     shadow: np.ndarray
     updates: int = 0
 
     @classmethod
-    def track(cls, net: Network, stage: int) -> "MomentEnsemble":
-        """Track `stage`'s last block, the one a growth there would copy."""
+    def track(cls, net: Network, stage: int) -> MomentEnsemble | None:
+        """Track `stage`'s last block, which growth there derives from; None if it downsamples."""
         index = net.blocks_per_stage()[stage] - 1
         kind, span = net.block(stage, index)
-        if kind is BlockKind.DOWNSAMPLE:
-            raise GrowthError("moment ensembles track square blocks only")
-        return cls(net, stage, index, net.params[span].copy())
+        return None if kind is BlockKind.DOWNSAMPLE else cls(stage, index, net.params[span].copy())
 
-    def update(self) -> None:
+    def update(self, net: Network) -> None:
         d = EMA_DECAY
         self.shadow *= d
-        self.shadow += (1.0 - d) * self.net.params[self.net.block(self.stage, self.index)[1]]
+        self.shadow += (1.0 - d) * net.params[net.block(self.stage, self.index)[1]]
         self.updates += 1
-
-
-def init_moment(ensemble: MomentEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """New block's (weight, bias) from the EMA shadow of its predecessor."""
-    if ensemble.updates < 1:
-        raise GrowthError("moment ensemble has never been updated")
-    return _square_block(ensemble.shadow, ensemble.net.arch.stages[ensemble.stage].width)
 
 
 def grow(net: Network, stage: int, init_rule: str,
          rng: np.random.Generator | None = None,
-         ensemble: MomentEnsemble | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Append one block to `stage`, with zero momentum.
+         ensemble: MomentEnsemble | None = None) -> str:
+    """Append one block to `stage`, with zero momentum; return the init rule used.
 
-    All pre-existing parameter and momentum values keep their bits. The new
-    block's input width equals the stage width, so it is always square.
-    Returns the inserted block's (weight, bias).
+    Copy takes `stage`'s last block, moment the `ensemble` tracking it, and
+    random a He-normal draw from `rng` with zero bias. Copy and moment need
+    a square predecessor, so after a downsample block they become random.
+    All pre-existing parameter and momentum values keep their bits.
     """
     if not 0 <= stage < len(net.arch.stages):
         raise GrowthError(f"stage index {stage} out of range")
     if init_rule not in INIT_RULES:
         raise GrowthError(f"unknown init rule {init_rule!r}")
     width = net.arch.stages[stage].width
+    kind, span = net.block(stage)
+    if kind is BlockKind.DOWNSAMPLE:
+        init_rule = "random"
 
     if init_rule == "copy":
-        block = init_copy_preceding(net, stage)
+        flat = net.params[span]
     elif init_rule == "moment":
         if ensemble is None:
             raise GrowthError("moment init requires an ensemble")
-        block = init_moment(ensemble)
+        if ensemble.updates < 1:
+            raise GrowthError("moment ensemble has never been updated")
+        if (ensemble.stage, ensemble.index) != (stage, net.blocks_per_stage()[stage] - 1):
+            raise GrowthError(f"stale moment ensemble: tracks ({ensemble.stage}, {ensemble.index})")
+        flat = ensemble.shadow
     else:  # random
         if rng is None:
             raise GrowthError("random init requires a generator")
-        block = he_weight(rng, width, width), np.zeros(width)
+        flat = np.concatenate((he_weight(rng, width, width).ravel(), np.zeros(width)))
 
-    net.insert_block(stage, *block)
-    return block
-
-
-def resolve_init_rule(net: Network, stage: int, requested: str) -> str:
-    """Effective init rule for growing `stage` next.
-
-    Copy and moment both derive from the preceding block, which must be
-    square; when the predecessor is a downsample block the new block falls
-    back to random init.
-    """
-    if requested in ("copy", "moment") and net.block(stage)[0] is BlockKind.DOWNSAMPLE:
-        return "random"
-    return requested
+    net.insert_block(stage, flat[: width * width].reshape(width, width), flat[width * width :])
+    return init_rule
 
 
 def next_stage(where: str, target: tuple[int, ...], current: tuple[int, ...],

@@ -16,7 +16,7 @@ from growbench.cli import (
     _build_config,
 )
 from growbench.data import Dataset, write_idx
-from growbench import harness, netcore
+from growbench import cli, harness, netcore
 from growbench.harness import DataConfig, TrainConfig, run, write_metrics
 from growbench.presets import BASE_PRESETS, preset_config, preset_names
 
@@ -202,27 +202,39 @@ def test_train_missing_config_exit_2(capsys):
 
 def test_train_runtime_error_exit_1(tmp_path, capsys):
     path = write_tiny(tmp_path)
-    code = main(["train", path, f"--output.metrics_path={tmp_path}"])  # a directory, not a file
-    assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write metrics to {tmp_path}: ")
+    assert main(["train", path, "--train.lr_base=1e6"]) == 1
+    assert capsys.readouterr().err == "error: training diverged: loss nan at epoch 0, batch 6\n"
+    assert not (tmp_path / "metrics.jsonl").exists()
 
 
-@pytest.mark.parametrize("argv, name, path", [
-    (["train", "underfit_vanilla", "--output.metrics_path={}"], "output.metrics_path", "m.jsonl"),
-    (["compare", "underfit", "underfit_vanilla", "--csv", "{}"], "--csv", "t.csv"),
-    (["sweep-alpha", "underfit", "--csv", "{}"], "--csv", "s.csv"),
-], ids=["train", "compare", "sweep-alpha"])
+_OUTPUT_FLAGS = [
+    (["train", "underfit_vanilla", "--output.metrics_path={}"], "output.metrics_path"),
+    (["compare", "underfit", "underfit_vanilla", "--csv", "{}"], "--csv"),
+    (["sweep-alpha", "underfit", "--csv", "{}"], "--csv"),
+    (["plot", "never-read.jsonl", "--out", "{}"], "--out"),
+]
+_OUTPUT_IDS = ["train", "compare", "sweep-alpha", "plot"]
+
+
+@pytest.mark.parametrize("argv, name, missing",
+                         [(argv, name, m) for m in (True, False) for argv, name in _OUTPUT_FLAGS],
+                         ids=_OUTPUT_IDS + [f"{c}-directory" for c in _OUTPUT_IDS])
 def test_output_path_in_missing_directory_exit_2_before_setup(tmp_path, monkeypatch, capsys, argv,
-                                                              name, path):
+                                                              name, missing):
+    """A path in a missing directory, or naming a directory, is refused before any set-up."""
     def no_setup(*args):
         raise AssertionError("the data was set up")
 
     monkeypatch.setattr(harness, "build_datasets", no_setup)
-    missing = tmp_path / "no" / "such"
-    path = str(missing / path)
+    monkeypatch.setattr(cli, "read_metrics", no_setup)
+    if missing:
+        directory = tmp_path / "no" / "such"
+        path, why = str(directory / "out"), f"directory {directory} does not exist"
+    else:
+        path, why = str(tmp_path), "is a directory"
     assert main([arg.format(path) for arg in argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"config error: {name} = {path}: directory {missing} does not exist\n"
+    assert captured.err == f"config error: {name} = {path}: {why}\n"
     assert captured.out == ""
 
 

@@ -316,20 +316,20 @@ def test_branch_fork_is_an_independent_copy():
     net = build_network(parse_arch("res:8x1-8x1", 8, 3), 0)
     config = tiny_config(init="moment", where="circulation")
     ensemble = _track_next(net, config, parse_arch(config.target_arch, 8, 3), last=0)
-    ensemble.update()
+    ensemble.update(net)
     metrics = [EpochMetrics(0, 50.0, 50.0, 50.0, 1.0, 0.0, 0.05, (1, 1), False)]
     branch = _Branch(0, net, ensemble, metrics, [0, 1, 2])
     fork = branch.fork([2])
     assert (fork.seed, fork.members, fork.metrics) == (0, [2], metrics)
-    assert fork.ensemble.net is fork.net  # the block the original tracks
-    assert ensemble.net is net
+    assert fork.net is not net and fork.ensemble is not ensemble
+    assert not np.shares_memory(fork.ensemble.shadow, ensemble.shadow)  # its own array
     assert (fork.ensemble.stage, fork.ensemble.index) == (ensemble.stage, ensemble.index) == (1, 0)
     np.testing.assert_array_equal(fork.net.params, net.params)
     np.testing.assert_array_equal(fork.ensemble.shadow, ensemble.shadow)
     assert fork.ensemble.updates == ensemble.updates
     before = fork.net.params.copy(), fork.ensemble.shadow.copy()
     net.params += 1.0
-    ensemble.update()
+    ensemble.update(net)
     branch.metrics.append(metrics[0])
     np.testing.assert_array_equal(fork.net.params, before[0])
     np.testing.assert_array_equal(fork.ensemble.shadow, before[1])

@@ -10,10 +10,7 @@ from growbench.morph import (
     MomentEnsemble,
     count_added_blocks,
     grow,
-    init_copy_preceding,
-    init_moment,
     next_stage,
-    resolve_init_rule,
 )
 from growbench.netcore import BlockKind, build_network, loss_grads_logits
 from growbench.rng import substream
@@ -162,26 +159,28 @@ def test_property_where_policy_fills_to_target(counts, name):
 
 def test_copy_init_duplicates_and_detaches():
     net = build_network(arch((2,)), 5)
-    src_w, src_b = block_views(net, 0, 1)
-    new_w, new_b = init_copy_preceding(net, 0)
+    src_w, src_b = (a.copy() for a in block_views(net, 0, 1))
+    assert grow(net, 0, "copy") == "copy"
+    new_w, new_b = block_views(net, 0, 2)
     np.testing.assert_array_equal(new_w, src_w)
     np.testing.assert_array_equal(new_b, src_b)
-    src_w[0, 0] += 1.0
-    assert new_w[0, 0] != src_w[0, 0]
+    block_views(net, 0, 1)[0][0, 0] += 1.0
+    assert new_w[0, 0] == src_w[0, 0]
 
 
-def test_copy_init_rejects_downsample():
+@pytest.mark.parametrize("rule", INIT_RULES)
+def test_growth_after_a_downsample_block_is_random(rule):
     net = build_network(arch((1,), input_dim=6, width=8), 5)
     assert net.block(0, 0)[0] is BlockKind.DOWNSAMPLE
-    with pytest.raises(GrowthError):
-        init_copy_preceding(net, 0)
-
-
-def test_resolve_init_rule_falls_back_to_random():
-    net = build_network(arch((1,), input_dim=6, width=8), 5)
-    assert resolve_init_rule(net, 0, "copy") == "random"
-    assert resolve_init_rule(net, 0, "moment") == "random"
-    assert resolve_init_rule(net, 0, "random") == "random"
+    assert MomentEnsemble.track(net, 0) is None
+    with pytest.raises(GrowthError, match="random init requires a generator"):
+        grow(net, 0, rule)
+    assert net.blocks_per_stage() == (1,)
+    explicit = net.copy()
+    assert grow(explicit, 0, "random", rng=substream(4, "grow", 0)) == "random"
+    assert grow(net, 0, rule, rng=substream(4, "grow", 0)) == "random"
+    assert net.params.tobytes() == explicit.params.tobytes()
+    assert net.momentum.tobytes() == explicit.momentum.tobytes()
 
 
 def test_moment_fixed_point_on_constant_source():
@@ -189,9 +188,9 @@ def test_moment_fixed_point_on_constant_source():
     ens = MomentEnsemble.track(net, 0)
     assert (ens.stage, ens.index) == (0, 1)
     for _ in range(10):
-        ens.update()
-    new_w, _ = init_moment(ens)
-    np.testing.assert_allclose(new_w, block_views(net, 0, 1)[0], atol=1e-12)
+        ens.update(net)
+    assert grow(net, 0, "moment", ensemble=ens) == "moment"
+    np.testing.assert_allclose(block_views(net, 0, 2)[0], block_views(net, 0, 1)[0], atol=1e-12)
 
 
 def test_moment_single_update_recurrence():
@@ -200,7 +199,7 @@ def test_moment_single_update_recurrence():
     s0 = weight.copy()
     ens = MomentEnsemble.track(net, 0)
     weight[:] = s0 + 2.0
-    ens.update()
+    ens.update(net)
     np.testing.assert_allclose(ens.shadow[: s0.size].reshape(s0.shape),
                                0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
 
@@ -209,29 +208,47 @@ def test_moment_ensemble_follows_reallocation():
     net = build_network(arch((2, 2)), 5)
     ens = MomentEnsemble.track(net, 1)
     s0 = net.params[net.block(1, 1)[1]].copy()
+    other = net.copy()
     insert_zero_block(net, 0)  # reallocates the parameter store and moves the tracked block
     insert_zero_block(net, 1)  # appends after the tracked block
-    assert (ens.net, ens.stage, ens.index) == (net, 1, 1)
+    assert (ens.stage, ens.index) == (1, 1)
     net.params[net.block(1, 1)[1]] += 2.0
-    ens.update()
+    ens.update(net)
     np.testing.assert_allclose(ens.shadow, 0.99 * s0 + 0.01 * (s0 + 2.0), atol=1e-12)
+    ens.update(other)  # another network of the same shape: its own block's values
+    np.testing.assert_allclose(ens.shadow, 0.99 * (0.99 * s0 + 0.01 * (s0 + 2.0)) + 0.01 * s0,
+                               atol=1e-12)
 
 
 def test_moment_requires_an_update():
     net = build_network(arch((2,)), 5)
     ens = MomentEnsemble.track(net, 0)
-    with pytest.raises(GrowthError):
-        init_moment(ens)
+    with pytest.raises(GrowthError, match="never been updated"):
+        grow(net, 0, "moment", ensemble=ens)
+    assert net.blocks_per_stage() == (2,)
+
+
+def test_stale_moment_ensemble_is_refused():
+    net = build_network(arch((2, 2)), 5)
+    ens = MomentEnsemble.track(net, 0)
+    ens.update(net)
+    with pytest.raises(GrowthError, match=r"stale moment ensemble: tracks \(0, 1\)"):
+        grow(net, 1, "moment", ensemble=ens)  # another stage
+    grow(net, 0, "copy")
+    before = net.params.copy()
+    with pytest.raises(GrowthError, match=r"stale moment ensemble: tracks \(0, 1\)"):
+        grow(net, 0, "moment", ensemble=ens)  # stage 0's last block is now block 2
+    assert net.params.tobytes() == before.tobytes() and net.blocks_per_stage() == (3, 2)
 
 
 def test_second_growth_tracks_new_preceding_block():
     net = build_network(arch((2,)), 5)
-    first_w, _ = insert_zero_block(net, 0)
+    first_w = insert_zero_block(net, 0)[0].copy()
     # re-tracking after growth must shadow the block just inserted
     ens = MomentEnsemble.track(net, 0)
-    ens.update()
-    second_w, _ = init_moment(ens)
-    np.testing.assert_array_equal(second_w, first_w)
+    ens.update(net)
+    grow(net, 0, "moment", ensemble=ens)
+    np.testing.assert_array_equal(block_views(net, 0, 3)[0], first_w)
 
 
 # --- grow -------------------------------------------------------------------
@@ -281,7 +298,7 @@ def test_grow_random_uses_given_stream():
     net1 = build_network(arch((2, 2)), 9)
     net2 = build_network(arch((2, 2)), 9)
     for net in (net1, net2):
-        grow(net, 0, "random", rng=substream(4, "grow", 0))
+        assert grow(net, 0, "random", rng=substream(4, "grow", 0)) == "random"
     np.testing.assert_array_equal(block_views(net1, 0, 2)[0], block_views(net2, 0, 2)[0])
 
 
@@ -303,15 +320,14 @@ def test_budget_exactness_full_growth():
     target = arch((4, 3, 2))
     net = build_network(seed, 2)
     n = count_added_blocks(seed, target)
-    events = 0
+    rules = []
     while True:
         loc = next_stage("sequential", target.blocks_per_stage, net.blocks_per_stage())
         if loc is None:
             break
-        rule = resolve_init_rule(net, loc, "copy")  # stage 0 starts downsample
-        grow(net, loc, rule, rng=substream(0, "grow", events))
-        events += 1
-    assert events == n
+        rules.append(grow(net, loc, "copy", rng=substream(0, "grow", len(rules))))
+    assert len(rules) == n
+    assert rules == ["random"] + ["copy"] * (n - 1)  # stage 0 starts downsample
     assert net.blocks_per_stage() == target.blocks_per_stage
 
 
@@ -358,16 +374,14 @@ def test_flat_store_views_after_every_growth(rule, where, family):
     for k in range(count_added_blocks(seed, target)):
         net.momentum[:] = rng.normal(size=net.momentum.size)
         loc = next_stage(where, target.blocks_per_stage, net.blocks_per_stage(), loc)
-        resolved = rule if rule == "zero" else resolve_init_rule(net, loc, rule)
-        ensemble = None
-        if resolved == "moment":
-            ensemble = MomentEnsemble.track(net, loc)
-            ensemble.update()
+        ensemble = MomentEnsemble.track(net, loc) if rule == "moment" else None
+        if ensemble is not None:
+            ensemble.update(net)
         before = _snapshot(net)
-        if resolved == "zero":
+        if rule == "zero":
             insert_zero_block(net, loc)
         else:
-            grow(net, loc, resolved, rng=substream(4, "grow", k), ensemble=ensemble)
+            grow(net, loc, rule, rng=substream(4, "grow", k), ensemble=ensemble)
         assert_flat_store(net)
         after = _snapshot(net)
         new_path = (loc, net.blocks_per_stage()[loc] - 1)
