@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -164,6 +165,8 @@ def _parse_range(text: str | None, what: str) -> tuple[float, float] | None:
             raise ValueError
     except ValueError:
         raise ConfigError(f"bad {what} {text!r}; expected LO:HI") from None
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"bad {what} {text!r}; its width HI - LO is not a finite float")
     return lo, hi
 
 

@@ -9,10 +9,11 @@ scaled simplex, which gives direct control over how hard the task is
 The readers return fresh (features, labels) arrays, and set-up keeps one
 float64 array per split and no full-size temporary:
 `split_standardized` moves the train rows forward inside the pool array,
-takes numpy's mean and std bytes through one buffer of `CHUNK_BYTES`, and
-standardizes in place. A `harness.build_datasets` call peaks at about
-1.07x the bytes of the splits it returns (traced, on MNIST-shaped IDX
-data and on both presets).
+centers them in place on numpy's mean, sums their squares for numpy's std
+through one buffer of `CHUNK_BYTES` and divides in place, and `standardize`
+applies that mean and std to val and test. A `harness.build_datasets` call
+peaks at about 1.07x the bytes of the splits it returns (traced, on
+MNIST-shaped IDX data and on both presets).
 """
 
 from __future__ import annotations
@@ -136,14 +137,15 @@ def _chunk_rows(dim: int) -> int:
 
 def split_standardized(features: np.ndarray, labels: np.ndarray, val_fraction: float,
                        seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                                           Standardizer]:
+                                           tuple[np.ndarray, np.ndarray]]:
     """Split a pool, fit the standardization on train and apply it to both, in place.
 
     Consumes `features`, a C-contiguous N x D array the caller made and
     reads no more. The val rows are copied out; the sorted train rows then
     move forward inside it, chunk by chunk (train_idx[i] >= i, so no row is
-    overwritten before it is read). Returns train features (a view of
-    `features`) and labels, val features and labels, and the Standardizer.
+    overwritten before it is read), and are centered on numpy's mean and
+    divided by numpy's std (0 -> 1). Returns train features (a view of
+    `features`) and labels, val features and labels, and train's (mean, std).
     """
     train_idx, val_idx = _split_indices(len(labels), val_fraction, seed)
     val = features[val_idx]
@@ -152,61 +154,43 @@ def split_standardized(features: np.ndarray, labels: np.ndarray, val_fraction: f
         idx = train_idx[lo:lo + rows]
         features[lo:lo + len(idx)] = features[idx]
     train = features[:len(train_idx)]
-    tf = Standardizer(*_mean_std(train))
-    tf.apply_in_place(train)
-    tf.apply_in_place(val)
-    return train, labels[train_idx], val, labels[val_idx], tf
+    mean = train.mean(axis=0)
+    train -= mean
+    std = _sum_of_squares(train)
+    std /= len(train)
+    np.sqrt(std, out=std)
+    std[std == 0.0] = 1.0
+    train /= std
+    standardize(val, mean, std)
+    return train, labels[train_idx], val, labels[val_idx], (mean, std)
 
 
-def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x.mean(axis=0) and x.std(axis=0), with std 0 -> 1, through one chunk buffer.
+def standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> None:
+    """Write the bytes of (x - mean) / std over `x`, the caller's own."""
+    x -= mean
+    x /= std
+
+
+def _sum_of_squares(x: np.ndarray) -> np.ndarray:
+    """(x ** 2).sum(axis=0) in numpy's bytes, through one buffer of `CHUNK_BYTES`.
 
     `x` is C-contiguous, and numpy sums such a matrix down axis 0 row after
-    row, so chaining each chunk's column sums with the running sum as the
-    chunk's first row gives numpy's own bytes. A single column, which numpy
+    row, so each chunk's squares go into buf[1:] and buf[0] carries the
+    running sum from the second chunk on. A single column, which numpy
     sums pairwise, goes to numpy whole.
     """
     n, dim = x.shape
     if dim == 1:
-        mean, std = x.mean(axis=0), x.std(axis=0)
-    else:
-        rows = _chunk_rows(dim)
-        buf = np.empty((min(rows, n) + 1, dim))
-        mean = _column_sums(x, buf, rows, np.copyto)
-        mean /= n
-        std = _column_sums(x, buf, rows, lambda out, chunk: np.square(
-            np.subtract(chunk, mean, out=out), out=out))
-        std /= n
-        np.sqrt(std, out=std)
-    return mean, np.where(std == 0.0, 1.0, std)
-
-
-def _column_sums(x: np.ndarray, buf: np.ndarray, rows: int, fill) -> np.ndarray:
-    """Column sums of fill(x) in numpy's row order, `rows` rows at a time.
-
-    fill(out, chunk) writes each chunk's transform into buf[1:], and buf[0]
-    carries the running sum from the second chunk on.
-    """
+        return np.square(x).sum(axis=0)
+    rows = _chunk_rows(dim)
+    buf = np.empty((min(rows, n) + 1, dim))
     first = 1
-    for lo in range(0, len(x), rows):
-        m = min(rows, len(x) - lo)
-        fill(buf[1:m + 1], x[lo:lo + m])
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        np.square(x[lo:lo + m], out=buf[1:m + 1])
         buf[0] = buf[first:m + 1].sum(axis=0)
         first = 0
     return buf[0].copy()
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-dimension affine transform fitted on the training split."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply_in_place(self, features: np.ndarray) -> None:
-        """The bytes of (features - mean) / std, written over `features`, the caller's own."""
-        features -= self.mean
-        features /= self.std
 
 
 def _read_exact(f, count: int, path: str, what: str) -> bytes:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .arch import ArchSpec, parse_arch
 from .config import DataConfig, PolicyConfig, TrainConfig, config_added_blocks
-from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized
+from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized, standardize
 from .morph import GrowthEvent, MomentEnsemble, grow, next_stage
 from .netcore import (
     Network,
@@ -117,10 +117,10 @@ def _pool_classes(labels: np.ndarray, source: str) -> int:
 def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, val, test), standardized on the train split.
 
-    Splits the pool, fits the standardization on train and applies it to
-    every split, in the arrays set-up reads or generates: train lives in
-    the pool's array, val is copied out of it and test is standardized
-    where it is read, so set-up peaks at about 1.07x the bytes it returns.
+    Splits the pool and standardizes every split on train's mean and std,
+    in the arrays set-up reads or generates: train lives in the pool's
+    array, val is copied out of it and test is standardized where it is
+    read, so set-up peaks at about 1.07x the bytes it returns.
     A file-backed pool whose labels miss a class 0..K-1 (K >= 2) and a
     test label outside the pool's classes are rejected here, naming the
     label file, and a split that leaves a class no training row naming
@@ -130,8 +130,8 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     classes = cfg.classes
     if cfg.source != "gaussians":
         classes = _pool_classes(labels, cfg.train_labels if cfg.source == "idx" else cfg.train_csv)
-    train_x, train_y, val_x, val_y, tf = split_standardized(features, labels, cfg.val_fraction,
-                                                            cfg.data_seed)
+    train_x, train_y, val_x, val_y, (mean, std) = split_standardized(
+        features, labels, cfg.val_fraction, cfg.data_seed)
     missing = np.flatnonzero(np.bincount(train_y, minlength=classes) == 0)
     if len(missing):
         raise ValueError(f"data.val_fraction = {cfg.val_fraction} leaves class {missing[0]} "
@@ -142,7 +142,7 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
         source = cfg.test_labels if cfg.source == "idx" else cfg.test_csv
         raise ValueError(f"{source}: label {top} outside the training pool's classes "
                          f"[0, {classes})")
-    tf.apply_in_place(test_x)
+    standardize(test_x, mean, std)
     return (Dataset(train_x, train_y, classes), Dataset(val_x, val_y, classes),
             Dataset(test_x, test_y, classes))
 

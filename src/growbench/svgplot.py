@@ -8,6 +8,7 @@ bytes (snapshot-friendly).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 WIDTH, HEIGHT = 800.0, 480.0
@@ -34,20 +35,27 @@ class Series:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks inside [lo, hi], strictly increasing, at most 2 * target of them.
+
+    The ticks are multiples of a step of 1, 2 or 5 times a power of ten.
+    Each is taken by its integer index, so a step below the float spacing
+    at `lo` cannot stall the walk, and a tick that rounds to the float of
+    the one before it is dropped. A width too small to divide gives none.
+    """
     raw = (hi - lo) / target
+    if not raw >= sys.float_info.min:
+        return []
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
+    step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
+    first = math.ceil(lo / step)
+    ticks: list[float] = []
+    for i in range(2 * target):
+        t = (first + i) * step
+        if t > hi + 1e-9 * step:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 10))
-        t += step
+        t = round(t, 10)
+        if lo <= t <= hi and (not ticks or t > ticks[-1]):
+            ticks.append(t)
     return ticks
 
 
@@ -115,8 +123,6 @@ def render_chart(series: list[Series], *, title: str = "", ylabel: str = "",
 
     # gridlines + axis labels
     for t in _nice_ticks(x_lo, x_hi):
-        if not x_lo <= t <= x_hi:
-            continue
         x = px(t)
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_T)}" x2="{_fmt(x)}" '
@@ -127,8 +133,6 @@ def render_chart(series: list[Series], *, title: str = "", ylabel: str = "",
             f'text-anchor="middle">{_fmt_tick(t)}</text>'
         )
     for t in _nice_ticks(y_lo, y_hi):
-        if not y_lo <= t <= y_hi:
-            continue
         y = py(t)
         parts.append(
             f'<line x1="{_fmt(MARGIN_L)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_L + plot_w)}" '

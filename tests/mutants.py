@@ -65,9 +65,43 @@ MUTANTS = (
     Mutant("MOMENTUM 0.95", "src/growbench/netcore.py",
            "MOMENTUM = 0.9\n", "MOMENTUM = 0.95\n",
            ("tests/test_fingerprints.py",)),
-    Mutant("ddof=1 in _mean_std", "src/growbench/data.py",
-           "        std /= n\n", "        std /= n - 1\n",
+    Mutant("EVAL_CHUNK 2048", "src/growbench/netcore.py",
+           "EVAL_CHUNK = 4096\n", "EVAL_CHUNK = 2048\n",
+           ("tests/test_netcore.py",)),
+    Mutant("EVAL_CHUNK 4095", "src/growbench/netcore.py",
+           "EVAL_CHUNK = 4096\n", "EVAL_CHUNK = 4095\n",
+           ("tests/test_netcore.py",)),
+    Mutant("EVAL_CHUNK 8192", "src/growbench/netcore.py",
+           "EVAL_CHUNK = 4096\n", "EVAL_CHUNK = 8192\n",
+           ("tests/test_netcore.py",)),
+    Mutant("WEIGHT_DECAY 2e-4", "src/growbench/netcore.py",
+           "WEIGHT_DECAY = 1e-4\n", "WEIGHT_DECAY = 2e-4\n",
+           ("tests/test_fingerprints.py",)),
+    Mutant("flipped evaluation loss sign", "src/growbench/netcore.py",
+           "(np.log(logits.sum(axis=1)) - picked)", "(picked - np.log(logits.sum(axis=1)))",
+           ("tests/test_netcore.py",)),
+    Mutant("evaluation loss shifted by the row mean", "src/growbench/netcore.py",
+           "logits -= logits[rows, top][:, None]", "logits -= logits.mean(axis=1)[:, None]",
+           ("tests/test_netcore.py",)),
+    Mutant("argmax ties go to the last class", "src/growbench/netcore.py",
+           "(np.argmax(logits, axis=1) == y)",
+           "(logits.shape[1] - 1 - np.argmax(logits[:, ::-1], axis=1) == y)",
+           ("tests/test_netcore.py",)),
+    Mutant("ddof=1 in split_standardized", "src/growbench/data.py",
+           "    std /= len(train)\n", "    std /= len(train) - 1\n",
            ("tests/test_data.py",)),
+    Mutant("split_standardized skips the in-place centering", "src/growbench/data.py",
+           "    train -= mean\n", "",
+           ("tests/test_data.py",)),
+    Mutant("svgplot imports xml.sax.saxutils again", "src/growbench/svgplot.py",
+           "import math\n", "import math\nfrom xml.sax.saxutils import escape  # noqa: F401\n",
+           ("tests/test_imports.py",)),
+    Mutant("_nice_ticks keeps ticks that round alike", "src/growbench/svgplot.py",
+           "if lo <= t <= hi and (not ticks or t > ticks[-1]):", "if lo <= t <= hi:",
+           ("tests/test_svgplot.py",)),
+    Mutant("plot accepts a range of infinite width", "src/growbench/cli.py",
+           "    if not math.isfinite(hi - lo):\n", "    if False:\n",
+           ("tests/test_cli.py",)),
     Mutant("fragrow waits one epoch longer", "src/growbench/timing.py",
            "return epoch - state.last_growth_epoch >= max(1.0, needed)",
            "return epoch - state.last_growth_epoch >= max(1.0, needed) + 1",

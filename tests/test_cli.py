@@ -502,6 +502,27 @@ def test_plot_malformed_range_exit_2_names_flag(metrics_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_plot_range_finer_than_the_float_spacing_ends(metrics_file, tmp_path):
+    path, _ = metrics_file
+    out = tmp_path / "fine.svg"
+    assert main(["plot", path, "--curves", "test_err", "--out", str(out),
+                 "--y-range=1e16:10000000000000004"]) == 0
+    labels = [el.text for el in ET.parse(out).getroot().iter() if el.tag.endswith("text")]
+    assert [t for t in labels if t.startswith("1000000000000000")] == [
+        "10000000000000000", "10000000000000002", "10000000000000004"]
+
+
+@pytest.mark.parametrize("flag", ["--x-range", "--y-range"])
+def test_plot_range_of_infinite_width_exit_2_names_flag(metrics_file, tmp_path, capsys, flag):
+    path, _ = metrics_file
+    out = tmp_path / "wide.svg"
+    assert main(["plot", path, "--curves", "test_err", "--out", str(out),
+                 f"{flag}=-1e308:1e308"]) == 2
+    assert (f"bad {flag} '-1e308:1e308'; its width HI - LO is not a finite float"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, text, expected", [
     ("--alpha", "nan", "a finite number"), ("--alpha", "-inf", "a finite number"),
     ("--alpha", "four", "a finite number"), ("--i-max", "inf", "a finite number"),

@@ -21,13 +21,12 @@ from growbench.data import (
     IdxError,
     IdxMagicError,
     IdxTruncatedError,
-    Standardizer,
-    _mean_std,
     _split_indices,
     gaussian_arrays,
     read_csv,
     read_idx,
     split_standardized,
+    standardize,
     write_idx,
 )
 from growbench.harness import DataConfig, build_datasets
@@ -130,16 +129,31 @@ def test_split_rejects_val_fraction_outside_unit_interval(fraction):
         _split_indices(20, fraction, seed=0)
 
 
-def test_mean_std_is_numpys_and_leaves_its_input_untouched():
-    feats, _ = gaussian_arrays(3, 6, 300, sep=5.0, label_noise=0.1, seed=8)
-    feats[:, 2] = 4.0  # a constant column: std 0 -> 1
-    before = feats.tobytes()
-    (mean, std), (mean2, std2) = _mean_std(feats), _mean_std(feats)
-    assert feats.tobytes() == before
-    assert mean.tobytes() == mean2.tobytes() == feats.mean(axis=0).tobytes()
-    assert std.tobytes() == std2.tobytes()
-    assert std.tobytes() == np.where(feats.std(axis=0) == 0.0, 1.0, feats.std(axis=0)).tobytes()
-    assert std[2] == 1.0
+def _numpy_mean_std(features, labels, val_fraction, seed):
+    """numpy's mean(axis=0) and std(axis=0), std 0 -> 1, of the train rows of this split."""
+    train = features[_split_indices(len(labels), val_fraction, seed)[0]]
+    std = train.std(axis=0)
+    return train.mean(axis=0), np.where(std == 0.0, 1.0, std)
+
+
+def test_split_standardized_mean_std_are_numpys():
+    features, labels = gaussian_arrays(3, 6, 300, sep=5.0, label_noise=0.1, seed=8)
+    features[:, 2] = 4.0  # a constant column: std 0 -> 1
+    mean, std = _numpy_mean_std(features, labels, 0.1, seed=8)
+    got = split_standardized(features, labels, 0.1, seed=8)[4]
+    assert got[0].tobytes() == mean.tobytes()
+    assert got[1].tobytes() == std.tobytes()
+    assert got[1][2] == 1.0
+
+
+def test_split_standardized_one_column_longer_than_a_chunk():
+    features = substream(0, "one-column").normal(2.0, 3.0, size=(1000, 1))
+    labels = np.arange(1000) % 2
+    mean, std = _numpy_mean_std(features, labels, 0.1, seed=0)
+    with mock.patch.object(data, "CHUNK_BYTES", 8 * 64):  # 64-row chunks, 900 train rows
+        got = split_standardized(features, labels, 0.1, seed=0)[4]
+    assert got[0].tobytes() == mean.tobytes()
+    assert got[1].tobytes() == std.tobytes()
 
 
 def test_standardizer_centers_train_split():
@@ -149,12 +163,12 @@ def test_standardizer_centers_train_split():
     np.testing.assert_allclose(train.std(axis=0), 1.0, atol=1e-12)
 
 
-def test_standardizer_apply_in_place_bytes():
+def test_standardize_bytes():
     features, _ = gaussian_arrays(3, 6, 300, sep=5.0, label_noise=0.0, seed=8)
-    tf = Standardizer(*_mean_std(features))
+    mean, std = features.mean(axis=0), features.std(axis=0)
     out = features.copy()
-    tf.apply_in_place(out)
-    assert out.tobytes() == ((features - tf.mean) / tf.std).tobytes()
+    standardize(out, mean, std)
+    assert out.tobytes() == ((features - mean) / std).tobytes()
 
 
 # --- IDX ------------------------------------------------------------------------

@@ -1,11 +1,12 @@
+import math
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from growbench.svgplot import Series, escape, render_chart
+from growbench.svgplot import Series, _nice_ticks, escape, render_chart
 
 
 def test_chart_is_well_formed_xml():
@@ -70,3 +71,25 @@ def test_fixed_ranges_respected():
     poly = [el for el in root.iter() if el.tag.endswith("polyline")][0]
     ys = {float(p.split(",")[1]) for p in poly.attrib["points"].split()}
     assert len(ys) == 1  # flat line stays flat
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FINITE, _FINITE)
+@example(1e16, 10000000000000004.0)
+@example(0.0, 5e-324)
+@example(-1e-12, 1e-12)
+@example(-8e307, 8e307)
+def test_nice_ticks_are_few_increasing_and_inside(a, b):
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi and math.isfinite(hi - lo))
+    ticks = _nice_ticks(lo, hi)
+    assert len(ticks) <= 12
+    assert all(x < y for x, y in zip(ticks, ticks[1:]))
+    assert all(lo <= t <= hi for t in ticks)
+
+
+def test_nice_ticks_of_ordinary_ranges():
+    assert _nice_ticks(0.0, 12.0) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    assert _nice_ticks(-0.05, 1.05) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
