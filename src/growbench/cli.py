@@ -23,7 +23,7 @@ from .config import (
     parse_config_text,
     render_config,
 )
-from .harness import RunResult, compare, read_metrics, run, write_metrics
+from .harness import RunResult, compare, policy_state, read_metrics, run, write_metrics
 from .presets import preset_config, preset_names
 from .svgplot import Series, render_chart
 from .timing import interval
@@ -42,7 +42,7 @@ def load_config(source: str, overrides: list[str] | None = None) -> CliConfig:
                 f"{source!r} is neither a readable config file nor a preset name "
                 f"(presets: {', '.join(preset_names())})"
             ) from None
-        values = _config_to_values(CliConfig(train=cfg))
+        values = _config_to_values(cfg)
     apply_overrides(values, overrides or [])
     return _build_config(values)
 
@@ -140,19 +140,19 @@ def cmd_sweep_alpha(args: argparse.Namespace, overrides: list[str]) -> int:
     return 0
 
 
-# curve name -> its value at one epoch's metrics `m`, given the plot's arguments `a`
+# curve name -> its value at one epoch's metrics `m` of a run whose policies started from `s`
 _CURVES = {
-    "train_err": lambda m, a: 100.0 - m.train_acc,
-    "val_err": lambda m, a: 100.0 - m.val_acc,
-    "test_err": lambda m, a: 100.0 - m.test_acc,
-    "train_acc": lambda m, a: m.train_acc,
-    "val_acc": lambda m, a: m.val_acc,
-    "test_acc": lambda m, a: m.test_acc,
-    "train_loss": lambda m, a: m.train_loss,
-    "lr": lambda m, a: m.lr,
-    "blocks": lambda m, a: float(sum(m.blocks)),
-    "orl": lambda m, a: m.orl,
-    "interval": lambda m, a: interval(a.i_max, a.alpha, m.orl),
+    "train_err": lambda m, s: 100.0 - m.train_acc,
+    "val_err": lambda m, s: 100.0 - m.val_acc,
+    "test_err": lambda m, s: 100.0 - m.test_acc,
+    "train_acc": lambda m, s: m.train_acc,
+    "val_acc": lambda m, s: m.val_acc,
+    "test_acc": lambda m, s: m.test_acc,
+    "train_loss": lambda m, s: m.train_loss,
+    "lr": lambda m, s: m.lr,
+    "blocks": lambda m, s: float(sum(m.blocks)),
+    "orl": lambda m, s: m.orl,
+    "interval": lambda m, s: interval(s.max_interval, s.alpha, m.orl),
 }
 
 
@@ -179,20 +179,19 @@ def cmd_plot(args: argparse.Namespace, overrides: list[str]) -> int:
     for c in curves:
         if c not in _CURVES:
             raise ConfigError(f"unknown curve {c!r}; available: {', '.join(_CURVES)}")
-    if "interval" in curves and (args.alpha is None or args.i_max is None):
-        raise ConfigError("curve 'interval' is derived from orl and needs --alpha and --i-max")
     _check_output_dir(args.out, "--out")
 
     series: list[Series] = []
     events_x: tuple[float, ...] = ()
     for path in args.metrics:
         result = read_metrics(path)
+        state = policy_state(result.config)
         label_prefix = ""
         if len(args.metrics) > 1:
             label_prefix = os.path.splitext(os.path.basename(path))[0] + ":"
         xs = tuple(float(m.epoch) for m in result.metrics)
         for curve in curves:
-            ys = tuple(_CURVES[curve](m, args) for m in result.metrics)
+            ys = tuple(_CURVES[curve](m, state) for m in result.metrics)
             series.append(Series(f"{label_prefix}{curve}", xs, ys))
         if len(args.metrics) == 1:
             events_x = tuple(float(e.epoch) for e in result.events)
@@ -215,20 +214,6 @@ def _seed_count(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
-
-
-def _finite_number(text: str) -> float:
-    try:
-        return _finite_float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
-
-
-def _positive_number(text: str) -> float:
-    value = _finite_number(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -265,10 +250,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--ylabel", default="")
     p_plot.add_argument("--x-range", dest="x_range", default=None)
     p_plot.add_argument("--y-range", dest="y_range", default=None)
-    p_plot.add_argument("--alpha", type=_finite_number, default=None,
-                        help="policy alpha (needed for the interval curve)")
-    p_plot.add_argument("--i-max", dest="i_max", type=_positive_number, default=None,
-                        help="interval cap (needed for the interval curve)")
 
     return parser
 

@@ -160,15 +160,17 @@ _SECTIONS = {
 }
 
 
-def _config_to_values(cfg: CliConfig) -> dict[str, dict[str, object]]:
+def _config_to_values(cfg: CliConfig | TrainConfig) -> dict[str, dict[str, object]]:
+    """Section -> key -> value of `cfg`; a TrainConfig leaves [output] empty."""
     values: dict[str, dict[str, object]] = {s: {} for s in _SECTIONS}
     for f in dataclasses.fields(TrainConfig):
-        v = getattr(cfg.train, f.name)
+        v = getattr(cfg.train if isinstance(cfg, CliConfig) else cfg, f.name)
         if dataclasses.is_dataclass(v):  # policy and data are sections of their own
             values[f.name] = dataclasses.asdict(v)
         else:
             values[f.metadata.get("section", "train")][f.name] = v
-    values["output"] = dataclasses.asdict(cfg.output)
+    if isinstance(cfg, CliConfig):
+        values["output"] = dataclasses.asdict(cfg.output)
     return values
 
 
@@ -234,16 +236,15 @@ def _build_config(values: dict[str, dict[str, object]]) -> CliConfig:
     return CliConfig(train=train, output=OutputConfig(**values["output"]))
 
 
-def render_config(cfg: CliConfig) -> str:
-    """Echo the effective config; re-parsing this text reproduces cfg."""
+def render_config(cfg: CliConfig | TrainConfig) -> str:
+    """Echo the effective config (a TrainConfig's has no [output]); re-parsing it reproduces cfg."""
     values = _config_to_values(cfg)
     out = []
     for section, desc in _SECTIONS.items():
-        out.append(f"# {desc}")
-        out.append(f"[{section}]")
-        for key, v in values[section].items():
-            out.append(f"{key} = {v}")  # a float prints as its repr, which parses back exactly
-        out.append("")
+        if values[section]:  # empty only for a TrainConfig's [output]
+            out += [f"# {desc}", f"[{section}]"]
+            # a float prints as its repr, which parses back exactly
+            out += [f"{key} = {v}" for key, v in values[section].items()] + [""]
     return "\n".join(out)
 
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .arch import ArchSpec, parse_arch
-from .config import DataConfig, PolicyConfig, TrainConfig, config_added_blocks
+from .config import (ConfigError, DataConfig, PolicyConfig, TrainConfig, _build_config,
+                     config_added_blocks, parse_config_text, render_config)
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized, standardize
 from .morph import GrowthEvent, MomentEnsemble, grow, next_stage
 from .netcore import (
@@ -75,6 +76,7 @@ class EvalReport:
 
 @dataclass
 class RunResult:
+    config: TrainConfig  # the config that ran
     metrics: list[EpochMetrics]
     events: list[GrowthEvent]
     e_bar: float | None
@@ -213,6 +215,12 @@ def run(configs: TrainConfig | list[TrainConfig]) -> RunResult | list[RunResult 
     return _run_group(list(configs))
 
 
+def policy_state(config: TrainConfig) -> PolicyState:
+    """The when-to-grow state a run of `config` starts from: its budget, cap and alpha."""
+    return PolicyState(config.total_epochs, config.min_finetune_epochs,
+                       config_added_blocks(config), config.policy.alpha, config.policy.period_scale)
+
+
 def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
     """Run each config on shared, stacked trajectories (see the module docstring)."""
     t_start = time.perf_counter()
@@ -233,9 +241,7 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
             net = build_network(seed_archs[arch], seed)
             members = [i for i, key in enumerate(keys) if key == (seed, arch)]
             branches.append(_Branch(seed, net, _track_next(net, config, target_arch), [], members))
-        states = [PolicyState(config.total_epochs, config.min_finetune_epochs,
-                              config_added_blocks(cfg), cfg.policy.alpha, cfg.policy.period_scale)
-                  for cfg in runs]
+        states = [policy_state(cfg) for cfg in runs]
     except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
         fail(range(len(runs)), exc)
         return outcomes
@@ -320,8 +326,9 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
             for i in b.members:
                 events = states[i].events
                 e_bar = average_training_epochs(events, config.total_epochs) if events else None
-                outcomes[i] = RunResult(list(b.metrics), events, e_bar, 100.0 - last.test_acc,
-                                        100.0 - last.train_acc, macs, wall_seconds)
+                outcomes[i] = RunResult(runs[i], list(b.metrics), events, e_bar,
+                                        100.0 - last.test_acc, 100.0 - last.train_acc, macs,
+                                        wall_seconds)
     return outcomes
 
 
@@ -375,9 +382,10 @@ def _grow(b: _Branch, epoch: int, config: TrainConfig, target: ArchSpec,
 
 # --- metrics file I/O -------------------------------------------------------
 
-# A metrics file holds one JSON object per EpochMetrics, then a footer of RunResult's fields
-# after `metrics`, with one object per GrowthEvent in `events`. Keys are field names in field
-# order, except GrowthEvent's init_rule, which is written as "init".
+# A metrics file holds a header {"config": render_config(config)}, one JSON object per
+# EpochMetrics, then a footer of RunResult's fields after `metrics`, with one object per
+# GrowthEvent in `events`. Keys are field names in field order, except GrowthEvent's
+# init_rule, which is written as "init".
 _KEY = {"init_rule": "init"}
 
 # record field annotation -> (check, what its JSON value must be)
@@ -398,12 +406,12 @@ def _to_json(record) -> dict:
 
 
 def write_metrics(result: RunResult, path: str) -> None:
-    """One JSON object per epoch plus a footer with events and summary."""
+    """A header holding the run's config, one JSON object per epoch, a footer with the rest."""
     footer = _to_json(result)
-    del footer["metrics"]
+    del footer["config"], footer["metrics"]
     footer["events"] = [_to_json(e) for e in result.events]
-    text = "".join(json.dumps(rec, allow_nan=False) + "\n"
-                   for rec in [*map(_to_json, result.metrics), footer])
+    text = "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in [
+        {"config": render_config(result.config)}, *map(_to_json, result.metrics), footer])
     try:
         with open(path, "w") as f:
             f.write(text)
@@ -437,8 +445,9 @@ def _finite(token: str) -> float:
 def read_metrics(path: str) -> RunResult:
     """Reconstruct a RunResult from a metrics file written by write_metrics.
 
-    Invalid JSON, a non-finite number, a record that is no object or lacks
-    a key, and a value of the wrong type raise ValueError("<path>:<line>: ...").
+    A missing header or a header config that does not parse, invalid JSON,
+    a non-finite number, a record that is no object or lacks a key, and a
+    value of the wrong type raise ValueError("<path>:<line>: ...").
     """
     records = []
     try:
@@ -454,11 +463,18 @@ def read_metrics(path: str) -> RunResult:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise OSError(f"cannot read metrics from {path}: {exc}") from exc
-    if not records or not isinstance(records[-1][1], dict) or "events" not in records[-1][1]:
+    where, header = records[0] if records else (f"{path}:1", None)
+    if not isinstance(header, dict) or type(header.get("config")) is not str:
+        raise ValueError(f'{where}: missing header line {{"config": <config text>}}')
+    try:
+        config = _build_config(parse_config_text(header["config"], "config")).train
+    except ConfigError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if not isinstance(records[-1][1], dict) or "events" not in records[-1][1]:
         raise ValueError(f"{path}: missing footer line")
-    metrics = [_from_json(EpochMetrics, rec, where) for where, rec in records[:-1]]
+    metrics = [_from_json(EpochMetrics, rec, where) for where, rec in records[1:-1]]
     where, footer = records[-1]
-    result = _from_json(RunResult, footer, where, metrics=metrics)
+    result = _from_json(RunResult, footer, where, config=config, metrics=metrics)
     result.events = [_from_json(GrowthEvent, e, f"{where}: event {i}")
                      for i, e in enumerate(result.events)]
     return result

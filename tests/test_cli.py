@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,10 @@ from growbench.cli import (
 )
 from growbench.data import Dataset, write_idx
 from growbench import cli, harness, netcore
-from growbench.harness import DataConfig, TrainConfig, run, write_metrics
+from growbench.harness import (DataConfig, PolicyConfig, TrainConfig, read_metrics, run,
+                               write_metrics)
+from growbench.svgplot import render_chart
+from growbench.timing import interval
 from growbench.presets import BASE_PRESETS, preset_config, preset_names
 
 TINY_CFG = """
@@ -468,13 +472,49 @@ def test_plot_deterministic_bytes(metrics_file, tmp_path):
     assert Path(o1).read_text() == Path(o2).read_text()
 
 
-def test_plot_interval_curve_needs_params(metrics_file, tmp_path, capsys):
-    path, _ = metrics_file
-    out = str(tmp_path / "i.svg")
-    assert main(["plot", path, "--curves", "interval", "--out", out]) == 2
-    assert "interval" in capsys.readouterr().err
-    assert main(["plot", path, "--curves", "interval", "--out", out,
-                 "--alpha", "4", "--i-max", "4"]) == 0
+def _plotted(monkeypatch, argv):
+    """Run `growbench plot` on argv; return the name -> ys of every series it drew."""
+    drawn = {}
+
+    def render(series, **kw):
+        drawn.update((s.name, s.ys) for s in series)
+        return render_chart(series, **kw)
+
+    monkeypatch.setattr(cli, "render_chart", render)
+    assert main(["plot", *argv]) == 0
+    return drawn
+
+
+def test_plot_interval_needs_no_flags(metrics_file, tmp_path, monkeypatch):
+    """The tiny config's periodic policy has alpha 4 and cap (12 - 4) / 2 growths = 4."""
+    path, result = metrics_file
+    drawn = _plotted(monkeypatch, [path, "--curves", "interval", "--out", str(tmp_path / "i.svg")])
+    assert drawn == {"interval": tuple(interval(4.0, 4.0, m.orl) for m in result.metrics)}
+
+
+def test_plot_overlay_draws_each_file_with_its_own_alpha_and_cap(metrics_file, tmp_path,
+                                                                 monkeypatch):
+    _, result = metrics_file
+    paths = []
+    for name, alpha, finetune in (("a2", 2.0, 4), ("a6", 6.0, 2)):  # caps 8/2 = 4 and 10/2 = 5
+        cfg = replace(result.config, policy=PolicyConfig("fragrow", alpha=alpha),
+                      min_finetune_epochs=finetune)
+        paths.append(str(tmp_path / f"{name}.jsonl"))
+        write_metrics(replace(result, config=cfg), paths[-1])
+    drawn = _plotted(monkeypatch, [*paths, "--curves", "interval", "--out", str(tmp_path / "o.svg")])
+    assert drawn == {"a2:interval": tuple(interval(4.0, 2.0, m.orl) for m in result.metrics),
+                     "a6:interval": tuple(interval(5.0, 6.0, m.orl) for m in result.metrics)}
+
+
+@pytest.mark.slow
+def test_plot_interval_of_underfit_seed_0(tmp_path, monkeypatch):
+    """The underfit preset: alpha 4, three growths in 66 - 30 epochs, so a cap of 12."""
+    path = str(tmp_path / "underfit.jsonl")
+    assert main(["train", "underfit", f"--output.metrics_path={path}"]) == 0
+    drawn = _plotted(monkeypatch, [path, "--curves", "interval", "--out", str(tmp_path / "u.svg")])
+    epochs = read_metrics(path).metrics
+    assert len(epochs) == 66
+    assert drawn == {"interval": tuple(interval(12.0, 4.0, m.orl) for m in epochs)}
 
 
 def test_plot_unknown_curve_named(metrics_file, tmp_path, capsys):
@@ -523,20 +563,13 @@ def test_plot_range_of_infinite_width_exit_2_names_flag(metrics_file, tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, text, expected", [
-    ("--alpha", "nan", "a finite number"), ("--alpha", "-inf", "a finite number"),
-    ("--alpha", "four", "a finite number"), ("--i-max", "inf", "a finite number"),
-    ("--i-max", "nan", "a finite number"), ("--i-max", "0", "a positive number"),
-    ("--i-max", "-2.5", "a positive number"),
-])
-def test_plot_bad_interval_flag_exit_2_names_flag(metrics_file, tmp_path, capsys, flag, text,
-                                                   expected):
+@pytest.mark.parametrize("flags", [["--alpha=4"], ["--i-max=3"], ["--alpha", "4"]])
+def test_plot_has_no_interval_flags_exit_2(metrics_file, tmp_path, capsys, flags):
+    """alpha and the cap come from the metrics file, so the old flags are refused."""
     path, _ = metrics_file
     out = tmp_path / "bad.svg"
-    flags = {"--alpha": "4", "--i-max": "3", flag: text}
-    argv = ["plot", path, "--curves", "interval", "--out", str(out)]
-    assert main(argv + [f"{k}={v}" for k, v in flags.items()]) == 2
-    assert f"argument {flag}: expected {expected}, got '{text}'" in capsys.readouterr().err
+    assert main(["plot", path, "--curves", "interval", "--out", str(out), *flags]) == 2
+    assert f"got '{flags[0]}'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -21,7 +21,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from growbench.harness import DataConfig, PolicyConfig, TrainConfig, run, write_metrics
+from growbench.harness import (DataConfig, PolicyConfig, TrainConfig, read_metrics, run,
+                               write_metrics)
 from growbench.presets import preset_config
 
 POLICIES = ("fragrow", "periodic", "convergent")
@@ -115,8 +116,13 @@ PRESET_PINNED = {
     "underfit": "bc86c5a086cc6e68",
     "overfit": "53208efaae72ad39",
 }
-# First 16 hex digits of the sha256 of the same runs' metrics files, wall_seconds set to 0.
+# First 16 hex digits of the sha256 of the same runs' metrics files, wall_seconds set to 0,
+# and of their lines after the config header.
 PRESET_FILE_PINNED = {
+    "underfit": "458a199490af7c5b",
+    "overfit": "5a845356a72545fe",
+}
+PRESET_BODY_PINNED = {
     "underfit": "78b82c13ecccd5b7",
     "overfit": "927f79b25b0ff698",
 }
@@ -129,7 +135,10 @@ def test_preset_fingerprint_is_pinned(preset, tmp_path):
     assert fingerprint(result) == PRESET_PINNED[preset]
     path = tmp_path / "m.jsonl"
     write_metrics(replace(result, wall_seconds=0.0), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == PRESET_FILE_PINNED[preset]
+    text = path.read_bytes()
+    assert hashlib.sha256(text).hexdigest()[:16] == PRESET_FILE_PINNED[preset]
+    assert hashlib.sha256(text.split(b"\n", 1)[1]).hexdigest()[:16] == PRESET_BODY_PINNED[preset]
+    assert read_metrics(str(path)) == replace(result, wall_seconds=0.0)
 
 
 @pytest.mark.parametrize("case", list(itertools.product(INITS, WHERES, FAMILIES)), ids="-".join)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import json
@@ -39,7 +40,7 @@ from growbench.morph import GrowthEvent
 from growbench.netcore import EVAL_CHUNK, build_network, layers
 from growbench.presets import preset_config
 from growbench.arch import ArchSpec, StageSpec, parse_arch
-from growbench.config import ConfigError
+from growbench.config import ConfigError, render_config
 from growbench.timing import SHOULD_GROW, i_max, round_half_up
 
 
@@ -145,12 +146,15 @@ def test_metrics_file_round_trip(tmp_path):
     assert back.e_bar == res.e_bar
     assert back.final_test_error == res.final_test_error
     assert back.wall_seconds == res.wall_seconds
+    assert back.config == res.config == tiny_config()
     lines = Path(path).read_text().splitlines()
-    assert len(lines) == tiny_config().total_epochs + 1
+    assert len(lines) == tiny_config().total_epochs + 2
+    assert json.loads(lines[0]) == {"config": render_config(tiny_config())}
+    assert "[output]" not in lines[0]
     footer = json.loads(lines[-1])
     assert set(footer) == {"events", "e_bar", "final_test_error",
                            "final_train_error", "train_macs", "wall_seconds"}
-    rec = json.loads(lines[0])
+    rec = json.loads(lines[1])
     assert list(rec) == ["epoch", "train_acc", "val_acc", "test_acc",
                          "train_loss", "orl", "lr", "blocks", "grew"]
 
@@ -188,6 +192,7 @@ def small_configs(draw):
 @given(cfg=small_configs())
 def test_property_whole_run_invariants(cfg):
     res = run(cfg)
+    assert res.config == cfg
     total, budget = cfg.total_epochs, config_added_blocks(cfg)
     seed, target = (parse_arch(a, 1, 2).blocks_per_stage for a in (cfg.seed_arch, cfg.target_arch))
     grown = [e.epoch for e in res.events]
@@ -335,12 +340,17 @@ def test_branch_fork_is_an_independent_copy():
     np.testing.assert_array_equal(fork.ensemble.shadow, before[1])
     assert len(fork.metrics) == 1
 
-def _corrupt(tmp_path, edit):
-    """Write a tiny run's metrics file, pass its lines through `edit`, write it back."""
+@functools.cache
+def _tiny_result():
+    return run(tiny_config())
+
+
+def _corrupt(tmp_path, edit, header=True):
+    """Write a tiny run's metrics file, pass its lines after the header through `edit`."""
     path = tmp_path / "m.jsonl"
     write_metrics(run(tiny_config()), str(path))
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(edit(lines)) + "\n")
+    path.write_text("\n".join(lines[:1] * header + edit(lines[1:])) + "\n")
     return str(path)
 
 
@@ -408,24 +418,67 @@ def _set_event_key(line, key, value):
 ])
 def test_read_metrics_names_path_and_line(tmp_path, edit, line, message):
     path = _corrupt(tmp_path, edit)
-    with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: {message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line + 1}: {message}"):
         read_metrics(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls, 'missing header line {"config": <config text>}'),
+    (lambda ls: [json.dumps({"config": 3})] + ls, "missing header line"),
+    (lambda ls: ["[1]"] + ls, "missing header line"),
+    (lambda ls: ["{not json"] + ls, "invalid JSON"),
+    (lambda ls: [json.dumps({"config": "[train]\nbatch_size = 0\n"})] + ls,
+     "train.batch_size must be positive, got 0"),
+    (lambda ls: [json.dumps({"config": "[model]\nwidth = 3\n"})] + ls,
+     "config:2: unknown key model.width"),
+    (lambda ls: [json.dumps({"config": "[policy]\nalpha = nan\n"})] + ls,
+     "config:2: bad value for policy.alpha"),
+], ids=["headerless", "config-not-text", "not-an-object", "invalid-json", "bad-value",
+        "unknown-key", "non-finite"])
+def test_read_metrics_refuses_a_missing_or_bad_header_naming_line_1(tmp_path, edit, message):
+    """The header is line 1: without it, or with a config that does not parse, the file fails."""
+    path = _corrupt(tmp_path, edit, header=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:1: {re.escape(message)}"):
+        read_metrics(path)
+
+
+def test_read_metrics_refuses_an_empty_file_naming_line_1(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text("")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: missing header line"):
+        read_metrics(str(path))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=st.one_of(small_configs(), st.sampled_from(("overfit", "underfit")).map(preset_config)))
+def test_property_metrics_header_rebuilds_the_config(cfg):
+    """read_metrics(write_metrics(r)) == r for any config, the presets too, with no run."""
+    result = replace(_tiny_result(), config=cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.jsonl")
+        write_metrics(result, path)
+        back = read_metrics(path)
+    assert back == result and back.config == cfg
+
+
 # First 16 hex digits of the sha256 of tiny_config()'s metrics file with
-# wall_seconds set to 0: every byte of the format, key order and number text.
-METRICS_FILE_PINNED = "d75783ae468937fe"
+# wall_seconds set to 0: every byte of the format, key order and number text;
+# and of the same file's lines after the config header.
+METRICS_FILE_PINNED = "b0fbce03b376f98d"
+METRICS_BODY_PINNED = "d75783ae468937fe"
 
 
 def test_metrics_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "m.jsonl"
     write_metrics(replace(run(tiny_config()), wall_seconds=0.0), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == METRICS_FILE_PINNED
+    text = path.read_bytes()
+    assert hashlib.sha256(text).hexdigest()[:16] == METRICS_FILE_PINNED
+    assert hashlib.sha256(text.split(b"\n", 1)[1]).hexdigest()[:16] == METRICS_BODY_PINNED
 
 
 def test_every_metrics_field_has_a_json_checker():
     """read_metrics checks each field by its annotation: a new annotation needs a checker."""
-    records = [*fields(EpochMetrics), *fields(GrowthEvent), *fields(RunResult)[1:]]
+    records = [*fields(EpochMetrics), *fields(GrowthEvent), *fields(RunResult)[2:]]
     assert [f.name for f in records if f.type not in harness._JSON_TYPES] == []
 
 
