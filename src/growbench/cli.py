@@ -23,7 +23,8 @@ from .config import (
     parse_config_text,
     render_config,
 )
-from .harness import RunResult, compare, policy_state, read_metrics, run, write_metrics
+from .harness import (ComparisonTable, RunResult, compare, policy_state, read_metrics, run,
+                      write_metrics)
 from .presets import preset_config, preset_names
 from .svgplot import Series, render_chart
 from .timing import interval
@@ -96,13 +97,22 @@ def cmd_compare(args: argparse.Namespace, overrides: list[str]) -> int:
     labeled = [(label, load_config(source, overrides).train)
                for label, source in zip(labels, args.configs)]
     _check_output_dir(args.csv, "--csv")
-    table = compare(labeled, list(range(args.seeds)))
-    print(table.to_text())
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(table.to_csv())
-        print(f"csv written to {args.csv}")
+    _report(compare(labeled, list(range(args.seeds))), args.csv)
     return 0
+
+
+def _report(table: ComparisonTable, csv_path: str, echo_csv: bool = False) -> None:
+    """Print the table, write its CSV (or echo it when asked), then each failed run to stderr."""
+    print(table.to_text())
+    if csv_path:
+        with open(csv_path, "w") as f:
+            f.write(table.to_csv())
+        print(f"csv written to {csv_path}")
+    elif echo_csv:
+        print(table.to_csv(), end="")
+    for row in table.rows:
+        for error in row.errors:
+            print(f"{row.label}: {error}", file=sys.stderr)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -128,15 +138,7 @@ def cmd_sweep_alpha(args: argparse.Namespace, overrides: list[str]) -> int:
                for label, a in zip(labels, alphas)]
     _check_output_dir(args.csv, "--csv")
     # training cost is relative to the alpha=4 row when there is one
-    table = compare(labeled, list(range(args.seeds)), anchor="alpha=4")
-    print(table.to_text())
-    csv_text = table.to_csv()
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(csv_text)
-        print(f"csv written to {args.csv}")
-    else:
-        print(csv_text, end="")
+    _report(compare(labeled, list(range(args.seeds)), anchor="alpha=4"), args.csv, echo_csv=True)
     return 0
 
 

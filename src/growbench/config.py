@@ -196,6 +196,8 @@ def _assign(values: dict[str, dict[str, object]], section: str, key: str, raw: s
     if key not in _TYPES[section]:
         raise ConfigError(f"{where}: unknown key {section}.{key}")
     ty, raw = _TYPES[section][key], raw.strip()
+    if len(raw.splitlines()) > 1:  # the echo and a metrics header hold one value per line
+        raise ConfigError(f"{where}: bad value for {section}.{key}: {raw!r} spans lines")
     try:
         values[section][key] = int(raw) if ty is int else _finite_float(raw) if ty is float else raw
     except ValueError as exc:

@@ -20,7 +20,8 @@ trajectories whose networks have one shape train as one `netcore.Stack`,
 so a target-size ("vanilla") run joins grown runs at the target shape.
 Every run still gets its solo run's bytes. A run's `wall_seconds` is the
 wall time of the whole `run` call; its own cost is `train_macs`, a count
-that sharing does not change.
+that sharing does not change. A RunResult carries the config that ran,
+and its metrics file starts with a header holding that config's echo.
 """
 
 from __future__ import annotations
@@ -510,7 +511,6 @@ _COLUMNS = (
 @dataclass
 class ComparisonTable:
     rows: list[ComparisonRow]
-    seeds: tuple[int, ...]
 
     def to_text(self) -> str:
         def fmt(v):
@@ -611,4 +611,4 @@ def compare(configs: list[tuple[str, TrainConfig]], seeds: list[int],
             ),
             errors=tuple(errors[label]),
         ))
-    return ComparisonTable(rows=rows, seeds=tuple(seeds))
+    return ComparisonTable(rows)

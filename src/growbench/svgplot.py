@@ -59,6 +59,26 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
+def _fit(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """An axis range around data in [lo, hi], `pad` of its width wider at each end.
+
+    The range's width is finite and positive and its two ends are distinct
+    floats, so every data point maps to a finite coordinate. Flat data
+    spans 1, or one float spacing where 1 is below it; data too wide to pad
+    is not padded; and data wider than the largest float gets the range
+    from its midpoint up, half the largest float wide.
+    """
+    if hi <= lo:
+        step = max(1.0, math.ulp(lo))
+        lo, hi = (lo - step, lo) if lo + step > sys.float_info.max else (lo, lo + step)
+    width = hi - lo
+    if not math.isfinite(width):
+        mid = lo / 2 + hi / 2
+        return mid, mid + sys.float_info.max / 2
+    padded = lo - pad * width, hi + pad * width
+    return padded if math.isfinite(padded[1] - padded[0]) else (lo, hi)
+
+
 def escape(text: str) -> str:
     """Escape `&`, `<` and `>` for XML character data.
 
@@ -89,16 +109,9 @@ def render_chart(series: list[Series], *, title: str = "", ylabel: str = "",
 
     xs_all = [x for s in series for x in s.xs]
     ys_all = [y for s in series for y in s.ys]
-    x_lo, x_hi = x_range if x_range else (min(xs_all), max(xs_all))
-    y_lo, y_hi = y_range if y_range else (min(ys_all), max(ys_all))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _fit(*(x_range or (min(xs_all), max(xs_all))), 0.0)
     # breathing room when the range is auto-fit
-    if y_range is None:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = _fit(*(y_range or (min(ys_all), max(ys_all))), 0.0 if y_range else 0.05)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

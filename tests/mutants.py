@@ -110,6 +110,16 @@ MUTANTS = (
            "trained = [seed_blocks] + [m.blocks for m in b.metrics[:-1]]",
            "trained = [m.blocks for m in b.metrics]",
            ("tests/test_harness.py",)),
+    Mutant("plot draws the interval at a fixed alpha 4", "src/growbench/cli.py",
+           "interval(s.max_interval, s.alpha, m.orl)", "interval(s.max_interval, 4.0, m.orl)",
+           ("tests/test_cli.py",)),
+    Mutant("read_metrics ignores the header's config", "src/growbench/harness.py",
+           'config = _build_config(parse_config_text(header["config"], "config")).train',
+           "config = TrainConfig()",
+           ("tests/test_harness.py",)),
+    Mutant("_assign accepts a value that spans lines", "src/growbench/config.py",
+           "    if len(raw.splitlines()) > 1:", "    if False:",
+           ("tests/test_cli.py",)),
 )
 
 

@@ -242,6 +242,24 @@ def test_output_path_in_missing_directory_exit_2_before_setup(tmp_path, monkeypa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["a\nb", "a\rb", "a\r\nb", "a\x85b", "a\u2028b"])
+def test_a_value_that_spans_lines_exit_2_names_the_key(capsys, value):
+    """The echo and a metrics header hold one value per line, so a line break is refused."""
+    token = f"--data.train_csv={value}"
+    assert main(["train", "underfit", "--print-config", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: override {token!r}: "
+                            f"bad value for data.train_csv: {value!r} spans lines\n")
+    assert captured.out == ""
+
+
+def test_a_padded_value_echoes_and_parses_back(capsys):
+    assert main(["train", "underfit", "--print-config", "--data.train_csv= a b \n"]) == 0
+    echo = capsys.readouterr().out
+    assert "train_csv = a b\n" in echo
+    assert _build_config(parse_config_text(echo)).train.data.train_csv == "a b"
+
+
 def test_print_config_writes_nothing_so_checks_no_output_directory(tmp_path, capsys):
     missing = tmp_path / "no" / "such"
     assert main(["train", "underfit", f"--output.metrics_path={missing / 'm.jsonl'}",
@@ -371,6 +389,32 @@ def test_compare_same_label_twice_exit_2_names_both_paths(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{a} and {b} give the same row label 'x'" in captured.err
     assert captured.out == ""
+
+
+def test_compare_prints_each_failed_run_to_stderr(tmp_path, capsys):
+    a = write_tiny(tmp_path, "ok.cfg", "a.jsonl")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(Path(write_tiny(tmp_path, "b.cfg", "b.jsonl")).read_text()
+                   .replace("lr_base = 0.05", "lr_base = 1e6"))
+    csv_path = tmp_path / "cmp.csv"
+    assert main(["compare", a, str(bad), "--seeds", "2", "--csv", str(csv_path)]) == 0
+    captured = capsys.readouterr()
+    assert "[2/2 runs failed]" in captured.out
+    assert captured.out.endswith(f"csv written to {csv_path}\n")
+    assert captured.err == ("bad: seed 0: training diverged: loss nan at epoch 0, batch 6\n"
+                            "bad: seed 1: training diverged: loss nan at epoch 0, batch 6\n")
+
+
+def test_sweep_alpha_prints_each_failed_run_to_stderr_and_echoes_its_csv(tmp_path, capsys):
+    path = write_tiny(tmp_path)
+    assert main(["sweep-alpha", path, "--alphas", "2,4", "--seeds", "1", "--policy.name=fragrow",
+                 "--train.lr_base=1e6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-3:] == [
+        "config,test_error_median,test_error_spread,train_error_median,train_error_spread,"
+        "e_bar_median,cost_pct,n_seeds,n_failed", "alpha=2,,,,,,,1,1", "alpha=4,,,,,,,1,1"]
+    message = "seed 0: training diverged: loss nan at epoch 0, batch 6"
+    assert captured.err == f"alpha=2: {message}\nalpha=4: {message}\n"
 
 
 def test_compare_needs_two_configs(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import importlib.util
 import json
@@ -340,11 +339,6 @@ def test_branch_fork_is_an_independent_copy():
     np.testing.assert_array_equal(fork.ensemble.shadow, before[1])
     assert len(fork.metrics) == 1
 
-@functools.cache
-def _tiny_result():
-    return run(tiny_config())
-
-
 def _corrupt(tmp_path, edit, header=True):
     """Write a tiny run's metrics file, pass its lines after the header through `edit`."""
     path = tmp_path / "m.jsonl"
@@ -449,11 +443,16 @@ def test_read_metrics_refuses_an_empty_file_naming_line_1(tmp_path):
         read_metrics(str(path))
 
 
+@pytest.fixture(scope="module")
+def tiny_result():
+    return run(tiny_config())
+
+
 @settings(max_examples=40, deadline=None)
 @given(cfg=st.one_of(small_configs(), st.sampled_from(("overfit", "underfit")).map(preset_config)))
-def test_property_metrics_header_rebuilds_the_config(cfg):
+def test_property_metrics_header_rebuilds_the_config(tiny_result, cfg):
     """read_metrics(write_metrics(r)) == r for any config, the presets too, with no run."""
-    result = replace(_tiny_result(), config=cfg)
+    result = replace(tiny_result, config=cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.jsonl")
         write_metrics(result, path)

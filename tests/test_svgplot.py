@@ -1,4 +1,5 @@
 import math
+import re
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from growbench.svgplot import Series, _nice_ticks, escape, render_chart
+from growbench.svgplot import Series, _fit, _nice_ticks, escape, render_chart
 
 
 def test_chart_is_well_formed_xml():
@@ -88,6 +89,48 @@ def test_nice_ticks_are_few_increasing_and_inside(a, b):
     assert len(ticks) <= 12
     assert all(x < y for x, y in zip(ticks, ticks[1:]))
     assert all(lo <= t <= hi for t in ticks)
+
+
+_BIG = 1.7976931348623157e308
+
+
+@given(_FINITE, _FINITE, st.sampled_from((0.0, 0.05)))
+@example(1e17, 1e17, 0.05)
+@example(-1e308, 1e308, 0.05)
+@example(_BIG, _BIG, 0.05)
+@example(-_BIG, _BIG, 0.0)
+@example(0.0, _BIG, 0.05)
+@example(5e-324, 5e-324, 0.05)
+def test_auto_fit_range_has_a_finite_positive_width(a, b, pad):
+    lo, hi = min(a, b), max(a, b)
+    fit_lo, fit_hi = _fit(lo, hi, pad)
+    assert fit_lo < fit_hi and 0.0 < fit_hi - fit_lo < math.inf
+    if lo < hi and math.isfinite(hi - lo):  # data a float can span stays inside the frame
+        assert fit_lo <= lo and hi <= fit_hi
+
+
+def test_auto_fit_keeps_the_ordinary_ranges():
+    assert _fit(2.0, 12.0, 0.0) == (2.0, 12.0)
+    assert _fit(0.0, 1.0, 0.05) == (-0.05, 1.05)
+    assert _fit(3.0, 3.0, 0.0) == (3.0, 4.0)
+    assert _fit(1e17, 1e17, 0.05) == (1e17, 1e17 + 16)
+
+
+_COORD = re.compile(r'\b(?:x|y|x1|y1|x2|y2|width|height)="([^"]*)"')
+
+
+@given(st.lists(_FINITE, min_size=1, max_size=6), st.lists(_FINITE, min_size=1, max_size=6))
+@example([0.0], [1e17])
+@example([0.0, 1.0], [-1e308, 1e308])
+@example([-_BIG, _BIG], [_BIG, -_BIG])
+def test_any_finite_series_renders_with_finite_coordinates(xs, ys):
+    n = min(len(xs), len(ys))
+    svg = render_chart([Series("s", tuple(xs[:n]), tuple(ys[:n]))])
+    root = ET.fromstring(svg)
+    poly = next(el for el in root.iter() if el.tag.endswith("polyline"))
+    numbers = [float(v) for p in poly.attrib["points"].split() for v in p.split(",")]
+    numbers += [float(v) for v in _COORD.findall(svg)]
+    assert all(math.isfinite(v) for v in numbers)
 
 
 def test_nice_ticks_of_ordinary_ranges():
