@@ -13,7 +13,7 @@ from .harness import (
     write_metrics,
 )
 from .morph import GrowthEvent, MomentEnsemble, count_added_blocks, grow
-from .netcore import Network, build_network, loss_grads_logits, lr_at, sgd_step
+from .netcore import Network, build_network, loss_grads_logits, lr_at, sgd_step, stack_networks
 from .presets import preset_config, preset_names
 from .timing import PolicyState, average_training_epochs, i_max, interval, orl
 

@@ -14,18 +14,20 @@ Block kinds:
 
 A linear classifier maps the last stage's width to class logits.
 
-A `Network` is its `ArchSpec` plus three contiguous float64 vectors:
-parameters, gradients and SGD momentum. Each holds every block's weight
-then bias in forward order, then the classifier's; `layers` derives each
-block's kind and shape from the ArchSpec, and `Network.views` cuts the
-(weight, bias) views of a vector from it.
+A `Network` is its `ArchSpec` plus two contiguous float64 vectors:
+parameters and SGD momentum. Each holds every block's weight then bias in
+forward order, then the classifier's; `layers` derives each block's kind
+and shape from the ArchSpec, and `Network.views` cuts the (weight, bias)
+views of a vector from it.
 
-Training runs on a `Stack`: S networks of one shape whose vectors are the
-rows of (S, P) stores, with (S, out, in) weight views. Every product is a
-batched `matmul`, which hands each (B, in) slice to the same BLAS call as
-the 2-D product, and every other op acts per element or along one row's
-axis, so row s computes exactly what network s would alone and a NaN in
-one row cannot reach another. A lone network is a stack of one.
+Training takes a `Stack` only: S networks of one shape whose vectors are
+the rows of (S, P) stores, with (S, out, in) weight views. The Stack also
+owns the per-step scratch: the gradient store, block outputs and masks.
+Every product is a batched `matmul`, which hands each (B, in) slice to the
+same BLAS call as the 2-D product, and every other op acts per element or
+along one row's axis, so row s computes exactly what network s would alone
+and a NaN in one row cannot reach another. A lone network trains as a
+stack of one, `stack_networks([net])`.
 Training and evaluation share one forward pass, which writes block outputs
 (and, for training, z > 0 as 1.0 / 0.0 masks) in place into workspace views;
 evaluation also writes its logits into one reused buffer.
@@ -119,11 +121,10 @@ def _size(shape: tuple[int, int]) -> int:
 
 @dataclass(eq=False)
 class Network:
-    """An architecture plus its parameter, gradient and momentum vectors, cut up by `views`."""
+    """An architecture plus its parameter and momentum vectors, cut up by `views`."""
 
     arch: ArchSpec
     params: np.ndarray
-    grads: np.ndarray
     momentum: np.ndarray
 
     def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -157,14 +158,13 @@ class Network:
         self.params = np.concatenate((self.params[:off], new, self.params[off:]))
         self.momentum = np.concatenate((self.momentum[:off], np.zeros_like(new),
                                         self.momentum[off:]))
-        self.grads = np.zeros_like(self.params)
         stages = list(self.arch.stages)
         stages[stage] = StageSpec(spec.width, spec.blocks + 1)
         self.arch = replace(self.arch, stages=tuple(stages))
 
     def copy(self) -> "Network":
         """An independent network with this one's vectors."""
-        return Network(self.arch, self.params.copy(), self.grads.copy(), self.momentum.copy())
+        return Network(self.arch, self.params.copy(), self.momentum.copy())
 
 
 @functools.cache  # an EMA looks its block up on every optimizer step
@@ -192,15 +192,16 @@ def build_network(arch: ArchSpec, rng_seed: int) -> Network:
     rng = substream(rng_seed, "init")
     params = np.concatenate([a for _, (out_w, in_w) in layers(arch)
                              for a in (he_weight(rng, out_w, in_w).ravel(), np.zeros(out_w))])
-    return Network(arch, params, np.zeros_like(params), np.zeros_like(params))
+    return Network(arch, params, np.zeros_like(params))
 
 
 @dataclass(eq=False)
 class Stack:
     """S networks of one shape, trained as one.
 
-    Row s of the (S, P) `params`, `grads` and `momentum` stores is network
-    s's vector; `stack_networks` builds one. `weights` holds each block's
+    Row s of the (S, P) `params` and `momentum` stores is network s's
+    vector, and row s of `grads` its last step's gradients, which the stack
+    alone holds; `stack_networks` builds one. `weights` holds each block's
     and the classifier's (S, out, in) weight view, `biases` the matching
     (S, 1, out) bias views and `layer_grads` the gradients' (S, out, in) and
     (S, out) views, all in `Network.views` order.
@@ -231,24 +232,24 @@ class Stack:
 
 
 def stack_networks(nets: list[Network]) -> Stack:
-    """A Stack over networks of one architecture; a lone network's own vectors are its row.
+    """A Stack over networks of one architecture, with a new zeroed gradient store.
 
-    Two or more are copied into new (S, P) stores, and each network's
-    vectors become its rows, so an EMA reading one of its blocks and
-    `accuracy_and_loss` read the values the stack trains. `insert_block`
-    and `copy` give a network vectors of its own again.
+    A lone network's own vectors are its row, not copied. Two or more are
+    copied into new (S, P) stores, and each network's vectors become its
+    rows, so an EMA reading one of its blocks and `accuracy_and_loss` read
+    the values the stack trains. `insert_block` and `copy` give a network
+    vectors of its own again.
     """
     if any(net.arch != nets[0].arch for net in nets[1:]):
         raise ValueError("stacked networks must share one shape")
     if len(nets) == 1:
-        net = nets[0]
-        return Stack(nets, net.params[None], net.grads[None], net.momentum[None])
-    params = np.stack([net.params for net in nets])
-    grads = np.zeros_like(params)
-    momentum = np.stack([net.momentum for net in nets])
-    for net, p, g, v in zip(nets, params, grads, momentum):
-        net.params, net.grads, net.momentum = p, g, v
-    return Stack(nets, params, grads, momentum)
+        params, momentum = nets[0].params[None], nets[0].momentum[None]
+    else:
+        params = np.stack([net.params for net in nets])
+        momentum = np.stack([net.momentum for net in nets])
+        for net, p, v in zip(nets, params, momentum):
+            net.params, net.momentum = p, v
+    return Stack(nets, params, np.zeros_like(params), momentum)
 
 
 def _check_batch(st: Stack, batch: np.ndarray) -> np.ndarray:
@@ -300,21 +301,14 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels
 
 
-def loss_grads_logits(net: Network | Stack, batch: np.ndarray,
-                      labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy loss and the logits; exact gradients go into `net.grads`.
+def loss_grads_logits(st: Stack, batch: np.ndarray,
+                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S,) mean cross-entropy losses and the (S, B, C) logits; exact gradients go into `st.grads`.
 
-    Given a Stack, `batch` is (S, B, K) and `labels` (S, B): row s is
-    network s's batch, and the losses are an (S,) array. A Network is a
-    stack of one, with a (B, K) batch and a float loss.
+    `batch` is (S, B, K) and `labels` (S, B): row s is network s's batch.
     The backward pass mirrors the forward block structure and stops at the
     first block's parameter gradients. The ReLU subgradient at 0 is 0.
     """
-    if isinstance(net, Network):
-        losses, logits = loss_grads_logits(stack_networks([net]), np.asarray(batch)[None],
-                                           np.asarray(labels)[None])
-        return float(losses[0]), logits[0]
-    st = net
     labels = _check_labels(labels, st.nets[0].arch.num_classes)
     x = _check_batch(st, batch)
     s, n = x.shape[:2]
@@ -347,15 +341,15 @@ def loss_grads_logits(net: Network | Stack, batch: np.ndarray,
     return losses, logits
 
 
-def sgd_step(net: Network | Stack, lr: float | np.ndarray) -> None:
+def sgd_step(st: Stack, lr: np.ndarray) -> None:
     """v <- MOMENTUM*v + g + WEIGHT_DECAY*theta; theta <- theta - lr*v, in place over the store.
 
-    For a Stack, `lr` may be an (S, 1) column: one learning rate per row.
+    `lr` is an (S, 1) column, one learning rate per row; a scalar serves every row.
     """
-    v = net.momentum
+    v = st.momentum
     v *= MOMENTUM
-    v += net.grads + WEIGHT_DECAY * net.params
-    net.params -= lr * v
+    v += st.grads + WEIGHT_DECAY * st.params
+    st.params -= lr * v
 
 
 def lr_at(lr_base: float, epoch: int, growth_done_epoch: int | None, total_epochs: int) -> float:

@@ -23,9 +23,10 @@ from growbench.cli import CliConfig, _build_config, parse_config_text, render_co
 from growbench.data import Dataset, read_idx, write_idx
 from growbench.harness import DataConfig, _shared_part, run, write_metrics
 from growbench.morph import GrowthEvent
-from growbench.netcore import build_network, loss_grads_logits
+from growbench.netcore import build_network
 from growbench.presets import preset_config
 from growbench.timing import PolicyError, average_training_epochs, i_max, interval, orl, round_half_up
+from test_netcore import solo_step
 
 pytestmark = pytest.mark.slow
 
@@ -173,9 +174,9 @@ def _numeric_flat(net, feats, labels, eps=1e-5):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp, _ = loss_grads_logits(net, feats, labels)
+                lp = solo_step(net, feats, labels)[0]
                 flat[i] = orig - eps
-                lm, _ = loss_grads_logits(net, feats, labels)
+                lm = solo_step(net, feats, labels)[0]
                 flat[i] = orig
                 g[i] = (lp - lm) / (2 * eps)
             out.append(g)
@@ -192,8 +193,7 @@ def test_c2_gradient_exactness():
             rng = np.random.default_rng(100 + seed)
             feats = rng.normal(size=(8, 12))
             labels = rng.integers(0, 4, size=8)
-            loss_grads_logits(net, feats, labels)
-            a = net.grads.copy()  # the numeric pass overwrites net.grads
+            a = solo_step(net, feats, labels)[2]
             n = _numeric_flat(net, feats, labels)
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
             worst = max(worst, float(np.max(np.abs(a - n) / denom)))

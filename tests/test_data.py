@@ -30,9 +30,10 @@ from growbench.data import (
     write_idx,
 )
 from growbench.harness import DataConfig, build_datasets
-from growbench.netcore import accuracy_and_loss, build_network, loss_grads_logits, sgd_step
+from growbench.netcore import accuracy_and_loss, build_network
 from growbench.presets import preset_config
 from growbench.rng import substream
+from test_netcore import solo_step
 
 
 # --- gaussian_arrays ----------------------------------------------------------
@@ -86,8 +87,7 @@ def test_separable_task_is_learnable_quickly():
     arch = ArchSpec("res", (StageSpec(8, 1),), input_dim=8, num_classes=2)
     net = build_network(arch, 5)
     for _ in range(50):
-        loss_grads_logits(net, ds.features, ds.labels)
-        sgd_step(net, lr=0.05)
+        solo_step(net, ds.features, ds.labels, lr=0.05)
     assert accuracy_and_loss(net, ds.features, ds.labels)[0] > 99.0
 
 

@@ -12,8 +12,9 @@ from growbench.morph import (
     grow,
     next_stage,
 )
-from growbench.netcore import BlockKind, build_network, loss_grads_logits
+from growbench.netcore import BlockKind, build_network, stack_networks
 from growbench.rng import substream
+from test_netcore import solo_step
 
 
 def arch(blocks, family="res", width=8, input_dim=6, classes=3):
@@ -44,7 +45,7 @@ def insert_zero_block(net, stage):
 
 def logits(net, x):
     """The training pass's logits (labels do not affect them)."""
-    return loss_grads_logits(net, x, np.zeros(len(x), dtype=np.int64))[1]
+    return solo_step(net, x, np.zeros(len(x), dtype=np.int64))[1]
 
 
 # --- count_added_blocks -----------------------------------------------------
@@ -265,7 +266,7 @@ def test_grow_increments_counts_and_buffers():
     net = build_network(arch((2, 2)), 9)
     grow(net, 0, "copy")
     assert net.blocks_per_stage() == (3, 2)
-    assert net.momentum.size == net.grads.size == net.params.size
+    assert net.momentum.size == net.params.size == stack_networks([net]).grads.size
     new_w, new_b = net.views(net.momentum)[2]  # stage 0, block 2
     assert new_w.shape == (8, 8)
     assert not new_w.any() and not new_b.any()
@@ -289,7 +290,7 @@ def test_grow_copy_keeps_training_stable():
     x = rng.normal(size=(16, 6))
     y = rng.integers(0, 3, size=16)
     grow(net, 0, "copy")
-    loss, _ = loss_grads_logits(net, x, y)
+    loss, _, _ = solo_step(net, x, y)
     assert np.isfinite(loss)
     assert np.isfinite(logits(net, x)).all()
 
@@ -338,8 +339,8 @@ def _address(a):
 def assert_flat_store(net):
     """Every view lies in its vector, contiguous, back to back in forward order."""
     stores = {name: (vec, net.views(vec))
-              for name, vec in (("params", net.params), ("grads", net.grads),
-                                ("momentum", net.momentum))}
+              for name, vec in (("params", net.params), ("momentum", net.momentum),
+                                ("grads", stack_networks([net]).grads[0]))}
     for name, (vec, views) in stores.items():
         off = 0
         for w, b in views:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,11 +42,23 @@ def classifier(net):
     return net.views(net.params)[-1]
 
 
+def solo_step(net, x, labels, lr=None):
+    """(loss, logits, grads) of one network's (B, K) batch, run as a stack of one.
+
+    With `lr`, an SGD step follows; the stack shares the network's params
+    and momentum, so the step moves the network.
+    """
+    st = stack_networks([net])
+    losses, logits = loss_grads_logits(st, np.asarray(x)[None], np.asarray(labels)[None])
+    if lr is not None:
+        sgd_step(st, lr)
+    return float(losses[0]), logits[0], st.grads[0]
+
+
 def numeric_grads(net, feats, labels, eps=1e-5):
     """Central finite differences over every parameter, in place."""
     def loss():
-        l, _ = loss_grads_logits(net, feats, labels)
-        return l
+        return solo_step(net, feats, labels)[0]
 
     out = []
     for w, b in net.views(net.params):
@@ -144,7 +157,7 @@ def reference_logits(net, x):
 
 def logits(net, x):
     """The training pass's logits (labels do not affect them)."""
-    return loss_grads_logits(net, x, np.zeros(len(x), dtype=np.int64))[1]
+    return solo_step(net, x, np.zeros(len(x), dtype=np.int64))[1]
 
 
 def test_residual_zero_block_is_identity():
@@ -270,8 +283,8 @@ def test_uniform_logits_loss_is_log_k():
     net = build_network(arch, 0)
     for a in classifier(net):
         a[:] = 0.0
-    loss, _ = loss_grads_logits(net, np.random.default_rng(0).normal(size=(4, 6)),
-                             np.array([0, 3, 9, 5]))
+    loss, _, _ = solo_step(net, np.random.default_rng(0).normal(size=(4, 6)),
+                           np.array([0, 3, 9, 5]))
     assert loss == pytest.approx(math.log(10), abs=1e-12)
 
 
@@ -279,11 +292,11 @@ def test_label_out_of_range_rejected():
     net = build_network(small_arch(), 0)
     x = np.zeros((2, 5))
     with pytest.raises(ValueError):
-        loss_grads_logits(net, x, np.array([0, 3]))
+        solo_step(net, x, np.array([0, 3]))
     with pytest.raises(ValueError):
-        loss_grads_logits(net, x, np.array([-1, 0]))
+        solo_step(net, x, np.array([-1, 0]))
     with pytest.raises(ValueError, match="labels have shape"):
-        loss_grads_logits(net, x, np.array([0, 1, 2]))
+        solo_step(net, x, np.array([0, 1, 2]))
 
 
 def test_grads_match_finite_differences_two_stage():
@@ -293,8 +306,7 @@ def test_grads_match_finite_differences_two_stage():
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(4, 5))
     labels = rng.integers(0, 3, size=4)
-    loss_grads_logits(net, feats, labels)
-    analytic = net.grads.copy()  # numeric_grads overwrites net.grads
+    analytic = solo_step(net, feats, labels)[2]
     numeric = numeric_grads(net, feats, labels)
     assert max_rel_err(analytic, numeric) < 1e-5
 
@@ -305,8 +317,8 @@ def test_grads_match_finite_differences_plain_family():
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(5, 6))
     labels = rng.integers(0, 4, size=5)
-    loss_grads_logits(net, feats, labels)
-    assert max_rel_err(net.grads.copy(), numeric_grads(net, feats, labels)) < 1e-5
+    analytic = solo_step(net, feats, labels)[2]
+    assert max_rel_err(analytic, numeric_grads(net, feats, labels)) < 1e-5
 
 
 def test_zero_residual_net_classifier_grads_equal_softmax_regression():
@@ -319,7 +331,7 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(6, 5))
     labels = rng.integers(0, 3, size=6)
-    loss_grads_logits(net, feats, labels)
+    grads = solo_step(net, feats, labels)[2]
 
     # closed-form softmax regression gradient on raw features
     w, b = classifier(net)
@@ -328,11 +340,11 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(6), labels] -= 1.0
     p /= 6.0
-    clf_w, clf_b = net.views(net.grads)[-1]
+    clf_w, clf_b = net.views(grads)[-1]
     np.testing.assert_allclose(clf_w, p.T @ feats, atol=1e-12)
     np.testing.assert_allclose(clf_b, p.sum(axis=0), atol=1e-12)
     # every pre-activation is exactly 0, where the ReLU subgradient is 0
-    assert not any(w.any() or b.any() for w, b in net.views(net.grads)[:-1])
+    assert not any(w.any() or b.any() for w, b in net.views(grads)[:-1])
 
 
 # --- sgd_step ---------------------------------------------------------------
@@ -340,9 +352,10 @@ def test_zero_residual_net_classifier_grads_equal_softmax_regression():
 # v <- 0.9 v + g + 1e-4 theta; theta <- theta - lr v.
 
 def _step(net, g, lr):
-    """One sgd_step with every gradient set to `g`."""
-    net.grads[:] = g
-    sgd_step(net, lr)
+    """One sgd_step of `net` as a stack of one, with every gradient set to `g`."""
+    st = stack_networks([net])
+    st.grads[:] = g
+    sgd_step(st, lr)
 
 
 def test_sgd_first_step_from_zero_momentum():
@@ -389,17 +402,14 @@ def test_copy_has_same_bits_and_trains_independently():
     x = np.linspace(-1.0, 1.0, 20).reshape(4, 5)
     labels = np.array([0, 1, 2, 0])
     for _ in range(2):
-        loss_grads_logits(net, x, labels)
-        sgd_step(net, 0.1)
+        solo_step(net, x, labels, 0.1)
     twin = net.copy()
     np.testing.assert_array_equal(twin.params, net.params)
     np.testing.assert_array_equal(twin.momentum, net.momentum)
     for a in (net, twin):
-        loss_grads_logits(a, x, labels)
-        sgd_step(a, 0.1)
+        solo_step(a, x, labels, 0.1)
     np.testing.assert_array_equal(twin.params, net.params)
-    loss_grads_logits(twin, x, labels)
-    sgd_step(twin, 0.1)
+    solo_step(twin, x, labels, 0.1)
     assert not np.array_equal(twin.params, net.params)
     twin_arrays = [a for w, b in twin.views(twin.params) for a in (w, b)]
     assert not any(np.shares_memory(a, net.params) for a in twin_arrays)
@@ -428,7 +438,8 @@ def test_insert_block_appends_to_arch_and_vectors():
     assert net.arch == small_arch(blocks=(3, 1))
     w, b = net.views(net.params)[2]
     assert (w == 2.0).all() and (b == 3.0).all()
-    assert net.params.size == net.grads.size == net.momentum.size == before.size + 42
+    assert net.params.size == net.momentum.size == before.size + 42
+    assert stack_networks([net]).grads.shape == (1, net.params.size)
     assert not net.momentum.any()
 
 
@@ -474,7 +485,8 @@ def stack_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=stack_cases(), seed=st.integers(0, 2**16))
 def test_property_stacked_step_equals_solo_steps(case, seed):
-    """Row s of a stacked step has network s's solo loss, grads, params and momentum, bit for bit.
+    """Row s of a stacked step has network s's loss, grads, params and momentum as a stack of one,
+    bit for bit.
 
     Two steps per net, a full batch then a ragged last one (down to B = 1),
     so the second reads a momentum the first wrote and a workspace cut for
@@ -489,14 +501,12 @@ def test_property_stacked_step_equals_solo_steps(case, seed):
         x = rng.normal(size=(size, n, arch.input_dim))
         labels = rng.integers(0, arch.num_classes, size=(size, n))
         losses, _ = loss_grads_logits(stack, x, labels)
-        for s, net in enumerate(solo):
-            ref_loss, ref_grads = reference_step(net, x[s], labels[s])
-            loss, _ = loss_grads_logits(net, x[s], labels[s])
-            assert float(losses[s]) == loss == ref_loss
-            assert stack.grads[s].tobytes() == net.grads.tobytes() == ref_grads.tobytes()
         sgd_step(stack, lrs)
         for s, net in enumerate(solo):
-            sgd_step(net, float(lrs[s, 0]))
+            ref_loss, ref_grads = reference_step(net, x[s], labels[s])
+            loss, _, grads = solo_step(net, x[s], labels[s], float(lrs[s, 0]))
+            assert float(losses[s]) == loss == ref_loss
+            assert stack.grads[s].tobytes() == grads.tobytes() == ref_grads.tobytes()
             assert stack.params[s].tobytes() == net.params.tobytes()
             assert stack.momentum[s].tobytes() == net.momentum.tobytes()
 
@@ -513,7 +523,21 @@ def test_stack_rebinds_each_network_to_its_row():
     stack.params[1] += 1.0
     np.testing.assert_array_equal(classifier(nets[1])[1], before[1][-3:] + 1.0)
     lone = build_network(arch, 0)
-    assert np.shares_memory(stack_networks([lone]).params, lone.params)
+    stack = stack_networks([lone])
+    assert np.shares_memory(stack.params, lone.params)
+    assert np.shares_memory(stack.momentum, lone.momentum)
+
+
+def test_package_trains_a_lone_network_as_a_stack_of_one():
+    import growbench
+
+    net = growbench.build_network(small_arch(), 0)
+    before = net.params.copy()
+    stack = growbench.stack_networks([net])
+    growbench.loss_grads_logits(stack, np.ones((1, 4, 5)), np.zeros((1, 4), dtype=np.int64))
+    growbench.sgd_step(stack, 0.1)
+    assert not np.array_equal(net.params, before)
+    assert sorted(f.name for f in fields(growbench.Network)) == ["arch", "momentum", "params"]
 
 
 def test_stack_rejects_networks_of_two_shapes():
@@ -579,10 +603,9 @@ def test_loss_drops_on_separable_task():
         ds = Dataset(*gaussian_arrays(2, 8, 60, sep=10.0, label_noise=0.0, seed=seed), 2)
         arch = ArchSpec("res", (StageSpec(8, 1),), input_dim=8, num_classes=2)
         net = build_network(arch, seed)
-        first, _ = loss_grads_logits(net, ds.features, ds.labels)
+        first = solo_step(net, ds.features, ds.labels)[0]
         for _ in range(50):
-            loss_grads_logits(net, ds.features, ds.labels)
-            sgd_step(net, lr=0.05)
-        final, _ = loss_grads_logits(net, ds.features, ds.labels)
+            solo_step(net, ds.features, ds.labels, lr=0.05)
+        final = solo_step(net, ds.features, ds.labels)[0]
         ratios.append(final / first)
     assert sorted(ratios)[1] < 0.1
