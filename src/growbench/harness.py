@@ -171,7 +171,7 @@ def _track_next(net: Network, config: TrainConfig, target: ArchSpec,
     """Under moment init, the EMA shadow of the block preceding the next growth, if square."""
     if config.init != "moment":
         return None
-    location = next_stage(config.where, target.blocks_per_stage, net.blocks_per_stage(), last)
+    location = next_stage(config.where, target.blocks_per_stage, net.arch.blocks_per_stage, last)
     return None if location is None else MomentEnsemble.track(net, location)
 
 
@@ -287,14 +287,14 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
                     continue
             b.metrics.append(EpochMetrics(
                 epoch, report.train_acc, report.val_acc, report.test_acc, report.train_loss,
-                orl_pp, lr, b.net.blocks_per_stage(), grew))
+                orl_pp, lr, b.net.arch.blocks_per_stage, grew))
             alive.append(b)
         return alive
 
     for epoch in range(config.total_epochs):
         groups: dict[tuple[int, ...], list[_Branch]] = {}
         for branch in branches:
-            groups.setdefault(branch.net.blocks_per_stage(), []).append(branch)
+            groups.setdefault(branch.net.arch.blocks_per_stage, []).append(branch)
         branches = []
         for group in groups.values():
             lrs = [lr_at(config.lr_base, epoch, states[b.members[0]].growth_done_epoch,
@@ -317,7 +317,7 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
                 f"growth budget not exhausted: {remaining} blocks left at the end "
                 "(deadline rule violated)"
             ))
-        elif b.net.blocks_per_stage() != target_arch.blocks_per_stage:
+        elif b.net.arch.blocks_per_stage != target_arch.blocks_per_stage:
             fail(b.members, RuntimeError("final architecture does not match the target spec"))
         else:
             last = b.metrics[-1]
@@ -369,13 +369,13 @@ def _grow(b: _Branch, epoch: int, config: TrainConfig, target: ArchSpec,
           states: list[PolicyState]) -> None:
     """Insert the next block on `b` and record it in the states of its runs."""
     events = states[0].events
-    location = next_stage(config.where, target.blocks_per_stage, b.net.blocks_per_stage(),
+    location = next_stage(config.where, target.blocks_per_stage, b.net.arch.blocks_per_stage,
                           events[-1].stage if events else -1)
     if location is None:
         raise RuntimeError("policy fired with no unsaturated stage")
     rng = substream(b.seed, "grow", len(events))
     rule = grow(b.net, location, config.init, rng=rng, ensemble=b.ensemble)
-    event = GrowthEvent(epoch + 1, location, b.net.blocks_per_stage()[location] - 1, rule)
+    event = GrowthEvent(epoch + 1, location, b.net.arch.blocks_per_stage[location] - 1, rule)
     for state in states:
         state.record_growth(event)
     b.ensemble = _track_next(b.net, config, target, location)

@@ -61,7 +61,7 @@ class MomentEnsemble:
     @classmethod
     def track(cls, net: Network, stage: int) -> MomentEnsemble | None:
         """Track `stage`'s last block, which growth there derives from; None if it downsamples."""
-        index = net.blocks_per_stage()[stage] - 1
+        index = net.arch.blocks_per_stage[stage] - 1
         kind, span = net.block(stage, index)
         return None if kind is BlockKind.DOWNSAMPLE else cls(stage, index, net.params[span].copy())
 
@@ -98,7 +98,7 @@ def grow(net: Network, stage: int, init_rule: str,
             raise GrowthError("moment init requires an ensemble")
         if ensemble.updates < 1:
             raise GrowthError("moment ensemble has never been updated")
-        if (ensemble.stage, ensemble.index) != (stage, net.blocks_per_stage()[stage] - 1):
+        if (ensemble.stage, ensemble.index) != (stage, net.arch.blocks_per_stage[stage] - 1):
             raise GrowthError(f"stale moment ensemble: tracks ({ensemble.stage}, {ensemble.index})")
         flat = ensemble.shadow
     else:  # random

@@ -140,9 +140,6 @@ class Network:
             off += _size(shape)
         return out
 
-    def blocks_per_stage(self) -> tuple[int, ...]:
-        return self.arch.blocks_per_stage
-
     def block(self, stage: int, index: int = -1) -> tuple[BlockKind, slice]:
         """Kind and weight-then-bias slice of `params` of `stage`'s block `index` (-1: its last)."""
         return _block(self.arch, stage, index)

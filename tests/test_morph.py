@@ -28,7 +28,7 @@ def flat_params(net):
 
 def paths(net):
     """(stage, block) of every block in forward order, then ("clf",): the order of `views`."""
-    return [(s, b) for s, n in enumerate(net.blocks_per_stage()) for b in range(n)] + [("clf",)]
+    return [(s, b) for s, n in enumerate(net.arch.blocks_per_stage) for b in range(n)] + [("clf",)]
 
 
 def block_views(net, stage, index):
@@ -40,7 +40,7 @@ def insert_zero_block(net, stage):
     """Append an all-zero square block to `stage`: an exact identity in a residual net."""
     width = net.arch.stages[stage].width
     net.insert_block(stage, np.zeros((width, width)), np.zeros(width))
-    return net.views(net.params)[paths(net).index((stage, net.blocks_per_stage()[stage] - 1))]
+    return net.views(net.params)[paths(net).index((stage, net.arch.blocks_per_stage[stage] - 1))]
 
 
 def logits(net, x):
@@ -176,7 +176,7 @@ def test_growth_after_a_downsample_block_is_random(rule):
     assert MomentEnsemble.track(net, 0) is None
     with pytest.raises(GrowthError, match="random init requires a generator"):
         grow(net, 0, rule)
-    assert net.blocks_per_stage() == (1,)
+    assert net.arch.blocks_per_stage == (1,)
     explicit = net.copy()
     assert grow(explicit, 0, "random", rng=substream(4, "grow", 0)) == "random"
     assert grow(net, 0, rule, rng=substream(4, "grow", 0)) == "random"
@@ -226,7 +226,7 @@ def test_moment_requires_an_update():
     ens = MomentEnsemble.track(net, 0)
     with pytest.raises(GrowthError, match="never been updated"):
         grow(net, 0, "moment", ensemble=ens)
-    assert net.blocks_per_stage() == (2,)
+    assert net.arch.blocks_per_stage == (2,)
 
 
 def test_stale_moment_ensemble_is_refused():
@@ -239,7 +239,7 @@ def test_stale_moment_ensemble_is_refused():
     before = net.params.copy()
     with pytest.raises(GrowthError, match=r"stale moment ensemble: tracks \(0, 1\)"):
         grow(net, 0, "moment", ensemble=ens)  # stage 0's last block is now block 2
-    assert net.params.tobytes() == before.tobytes() and net.blocks_per_stage() == (3, 2)
+    assert net.params.tobytes() == before.tobytes() and net.arch.blocks_per_stage == (3, 2)
 
 
 def test_second_growth_tracks_new_preceding_block():
@@ -265,7 +265,7 @@ def test_grow_zero_init_preserves_function():
 def test_grow_increments_counts_and_buffers():
     net = build_network(arch((2, 2)), 9)
     grow(net, 0, "copy")
-    assert net.blocks_per_stage() == (3, 2)
+    assert net.arch.blocks_per_stage == (3, 2)
     assert net.momentum.size == net.params.size == stack_networks([net]).grads.size
     new_w, new_b = net.views(net.momentum)[2]  # stage 0, block 2
     assert new_w.shape == (8, 8)
@@ -323,13 +323,13 @@ def test_budget_exactness_full_growth():
     n = count_added_blocks(seed, target)
     rules = []
     while True:
-        loc = next_stage("sequential", target.blocks_per_stage, net.blocks_per_stage())
+        loc = next_stage("sequential", target.blocks_per_stage, net.arch.blocks_per_stage)
         if loc is None:
             break
         rules.append(grow(net, loc, "copy", rng=substream(0, "grow", len(rules))))
     assert len(rules) == n
     assert rules == ["random"] + ["copy"] * (n - 1)  # stage 0 starts downsample
-    assert net.blocks_per_stage() == target.blocks_per_stage
+    assert net.arch.blocks_per_stage == target.blocks_per_stage
 
 
 def _address(a):
@@ -374,7 +374,7 @@ def test_flat_store_views_after_every_growth(rule, where, family):
     loc = -1
     for k in range(count_added_blocks(seed, target)):
         net.momentum[:] = rng.normal(size=net.momentum.size)
-        loc = next_stage(where, target.blocks_per_stage, net.blocks_per_stage(), loc)
+        loc = next_stage(where, target.blocks_per_stage, net.arch.blocks_per_stage, loc)
         ensemble = MomentEnsemble.track(net, loc) if rule == "moment" else None
         if ensemble is not None:
             ensemble.update(net)
@@ -385,10 +385,10 @@ def test_flat_store_views_after_every_growth(rule, where, family):
             grow(net, loc, rule, rng=substream(4, "grow", k), ensemble=ensemble)
         assert_flat_store(net)
         after = _snapshot(net)
-        new_path = (loc, net.blocks_per_stage()[loc] - 1)
+        new_path = (loc, net.arch.blocks_per_stage[loc] - 1)
         assert set(after) == set(before) | {new_path}
         for path, arrays in before.items():
             for old, new in zip(arrays, after[path]):
                 assert old.tobytes() == new.tobytes(), path
         assert not after[new_path][2].any() and not after[new_path][3].any()
-    assert net.blocks_per_stage() == target.blocks_per_stage
+    assert net.arch.blocks_per_stage == target.blocks_per_stage

@@ -427,7 +427,7 @@ def test_insert_block_rejects_wrong_shape(weight, bias):
     before = net.params.copy()
     with pytest.raises(ValueError, match="does not fit stage 1 of width 6"):
         net.insert_block(1, weight, bias)
-    assert net.blocks_per_stage() == (2, 1)
+    assert net.arch.blocks_per_stage == (2, 1)
     assert net.params.tobytes() == before.tobytes()
 
 
