@@ -23,6 +23,18 @@ class ConfigError(ValueError):
     """Config-file, override or config-value problem; maps to exit code 2."""
 
 
+def _check_text(cfg: object, section: str) -> None:
+    """Refuse a str field that the echo cannot hold: one with a line break or surrounding space.
+
+    A field's section is its `section` metadata, else `section`.
+    """
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+            raise ConfigError(f"{f.metadata.get('section', section)}.{f.name} must be one line "
+                              f"with no surrounding whitespace, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     name: str = "fragrow"
@@ -30,6 +42,7 @@ class PolicyConfig:
     period_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_text(self, "policy")
         if self.name not in SHOULD_GROW:
             raise ConfigError(f"unknown policy {self.name!r}, expected one of {tuple(SHOULD_GROW)}")
         if not 0.0 < self.period_scale <= 1.0:
@@ -69,6 +82,7 @@ class DataConfig:
     test_csv: str = ""
 
     def __post_init__(self) -> None:
+        _check_text(self, "data")
         if self.source not in _SOURCE_PATHS:
             raise ConfigError(f"unknown data source {self.source!r}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -109,6 +123,7 @@ class TrainConfig:
     run_seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_text(self, "train")
         if not 0 <= self.min_finetune_epochs < self.total_epochs:
             raise ConfigError(f"train.min_finetune_epochs must be in [0, total_epochs), got "
                               f"{self.min_finetune_epochs} with total_epochs {self.total_epochs}")
@@ -142,6 +157,9 @@ def config_added_blocks(config: TrainConfig) -> int:
 @dataclass(frozen=True)
 class OutputConfig:
     metrics_path: str = "metrics.jsonl"
+
+    def __post_init__(self) -> None:
+        _check_text(self, "output")
 
 
 @dataclass(frozen=True)

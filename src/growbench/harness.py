@@ -447,8 +447,9 @@ def read_metrics(path: str) -> RunResult:
     """Reconstruct a RunResult from a metrics file written by write_metrics.
 
     A missing header or a header config that does not parse, invalid JSON,
-    a non-finite number, a record that is no object or lacks a key, and a
-    value of the wrong type raise ValueError("<path>:<line>: ...").
+    a non-finite number, a record that is no object or lacks a key, a
+    value of the wrong type, and epoch lines other than epochs 0 to
+    total_epochs - 1 in order raise ValueError("<path>:<line>: ...").
     """
     records = []
     try:
@@ -474,6 +475,12 @@ def read_metrics(path: str) -> RunResult:
     if not isinstance(records[-1][1], dict) or "events" not in records[-1][1]:
         raise ValueError(f"{path}: missing footer line")
     metrics = [_from_json(EpochMetrics, rec, where) for where, rec in records[1:-1]]
+    for i, (where, _) in enumerate(records[1:]):  # the epoch lines, then the footer
+        want = f"epoch {i}" if i < config.total_epochs else "the footer"
+        got = f"epoch {metrics[i].epoch}" if i < len(metrics) else "the footer"
+        if got != want:
+            raise ValueError(f"{where}: expected {want}, got {got} "
+                             f"(total_epochs = {config.total_epochs})")
     where, footer = records[-1]
     result = _from_json(RunResult, footer, where, config=config, metrics=metrics)
     result.events = [_from_json(GrowthEvent, e, f"{where}: event {i}")

@@ -120,6 +120,16 @@ MUTANTS = (
     Mutant("_assign accepts a value that spans lines", "src/growbench/config.py",
            "    if len(raw.splitlines()) > 1:", "    if False:",
            ("tests/test_cli.py",)),
+    Mutant("a lone network's stack copies its vectors", "src/growbench/netcore.py",
+           "params, momentum = nets[0].params[None], nets[0].momentum[None]",
+           "params, momentum = nets[0].params[None].copy(), nets[0].momentum[None].copy()",
+           ("tests/test_netcore.py",)),
+    Mutant("a config str field may span lines or be padded", "src/growbench/config.py",
+           "(value != value.strip() or len(value.splitlines()) > 1)", "False",
+           ("tests/test_cli.py",)),
+    Mutant("read_metrics skips the epoch-sequence check", "src/growbench/harness.py",
+           "        if got != want:", "        if False:",
+           ("tests/test_harness.py",)),
 )
 
 

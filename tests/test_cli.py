@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from growbench.cli import (
     parse_config_text,
     render_config,
     _build_config,
+    _config_to_values,
 )
 from growbench.data import Dataset, write_idx
 from growbench import cli, harness, netcore
@@ -251,6 +253,27 @@ def test_a_value_that_spans_lines_exit_2_names_the_key(capsys, value):
     assert captured.err == (f"config error: override {token!r}: "
                             f"bad value for data.train_csv: {value!r} spans lines\n")
     assert captured.out == ""
+
+
+# section.key of every str field of the config dataclasses
+STR_KEYS = [f"{section}.{key}" for section, values in _config_to_values(CliConfig()).items()
+            for key, value in values.items() if isinstance(value, str)]
+
+
+@pytest.mark.parametrize("value", [" pad", "pad\t", "a\nb", "a\x1cb"])
+@pytest.mark.parametrize("name", STR_KEYS)
+def test_a_str_field_built_in_python_is_one_line_with_no_surrounding_whitespace(name, value):
+    """Configs built without the text codec hold only values that their echo reads back."""
+    section, key = name.split(".")
+    values = _config_to_values(CliConfig())
+    values[section][key] = value
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be one line with no "
+                                          rf"surrounding whitespace, got {re.escape(repr(value))}$"):
+        _build_config(values)
+
+
+def test_every_config_section_has_a_str_field_under_the_text_check():
+    assert sorted({name.split(".")[0] for name in STR_KEYS}) == ["data", "model", "output", "policy"]
 
 
 def test_a_padded_value_echoes_and_parses_back(capsys):
@@ -627,4 +650,16 @@ def test_plot_refuses_non_finite_metrics_exit_1(metrics_file, tmp_path, capsys):
     out = tmp_path / "bad.svg"
     assert main(["plot", str(bad), "--curves", "train_err", "--out", str(out)]) == 1
     assert f"{bad}:2: non-finite number NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_refuses_a_file_with_no_epoch_lines_exit_1_naming_it(metrics_file, tmp_path, capsys):
+    path, _ = metrics_file
+    lines = Path(path).read_text().splitlines()
+    bad = tmp_path / "bare.jsonl"
+    bad.write_text(f"{lines[0]}\n{lines[-1]}\n")
+    out = tmp_path / "bare.svg"
+    assert main(["plot", str(bad), "--curves", "train_err", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {bad}:2: expected epoch 0, got the footer "
+                                       f"(total_epochs = 12)\n")
     assert not out.exists()
