@@ -272,10 +272,6 @@ def test_a_str_field_built_in_python_is_one_line_with_no_surrounding_whitespace(
         _build_config(values)
 
 
-def test_every_config_section_has_a_str_field_under_the_text_check():
-    assert sorted({name.split(".")[0] for name in STR_KEYS}) == ["data", "model", "output", "policy"]
-
-
 def test_a_padded_value_echoes_and_parses_back(capsys):
     assert main(["train", "underfit", "--print-config", "--data.train_csv= a b \n"]) == 0
     echo = capsys.readouterr().out
