@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 
 def _check_text(cfg: object, section: str) -> None:
-    """Refuse a str field that the echo cannot hold: one with a line break or surrounding space.
+    """Refuse a str field the echo cannot hold: one with a line break or surrounding whitespace.
 
     A field's section is its `section` metadata, else `section`.
     """

@@ -50,8 +50,8 @@ MUTANTS = (
            '        init_rule = "random"\n', "        pass\n",
            ("tests/test_morph.py",)),
     Mutant("grow without the stale-ensemble check", "src/growbench/morph.py",
-           "        if (ensemble.stage, ensemble.index) != (stage, net.arch.blocks_per_stage[stage] - 1):",
-           "        if False:",
+           "if (ensemble.stage, ensemble.index) != (stage, net.arch.blocks_per_stage[stage] - 1):",
+           "if False:",
            ("tests/test_morph.py",)),
     Mutant("a fork shares its ensemble's shadow", "src/growbench/harness.py",
            "shadow=self.ensemble.shadow.copy()", "shadow=self.ensemble.shadow",

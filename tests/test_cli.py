@@ -267,8 +267,8 @@ def test_a_str_field_built_in_python_is_one_line_with_no_surrounding_whitespace(
     section, key = name.split(".")
     values = _config_to_values(CliConfig())
     values[section][key] = value
-    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be one line with no "
-                                          rf"surrounding whitespace, got {re.escape(repr(value))}$"):
+    message = rf"^{section}\.{key} must be one line with no surrounding whitespace, got "
+    with pytest.raises(ConfigError, match=message + re.escape(repr(value)) + "$"):
         _build_config(values)
 
 
