@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import growbench
 from growbench import netcore
 from growbench.arch import ArchError, ArchSpec, StageSpec, parse_arch
 from growbench.data import Dataset, gaussian_arrays
@@ -529,8 +530,6 @@ def test_stack_rebinds_each_network_to_its_row():
 
 
 def test_package_trains_a_lone_network_as_a_stack_of_one():
-    import growbench
-
     net = growbench.build_network(small_arch(), 0)
     before = net.params.copy()
     stack = growbench.stack_networks([net])
