@@ -35,19 +35,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 class IdxError(ValueError):
-    """Base class for IDX format problems."""
-
-
-class IdxMagicError(IdxError):
-    """File does not start with the expected IDX magic number."""
-
-
-class IdxTruncatedError(IdxError):
-    """File ends before the payload announced in its header."""
-
-
-class IdxCountMismatchError(IdxError):
-    """Image and label files disagree on the number of items."""
+    """An IDX file or image/label pair that `read_idx` refuses; the message names the file."""
 
 
 @dataclass(frozen=True)
@@ -193,45 +181,45 @@ def _sum_of_squares(x: np.ndarray) -> np.ndarray:
     return buf[0].copy()
 
 
-def _read_exact(f, count: int, path: str, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise IdxTruncatedError(f"{path}: truncated while reading {what}")
-    return data
+def _idx_payload(path: str, magic: int,
+                 size_names: tuple[str, ...]) -> tuple[list[int], np.ndarray]:
+    """(sizes, u8 view of the data) of an IDX file, read once. The data's length, the product
+    of the sizes, is checked before any array is made; bytes past it are ignored."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    head = 4 * (1 + len(size_names))
+    if len(blob) < head:
+        raise IdxError(f"{path}: truncated: {len(blob)} bytes, the header needs {head}")
+    got, *sizes = struct.unpack_from(f">I{len(size_names)}i", blob)
+    if got != magic:
+        raise IdxError(f"{path}: bad magic 0x{got:08x}, expected 0x{magic:08x}")
+    for name, value in zip(size_names, sizes):
+        if value < 0:
+            raise IdxError(f"{path}: negative {name} {value} in the header")
+    size = math.prod(sizes)
+    if size > len(blob) - head:
+        raise IdxError(f"{path}: truncated: {size} data bytes announced, {len(blob) - head} held")
+    return sizes, np.frombuffer(blob, dtype=np.uint8, count=size, offset=head)
 
 
 def read_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) of an IDX image/label pair (big-endian, u8 pixels).
 
     Pixels are scaled to [0, 1] and flattened row-major, so D = rows*cols.
-    A header whose count, rows or cols is negative, or that announces no
-    pixels, raises an IdxError naming the file.
+    A header shorter than its fields, a wrong magic, a negative size, data
+    shorter than the header announces, image and label counts that differ,
+    or images with no pixels raise an IdxError naming the file.
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxMagicError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        for name, value in (("image count", count), ("rows", rows), ("cols", cols)):
-            if value < 0:
-                raise IdxError(f"{images_path}: negative {name} {value} in the header")
-        raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">ii", _read_exact(f, 8, labels_path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxMagicError(f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        if label_count < 0:
-            raise IdxError(f"{labels_path}: negative label count {label_count} in the header")
-        raw = _read_exact(f, label_count, labels_path, "label data")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (count, rows, cols), pixels = _idx_payload(images_path, IDX_IMAGES_MAGIC,
+                                               ("image count", "rows", "cols"))
+    (label_count,), labels = _idx_payload(labels_path, IDX_LABELS_MAGIC, ("label count",))
     if count != label_count:
-        raise IdxCountMismatchError(
-            f"{images_path} has {count} images but {labels_path} has {label_count} labels"
-        )
+        raise IdxError(f"{images_path} has {count} images but {labels_path} has "
+                       f"{label_count} labels")
     if pixels.size == 0:
         raise IdxError(f"{images_path}: {count} images of {rows}x{cols} pixels hold no data")
     # one pass, one N x D array: the same bytes as astype(float64) / 255
-    return np.divide(pixels, 255.0, dtype=np.float64), labels
+    return np.divide(pixels.reshape(count, -1), 255.0, dtype=np.float64), labels.astype(np.int64)
 
 
 def write_idx(dataset: Dataset, images_path: str, labels_path: str,

@@ -17,10 +17,7 @@ from growbench.data import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
     Dataset,
-    IdxCountMismatchError,
     IdxError,
-    IdxMagicError,
-    IdxTruncatedError,
     _split_indices,
     gaussian_arrays,
     read_csv,
@@ -234,7 +231,8 @@ def test_idx_bad_magic(tmp_path):
     blob = bytearray(Path(ip).read_bytes())
     blob[3] = 0x05
     Path(ip).write_bytes(bytes(blob))
-    with pytest.raises(IdxMagicError):
+    with pytest.raises(IdxError, match=f"^{re.escape(ip)}: bad magic 0x00000805, "
+                                       "expected 0x00000803$"):
         read_idx(ip, lp)
 
 
@@ -244,7 +242,8 @@ def test_idx_truncated(tmp_path):
     write_idx(ds, ip, lp, rows=4, cols=3)
     blob = Path(ip).read_bytes()
     Path(ip).write_bytes(blob[:-5])
-    with pytest.raises(IdxTruncatedError):
+    with pytest.raises(IdxError, match=f"^{re.escape(ip)}: truncated: "
+                                       "120 data bytes announced, 115 held$"):
         read_idx(ip, lp)
 
 
@@ -255,7 +254,8 @@ def test_idx_count_mismatch(tmp_path):
     ip2, lp2 = str(tmp_path / "i2"), str(tmp_path / "l2")
     write_idx(ds, ip, lp, rows=4, cols=3)
     write_idx(smaller, ip2, lp2, rows=4, cols=3)
-    with pytest.raises(IdxCountMismatchError):
+    with pytest.raises(IdxError, match=f"^{re.escape(ip)} has 10 images but "
+                                       f"{re.escape(lp2)} has 6 labels$"):
         read_idx(ip, lp2)
 
 
@@ -286,6 +286,47 @@ def test_idx_without_data_names_the_image_file(tmp_path, count, rows, cols):
     lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, count) + bytes(count))
     with pytest.raises(IdxError, match=f"^{re.escape(str(ip))}: {count} images of "
                                        f"{rows}x{cols} pixels hold no data$"):
+        read_idx(str(ip), str(lp))
+
+
+@pytest.mark.parametrize("count, rows, cols", [
+    (2**31 - 1, 2**15, 2**15),  # 2^61 bytes: a MemoryError before the length check
+    (2**31 - 1, 2**31 - 1, 2**31 - 1),  # more bytes than an index can hold
+])
+def test_idx_huge_image_header_names_the_image_file(tmp_path, count, rows, cols):
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, count, rows, cols) + bytes(84))
+    lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 2) + bytes(2))
+    with pytest.raises(IdxError, match=f"^{re.escape(str(ip))}: truncated: "
+                                       f"{count * rows * cols} data bytes announced, 84 held$"):
+        read_idx(str(ip), str(lp))
+
+
+def test_idx_huge_label_header_names_the_label_file_and_allocates_nothing(tmp_path):
+    """2^31 - 1 announced labels are refused from the file's own length, not by a 2 GiB read."""
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, 2, 2, 2) + bytes(8))
+    lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 2**31 - 1) + bytes(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdxError, match=f"^{re.escape(str(lp))}: truncated: "
+                                           f"{2**31 - 1} data bytes announced, 2 held$"):
+            read_idx(str(ip), str(lp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("which, size", [("images", 0), ("images", 15), ("labels", 7)])
+def test_idx_header_shorter_than_its_fields_names_the_file(tmp_path, which, size):
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, 1, 2, 2) + bytes(4))
+    lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 1) + bytes(1))
+    path, head = (ip, 16) if which == "images" else (lp, 8)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(IdxError, match=f"^{re.escape(str(path))}: truncated: "
+                                       f"{size} bytes, the header needs {head}$"):
         read_idx(str(ip), str(lp))
 
 
