@@ -32,7 +32,7 @@ from .timing import interval
 
 def load_config(source: str, overrides: list[str] | None = None) -> CliConfig:
     """Resolve a config path or preset name, then apply overrides."""
-    if os.path.exists(source):
+    if os.path.isfile(source):
         with open(source) as f:
             values = parse_config_text(f.read(), source)
     else:

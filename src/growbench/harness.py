@@ -26,6 +26,8 @@ and its metrics file starts with a header holding that config's echo.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import statistics
@@ -36,7 +38,7 @@ import numpy as np
 
 from .arch import ArchSpec, parse_arch
 from .config import (ConfigError, DataConfig, PolicyConfig, TrainConfig, _build_config,
-                     config_added_blocks, parse_config_text, render_config)
+                     _finite_float, config_added_blocks, parse_config_text, render_config)
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized, standardize
 from .morph import GrowthEvent, MomentEnsemble, grow, next_stage
 from .netcore import (
@@ -436,13 +438,6 @@ def _from_json(cls, rec, where: str, **given):
                            for f, key in keyed})
 
 
-def _finite(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {token}")
-    return value
-
-
 def read_metrics(path: str) -> RunResult:
     """Reconstruct a RunResult from a metrics file written by write_metrics.
 
@@ -457,7 +452,8 @@ def read_metrics(path: str) -> RunResult:
             for lineno, line in enumerate(f, 1):
                 try:
                     if line.strip():
-                        rec = json.loads(line, parse_float=_finite, parse_constant=_finite)
+                        rec = json.loads(line, parse_float=_finite_float,
+                                         parse_constant=_finite_float)
                         records.append((f"{path}:{lineno}", rec))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
@@ -536,11 +532,12 @@ class ComparisonTable:
         def cell(v):
             return "" if v is None else f"{v:.6g}"
         names = [name for _, _, name in _COLUMNS]
-        out = [",".join(["config", *names, "n_seeds", "n_failed"])]
-        for r in self.rows:
-            cells = [cell(getattr(r, name)) for name in names]
-            out.append(",".join([r.label, *cells, str(r.n_seeds), str(r.n_failed)]))
-        return "\n".join(out) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes a label with , " or a newline
+        writer.writerow(["config", *names, "n_seeds", "n_failed"])
+        writer.writerows([r.label, *(cell(getattr(r, name)) for name in names), r.n_seeds,
+                          r.n_failed] for r in self.rows)
+        return out.getvalue()
 
 
 def _spread(values: list[float]) -> float | None:

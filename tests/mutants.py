@@ -130,6 +130,16 @@ MUTANTS = (
     Mutant("read_metrics skips the epoch-sequence check", "src/growbench/harness.py",
            "        if got != want:", "        if False:",
            ("tests/test_harness.py",)),
+    Mutant("read_idx skips the announced-length check", "src/growbench/data.py",
+           "    if size > len(blob) - head:", "    if False:",
+           ("tests/test_data.py",)),
+    Mutant("the comparison CSV leaves its labels unquoted", "src/growbench/harness.py",
+           'csv.writer(out, lineterminator="\\n")',
+           'csv.writer(out, lineterminator="\\n", quoting=csv.QUOTE_NONE, escapechar="\\\\")',
+           ("tests/test_harness.py",)),
+    Mutant("load_config opens any existing path", "src/growbench/cli.py",
+           "    if os.path.isfile(source):", "    if os.path.exists(source):",
+           ("tests/test_cli.py",)),
 )
 
 

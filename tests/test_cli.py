@@ -244,6 +244,18 @@ def test_output_path_in_missing_directory_exit_2_before_setup(tmp_path, monkeypa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["train", "{}"], ["compare", "{}", "overfit"]],
+                         ids=["train", "compare"])
+def test_config_source_that_is_a_directory_exit_2_names_it(tmp_path, capsys, argv):
+    """A directory is neither a config file nor a preset name: a usage error, not an OSError."""
+    source = str(tmp_path)
+    assert main([arg.format(source) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {source!r} is neither a readable config file "
+                                   "nor a preset name (presets: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["a\nb", "a\rb", "a\r\nb", "a\x85b", "a\u2028b"])
 def test_a_value_that_spans_lines_exit_2_names_the_key(capsys, value):
     """The echo and a metrics header hold one value per line, so a line break is refused."""
@@ -645,7 +657,7 @@ def test_plot_refuses_non_finite_metrics_exit_1(metrics_file, tmp_path, capsys):
     bad.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
     out = tmp_path / "bad.svg"
     assert main(["plot", str(bad), "--curves", "train_err", "--out", str(out)]) == 1
-    assert f"{bad}:2: non-finite number NaN" in capsys.readouterr().err
+    assert f"{bad}:2: 'NaN' is not a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -17,6 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growbench.harness import (
+    ComparisonRow,
+    ComparisonTable,
     DataConfig,
     EpochMetrics,
     PolicyConfig,
@@ -381,14 +385,14 @@ def _set_event_key(line, key, value):
     pytest.param(lambda ls: [ls[0].replace('"blocks": [1, 1]', '"blocks": 2')] + ls[1:], 1,
                  "blocks: expected a list of ints, got 2", id="blocks-not-a-list"),
     (lambda ls: [ls[0], _set_key(ls[1], "train_acc", math.nan)] + ls[2:], 2,
-     "non-finite number NaN"),
+     "'NaN' is not a finite number"),
     (lambda ls: [ls[0], _set_key(ls[1], "orl", math.inf)] + ls[2:], 2,
-     "non-finite number Infinity"),
+     "'Infinity' is not a finite number"),
     (lambda ls: ls[:-1] + [_set_key(ls[-1], "e_bar", -math.inf)], 13,
-     "non-finite number -Infinity"),
+     "'-Infinity' is not a finite number"),
     (lambda ls: ls[:-1] + [_set_key(ls[-1], "events", 3)], 13, "events: expected a list, got 3"),
     (lambda ls: [ls[0].replace('"lr": 0.05', '"lr": 1e999')] + ls[1:], 1,
-     "non-finite number 1e999"),
+     "'1e999' is not a finite number"),
     (lambda ls: [_set_key(ls[0], "train_acc", "abc")] + ls[1:], 1,
      "train_acc: expected a number, got 'abc'"),
     (lambda ls: [_set_key(ls[0], "epoch", 0.5)] + ls[1:], 1, "epoch: expected an int, got 0.5"),
@@ -768,6 +772,25 @@ def test_compare_single_seed_empty_spread():
     assert table.rows[0].test_error_spread is None
     assert "spread" in table.to_text().splitlines()[0]
     assert table.to_csv().count("\n") == 3
+
+
+def test_comparison_csv_quotes_labels_that_hold_a_comma_or_quote():
+    """A label comes from a file name, so it may hold the CSV delimiter or quote."""
+    cells = dict(n_seeds=2, n_failed=1, test_error_median=12.5, test_error_spread=0.25,
+                 train_error_median=3.0, train_error_spread=None, e_bar_median=4.0,
+                 cost_pct=100.0)
+    labels = ["a,b", 'q"x', "plain"]
+    text = ComparisonTable([ComparisonRow(label=label, **cells) for label in labels]).to_csv()
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [row["config"] for row in rows] == labels
+    for row in rows:
+        assert row == {"config": row["config"], "test_error_median": "12.5",
+                       "test_error_spread": "0.25", "train_error_median": "3",
+                       "train_error_spread": "", "e_bar_median": "4", "cost_pct": "100",
+                       "n_seeds": "2", "n_failed": "1"}
+    assert text.splitlines()[1:] == ['"a,b",12.5,0.25,3,,4,100,2,1',
+                                     '"q""x",12.5,0.25,3,,4,100,2,1',
+                                     "plain,12.5,0.25,3,,4,100,2,1"]
 
 
 def test_compare_marks_failed_runs():
