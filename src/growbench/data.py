@@ -47,11 +47,11 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError("features must be a non-empty N x D matrix")
-        if len(self.labels) != len(self.features):
-            raise ValueError("labels and features disagree on N")
+        if self.labels.shape != (len(self.features),):
+            raise ValueError(f"labels have shape {self.labels.shape}, expected ({len(self)},)")
         if np.isnan(self.features.min()):  # min is NaN iff some entry is; no N x D mask
             raise ValueError("features contain NaN")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(f"labels outside [0, {self.num_classes})")
         for name in ("features", "labels"):
             view = getattr(self, name).view()  # the caller's array stays writable

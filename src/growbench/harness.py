@@ -163,9 +163,8 @@ def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalR
 
     Only the train split's loss is recorded, so val and test compute argmax only.
     """
-    train_acc, train_loss = accuracy_and_loss(net, train.features, train.labels)
-    return EvalReport(train_acc, accuracy(net, val.features, val.labels),
-                      accuracy(net, test.features, test.labels), train_loss)
+    train_acc, train_loss = accuracy_and_loss(net, train)
+    return EvalReport(train_acc, accuracy(net, val), accuracy(net, test), train_loss)
 
 
 def _track_next(net: Network, config: TrainConfig, target: ArchSpec,

@@ -29,8 +29,9 @@ along one row's axis, so row s computes exactly what network s would alone
 and a NaN in one row cannot reach another. A lone network trains as a
 stack of one, `stack_networks([net])`.
 Training and evaluation share one forward pass, which writes block outputs
-(and, for training, z > 0 as 1.0 / 0.0 masks) in place into workspace views;
-evaluation also writes its logits into one reused buffer.
+(and, for training, z > 0 as 1.0 / 0.0 masks) in place into workspace views.
+Evaluation scores a `data.Dataset`, checked when it was made, so it checks
+only that the split fits the network, and writes its logits into one buffer.
 
 The optimizer is SGD with momentum and weight decay folded into the
 momentum buffer, v <- mu*v + g + wd*theta; theta <- theta - lr*v, applied
@@ -52,6 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arch import ArchSpec, StageSpec
+from .data import Dataset
 from .rng import substream
 
 # OpenBLAS thread setters, newest naming first: scipy-openblas (numpy >= 2),
@@ -291,13 +293,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels outside [0, {num_classes})")
-    return labels
-
-
 def loss_grads_logits(st: Stack, batch: np.ndarray,
                       labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S,) mean cross-entropy losses and the (S, B, C) logits; exact gradients go into `st.grads`.
@@ -306,7 +301,9 @@ def loss_grads_logits(st: Stack, batch: np.ndarray,
     The backward pass mirrors the forward block structure and stops at the
     first block's parameter gradients. The ReLU subgradient at 0 is 0.
     """
-    labels = _check_labels(labels, st.nets[0].arch.num_classes)
+    labels, num_classes = np.asarray(labels), st.nets[0].arch.num_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"labels outside [0, {num_classes})")
     x = _check_batch(st, batch)
     s, n = x.shape[:2]
     if labels.shape != (s, n):
@@ -365,38 +362,32 @@ def lr_at(lr_base: float, epoch: int, growth_done_epoch: int | None, total_epoch
     return lr_base * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def _eval_chunks(net: Network, features: np.ndarray,
-                 labels: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _eval_chunks(net: Network, ds: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(logits, labels) of each EVAL_CHUNK-row chunk; one workspace and logits buffer serve all.
 
     EVAL_CHUNK is part of the bytes: OpenBLAS can round a row differently
     at another row count.
     """
-    n = len(features)
-    if n == 0:
-        raise ValueError("evaluation of an empty dataset is undefined")
-    labels = _check_labels(labels, net.arch.num_classes)
-    if labels.shape != (n,):
-        raise ValueError(f"labels have shape {labels.shape}, expected ({n},): one per feature row")
+    if ds.num_classes > net.arch.num_classes:
+        raise ValueError(f"dataset has {ds.num_classes} classes, the net {net.arch.num_classes}")
     st = stack_networks([net])
-    features = _check_batch(st, np.asarray(features)[None])
-    rows = min(EVAL_CHUNK, n)
+    features = _check_batch(st, ds.features[None])
+    rows = min(EVAL_CHUNK, len(ds))
     outs = _workspace(st, rows, 2)
     buffer = np.empty((1, rows, net.arch.num_classes))
-    for i in range(0, n, EVAL_CHUNK):
-        x = features[:, i : i + EVAL_CHUNK]
-        yield _forward(st, x, outs, logits=buffer[:, : x.shape[1]])[0], labels[i : i + EVAL_CHUNK]
+    for i in range(0, len(ds), EVAL_CHUNK):
+        x, y = features[:, i : i + EVAL_CHUNK], ds.labels[i : i + EVAL_CHUNK]
+        yield _forward(st, x, outs, logits=buffer[:, : len(y)])[0], y
 
 
-def accuracy(net: Network, features: np.ndarray, labels: np.ndarray) -> float:
+def accuracy(net: Network, ds: Dataset) -> float:
     """Full-pass accuracy %; argmax ties go to the lowest class."""
     correct = sum(int((np.argmax(logits, axis=1) == y).sum())
-                  for logits, y in _eval_chunks(net, features, labels))
-    return 100.0 * correct / len(features)
+                  for logits, y in _eval_chunks(net, ds))
+    return 100.0 * correct / len(ds)
 
 
-def accuracy_and_loss(net: Network, features: np.ndarray,
-                      labels: np.ndarray) -> tuple[float, float]:
+def accuracy_and_loss(net: Network, ds: Dataset) -> tuple[float, float]:
     """Full-pass (accuracy %, mean cross-entropy); argmax ties go to the lowest class.
 
     A row's loss is log(sum(exp(shifted))) - shifted[label], with the
@@ -406,7 +397,7 @@ def accuracy_and_loss(net: Network, features: np.ndarray,
     """
     correct = 0
     loss_sum = 0.0
-    for logits, y in _eval_chunks(net, features, labels):
+    for logits, y in _eval_chunks(net, ds):
         rows = np.arange(len(y))
         top = np.argmax(logits, axis=1)
         correct += int((top == y).sum())
@@ -414,4 +405,4 @@ def accuracy_and_loss(net: Network, features: np.ndarray,
         picked = logits[rows, y]
         np.exp(logits, out=logits)
         loss_sum += float((np.log(logits.sum(axis=1)) - picked).sum())
-    return 100.0 * correct / len(features), loss_sum / len(features)
+    return 100.0 * correct / len(ds), loss_sum / len(ds)

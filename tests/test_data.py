@@ -85,7 +85,7 @@ def test_separable_task_is_learnable_quickly():
     net = build_network(arch, 5)
     for _ in range(50):
         solo_step(net, ds.features, ds.labels, lr=0.05)
-    assert accuracy_and_loss(net, ds.features, ds.labels)[0] > 99.0
+    assert accuracy_and_loss(net, ds)[0] > 99.0
 
 
 # --- split and standardization --------------------------------------------------
@@ -361,6 +361,14 @@ def test_dataset_rejects_nan_and_bad_labels():
         Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
     with pytest.raises(ValueError, match="non-empty N x D"):
         Dataset(np.zeros((2, 0)), np.array([0, 1]), 2)
+
+
+@pytest.mark.parametrize("shape", [(1,), (11,), (10, 1)])
+def test_dataset_rejects_a_label_count_unlike_the_row_count(shape):
+    # one label would broadcast over all 10 rows, and a column would compare row against row
+    with pytest.raises(ValueError, match=rf"^labels have shape {re.escape(str(shape))}, "
+                                         r"expected \(10,\)$"):
+        Dataset(np.zeros((10, 5)), np.zeros(shape, dtype=np.int64), 2)
 
 
 def test_splits_are_read_only_views_of_the_callers_arrays():

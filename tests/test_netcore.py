@@ -198,7 +198,7 @@ def test_forward_matches_reference_bitwise(family):
     x = rng.normal(size=(20, 7))
     y = rng.integers(0, 4, size=20)
     assert logits(net, x).tobytes() == reference_logits(net, x).tobytes()
-    assert accuracy_and_loss(net, x, y) == chunked_reference(net, x, y)
+    assert accuracy_and_loss(net, Dataset(x, y, 4)) == chunked_reference(net, x, y)
 
 
 def test_evaluation_runs_in_4096_row_chunks(monkeypatch):
@@ -218,10 +218,11 @@ def test_evaluation_runs_in_4096_row_chunks(monkeypatch):
         return forward(st, x, *args, **kwargs)
 
     monkeypatch.setattr(netcore, "_forward", counting_forward)
-    assert accuracy_and_loss(net, x, y) == (acc, loss)
+    ds = Dataset(x, y, 3)
+    assert accuracy_and_loss(net, ds) == (acc, loss)
     assert rows == [4096, 4096, 5]
     rows.clear()
-    assert accuracy(net, x, y) == acc
+    assert accuracy(net, ds) == acc
     assert rows == [4096, 4096, 5]
 
 
@@ -255,18 +256,18 @@ def test_property_evaluation_equals_log_softmax_reference(n, arch, seed, ties):
     acc, loss = chunked_reference(net, x, y)
     if ties:
         assert acc == 100.0 * np.count_nonzero(y == 0) / n
-    assert accuracy_and_loss(net, x, y) == (acc, loss)
-    assert accuracy(net, x, y) == acc
+    ds = Dataset(x, y, arch.num_classes)
+    assert accuracy_and_loss(net, ds) == (acc, loss)
+    assert accuracy(net, ds) == acc
 
 
 @pytest.mark.parametrize("evaluate", (accuracy_and_loss, accuracy))
-def test_evaluation_rejects_a_label_count_unlike_the_row_count(evaluate):
-    # one label would broadcast over all 10 rows: a loss from one row divided by 10
-    net = build_network(small_arch(), 0)
-    x = np.random.default_rng(0).normal(size=(10, 5))
-    for labels in (np.array([1]), np.zeros(11, dtype=np.int64)):
-        with pytest.raises(ValueError, match=rf"labels have shape \({len(labels)},\), expected \(10,\)"):
-            evaluate(net, x, labels)
+def test_evaluation_rejects_a_dataset_with_more_classes_than_the_net(evaluate):
+    # every label is one the net can score, but the split's classes are not the net's
+    net = build_network(small_arch(classes=3), 0)
+    ds = Dataset(np.zeros((4, 5)), np.array([0, 1, 2, 0]), 4)
+    with pytest.raises(ValueError, match=r"^dataset has 4 classes, the net 3$"):
+        evaluate(net, ds)
 
 
 def test_forward_rejects_dim_mismatch():
@@ -274,7 +275,7 @@ def test_forward_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         logits(net, np.zeros((2, 4)))
     with pytest.raises(ValueError):
-        accuracy_and_loss(net, np.zeros((2, 4)), np.zeros(2, dtype=np.int64))
+        accuracy_and_loss(net, Dataset(np.zeros((2, 4)), np.zeros(2, dtype=np.int64), 3))
 
 
 # --- loss_grads_logits ------------------------------------------------------
@@ -577,19 +578,13 @@ def test_accuracy_all_correct_and_tie_rule():
     feats = np.random.default_rng(0).normal(size=(10, 4))
     labels = np.zeros(10, dtype=np.int64)
     # identical logits everywhere: ties resolve to class 0
-    assert accuracy_and_loss(net, feats, labels)[0] == 100.0
+    assert accuracy_and_loss(net, Dataset(feats, labels, 3))[0] == 100.0
     labels_mixed = np.array([0, 0, 1, 2, 0, 1, 0, 0, 2, 0])
-    assert accuracy_and_loss(net, feats, labels_mixed)[0] == pytest.approx(60.0)
+    assert accuracy_and_loss(net, Dataset(feats, labels_mixed, 3))[0] == pytest.approx(60.0)
 
 
 def test_error_accuracy_complement():
     assert 100.0 - 1.12 == pytest.approx(98.88)
-
-
-def test_accuracy_empty_rejected():
-    net = build_network(small_arch(), 0)
-    with pytest.raises(ValueError):
-        accuracy_and_loss(net, np.zeros((0, 5)), np.zeros(0, dtype=np.int64))
 
 
 # --- training sanity --------------------------------------------------------
