@@ -183,8 +183,8 @@ def _sum_of_squares(x: np.ndarray) -> np.ndarray:
 
 def _idx_payload(path: str, magic: int,
                  size_names: tuple[str, ...]) -> tuple[list[int], np.ndarray]:
-    """(sizes, u8 view of the data) of an IDX file, read once. The data's length, the product
-    of the sizes, is checked before any array is made; bytes past it are ignored."""
+    """(sizes, u8 view of the data) of an IDX file, read once. The bytes after the header
+    must number the product of the sizes, which is checked before any array is made."""
     with open(path, "rb") as f:
         blob = f.read()
     head = 4 * (1 + len(size_names))
@@ -197,8 +197,8 @@ def _idx_payload(path: str, magic: int,
         if value < 0:
             raise IdxError(f"{path}: negative {name} {value} in the header")
     size = math.prod(sizes)
-    if size > len(blob) - head:
-        raise IdxError(f"{path}: truncated: {size} data bytes announced, {len(blob) - head} held")
+    if size != len(blob) - head:
+        raise IdxError(f"{path}: {size} data bytes announced, {len(blob) - head} held")
     return sizes, np.frombuffer(blob, dtype=np.uint8, count=size, offset=head)
 
 
@@ -207,8 +207,8 @@ def read_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
 
     Pixels are scaled to [0, 1] and flattened row-major, so D = rows*cols.
     A header shorter than its fields, a wrong magic, a negative size, data
-    shorter than the header announces, image and label counts that differ,
-    or images with no pixels raise an IdxError naming the file.
+    shorter or longer than the header announces, image and label counts
+    that differ, or images with no pixels raise an IdxError naming the file.
     """
     (count, rows, cols), pixels = _idx_payload(images_path, IDX_IMAGES_MAGIC,
                                                ("image count", "rows", "cols"))

@@ -242,9 +242,21 @@ def test_idx_truncated(tmp_path):
     write_idx(ds, ip, lp, rows=4, cols=3)
     blob = Path(ip).read_bytes()
     Path(ip).write_bytes(blob[:-5])
-    with pytest.raises(IdxError, match=f"^{re.escape(ip)}: truncated: "
-                                       "120 data bytes announced, 115 held$"):
+    with pytest.raises(IdxError, match=f"^{re.escape(ip)}: 120 data bytes announced, 115 held$"):
         read_idx(ip, lp)
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_idx_data_longer_than_announced_names_the_file(tmp_path, which):
+    # 2 images of 2x2 and 2 labels announced, 3 held: reading only the first 2 would hide it
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, 2, 2, 2) + bytes(8))
+    lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 2) + bytes(2))
+    path, announced, extra = (ip, 8, 4) if which == "images" else (lp, 2, 1)
+    path.write_bytes(path.read_bytes() + bytes(extra))
+    with pytest.raises(IdxError, match=f"^{re.escape(str(path))}: {announced} data bytes "
+                                       f"announced, {announced + extra} held$"):
+        read_idx(str(ip), str(lp))
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -297,7 +309,7 @@ def test_idx_huge_image_header_names_the_image_file(tmp_path, count, rows, cols)
     ip, lp = tmp_path / "i", tmp_path / "l"
     ip.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, count, rows, cols) + bytes(84))
     lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 2) + bytes(2))
-    with pytest.raises(IdxError, match=f"^{re.escape(str(ip))}: truncated: "
+    with pytest.raises(IdxError, match=f"^{re.escape(str(ip))}: "
                                        f"{count * rows * cols} data bytes announced, 84 held$"):
         read_idx(str(ip), str(lp))
 
@@ -309,7 +321,7 @@ def test_idx_huge_label_header_names_the_label_file_and_allocates_nothing(tmp_pa
     lp.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, 2**31 - 1) + bytes(2))
     tracemalloc.start()
     try:
-        with pytest.raises(IdxError, match=f"^{re.escape(str(lp))}: truncated: "
+        with pytest.raises(IdxError, match=f"^{re.escape(str(lp))}: "
                                            f"{2**31 - 1} data bytes announced, 2 held$"):
             read_idx(str(ip), str(lp))
         peak = tracemalloc.get_traced_memory()[1]
