@@ -181,6 +181,8 @@ def cmd_plot(args: argparse.Namespace, overrides: list[str]) -> int:
     for c in curves:
         if c not in _CURVES:
             raise ConfigError(f"unknown curve {c!r}; available: {', '.join(_CURVES)}")
+    if not args.out:
+        raise ConfigError("--out must be set")
     _check_output_dir(args.out, "--out")
 
     series: list[Series] = []

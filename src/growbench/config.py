@@ -160,6 +160,8 @@ class OutputConfig:
 
     def __post_init__(self) -> None:
         _check_text(self, "output")
+        if not self.metrics_path:
+            raise ConfigError("output.metrics_path must be set")
 
 
 @dataclass(frozen=True)

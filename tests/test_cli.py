@@ -244,6 +244,25 @@ def test_output_path_in_missing_directory_exit_2_before_setup(tmp_path, monkeypa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "underfit", "--output.metrics_path="], "output.metrics_path must be set"),
+    (["train", "underfit", "--output.metrics_path=", "--print-config"],
+     "output.metrics_path must be set"),
+    (["plot", "never-read.jsonl", "--out", ""], "--out must be set"),
+], ids=["train", "print-config", "plot"])
+def test_empty_output_path_exit_2_names_it_before_setup(monkeypatch, capsys, argv, message):
+    """An empty path can only fail at the write, so it is refused before any work."""
+    def no_setup(*args):
+        raise AssertionError("the data was set up")
+
+    monkeypatch.setattr(harness, "build_datasets", no_setup)
+    monkeypatch.setattr(cli, "read_metrics", no_setup)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["train", "{}"], ["compare", "{}", "overfit"]],
                          ids=["train", "compare"])
 def test_config_source_that_is_a_directory_exit_2_names_it(tmp_path, capsys, argv):
