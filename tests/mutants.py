@@ -131,7 +131,10 @@ MUTANTS = (
            "        if got != want:", "        if False:",
            ("tests/test_harness.py",)),
     Mutant("read_idx skips the announced-length check", "src/growbench/data.py",
-           "    if size > len(blob) - head:", "    if False:",
+           "    if size != len(blob) - head:", "    if False:",
+           ("tests/test_data.py",)),
+    Mutant("read_idx ignores bytes past the announced data", "src/growbench/data.py",
+           "    if size != len(blob) - head:", "    if size > len(blob) - head:",
            ("tests/test_data.py",)),
     Mutant("the comparison CSV leaves its labels unquoted", "src/growbench/harness.py",
            'csv.writer(out, lineterminator="\\n")',
@@ -139,6 +142,19 @@ MUTANTS = (
            ("tests/test_harness.py",)),
     Mutant("load_config opens any existing path", "src/growbench/cli.py",
            "    if os.path.isfile(source):", "    if os.path.exists(source):",
+           ("tests/test_cli.py",)),
+    Mutant("_eval_chunks without the class-count refusal", "src/growbench/netcore.py",
+           "    if ds.num_classes > net.arch.num_classes:\n", "    if False:\n",
+           ("tests/test_netcore.py",)),
+    Mutant("Dataset back on len(labels) != len(features)", "src/growbench/data.py",
+           "if self.labels.shape != (len(self.features),):",
+           "if len(self.labels) != len(self.features):",
+           ("tests/test_data.py",)),
+    Mutant("OutputConfig accepting an empty path", "src/growbench/config.py",
+           "        if not self.metrics_path:\n", "        if False:\n",
+           ("tests/test_cli.py",)),
+    Mutant("plot accepting an empty --out", "src/growbench/cli.py",
+           "    if not args.out:\n", "    if False:\n",
            ("tests/test_cli.py",)),
 )
 
