@@ -47,7 +47,7 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError("features must be a non-empty N x D matrix")
-        if self.labels.shape != (len(self.features),):
+        if self.labels.shape != (len(self),):
             raise ValueError(f"labels have shape {self.labels.shape}, expected ({len(self)},)")
         if np.isnan(self.features.min()):  # min is NaN iff some entry is; no N x D mask
             raise ValueError("features contain NaN")

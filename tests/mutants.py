@@ -147,7 +147,7 @@ MUTANTS = (
            "    if ds.num_classes > net.arch.num_classes:\n", "    if False:\n",
            ("tests/test_netcore.py",)),
     Mutant("Dataset back on len(labels) != len(features)", "src/growbench/data.py",
-           "if self.labels.shape != (len(self.features),):",
+           "if self.labels.shape != (len(self),):",
            "if len(self.labels) != len(self.features):",
            ("tests/test_data.py",)),
     Mutant("OutputConfig accepting an empty path", "src/growbench/config.py",
