@@ -10,10 +10,11 @@ The readers return fresh (features, labels) arrays, and set-up keeps one
 float64 array per split and no full-size temporary:
 `split_standardized` moves the train rows forward inside the pool array,
 centers them in place on numpy's mean, sums their squares for numpy's std
-through one buffer of `CHUNK_BYTES` and divides in place, and `standardize`
-applies that mean and std to val and test. A `harness.build_datasets` call
-peaks at about 1.07x the bytes of the splits it returns (traced, on
-MNIST-shaped IDX data and on both presets).
+in one `einsum` pass with no temporary (a single column goes to numpy's own
+sum) and divides in place, and `standardize` applies that mean and std to
+val and test. A `harness.build_datasets` call peaks at about 1.07x the
+bytes of the splits it returns (traced, on MNIST-shaped IDX data and on
+both presets).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .rng import substream
 
-# Byte size of the one buffer that set-up's chunked passes go through.
+# Byte size of each chunk of train rows that set-up moves forward in place.
 CHUNK_BYTES = 1 << 18
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -144,7 +145,9 @@ def split_standardized(features: np.ndarray, labels: np.ndarray, val_fraction: f
     train = features[:len(train_idx)]
     mean = train.mean(axis=0)
     train -= mean
-    std = _sum_of_squares(train)
+    # numpy sums a C-contiguous matrix down axis 0 one row after another, and einsum does the
+    # same; numpy sums a single column pairwise, so that case stays numpy's own
+    std = np.einsum("ij,ij->j", train, train) if train.shape[1] > 1 else np.square(train).sum(axis=0)
     std /= len(train)
     np.sqrt(std, out=std)
     std[std == 0.0] = 1.0
@@ -157,28 +160,6 @@ def standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> None:
     """Write the bytes of (x - mean) / std over `x`, the caller's own."""
     x -= mean
     x /= std
-
-
-def _sum_of_squares(x: np.ndarray) -> np.ndarray:
-    """(x ** 2).sum(axis=0) in numpy's bytes, through one buffer of `CHUNK_BYTES`.
-
-    `x` is C-contiguous, and numpy sums such a matrix down axis 0 row after
-    row, so each chunk's squares go into buf[1:] and buf[0] carries the
-    running sum from the second chunk on. A single column, which numpy
-    sums pairwise, goes to numpy whole.
-    """
-    n, dim = x.shape
-    if dim == 1:
-        return np.square(x).sum(axis=0)
-    rows = _chunk_rows(dim)
-    buf = np.empty((min(rows, n) + 1, dim))
-    first = 1
-    for lo in range(0, n, rows):
-        m = min(rows, n - lo)
-        np.square(x[lo:lo + m], out=buf[1:m + 1])
-        buf[0] = buf[first:m + 1].sum(axis=0)
-        first = 0
-    return buf[0].copy()
 
 
 def _idx_payload(path: str, magic: int,

@@ -133,14 +133,16 @@ def _numpy_mean_std(features, labels, val_fraction, seed):
     return train.mean(axis=0), np.where(std == 0.0, 1.0, std)
 
 
-def test_split_standardized_mean_std_are_numpys():
-    features, labels = gaussian_arrays(3, 6, 300, sep=5.0, label_noise=0.1, seed=8)
-    features[:, 2] = 4.0  # a constant column: std 0 -> 1
+@pytest.mark.parametrize("dim", [2, 6, 784])
+def test_split_standardized_mean_std_are_numpys(dim):
+    per_class = 2 * data.CHUNK_BYTES // (8 * dim)  # train spans 3.6 chunks
+    features, labels = gaussian_arrays(2, dim, per_class, sep=5.0, label_noise=0.1, seed=8)
+    features[:, -1] = 4.0  # a constant column: std 0 -> 1
     mean, std = _numpy_mean_std(features, labels, 0.1, seed=8)
     got = split_standardized(features, labels, 0.1, seed=8)[4]
     assert got[0].tobytes() == mean.tobytes()
     assert got[1].tobytes() == std.tobytes()
-    assert got[1][2] == 1.0
+    assert got[1][-1] == 1.0
 
 
 def test_split_standardized_one_column_longer_than_a_chunk():
