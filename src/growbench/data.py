@@ -52,6 +52,8 @@ class Dataset:
             raise ValueError(f"labels have shape {self.labels.shape}, expected ({len(self)},)")
         if np.isnan(self.features.min()):  # min is NaN iff some entry is; no N x D mask
             raise ValueError("features contain NaN")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise ValueError(f"labels have dtype {self.labels.dtype}, expected an integer dtype")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(f"labels outside [0, {self.num_classes})")
         for name in ("features", "labels"):

@@ -156,6 +156,12 @@ MUTANTS = (
     Mutant("plot accepting an empty --out", "src/growbench/cli.py",
            "    if not args.out:\n", "    if False:\n",
            ("tests/test_cli.py",)),
+    Mutant("einsum sums a single column too", "src/growbench/data.py",
+           " if train.shape[1] > 1 else np.square(train).sum(axis=0)", "",
+           ("tests/test_data.py",)),
+    Mutant("Dataset without the integer-dtype check", "src/growbench/data.py",
+           "        if not np.issubdtype(self.labels.dtype, np.integer):\n", "        if False:\n",
+           ("tests/test_data.py",)),
 )
 
 

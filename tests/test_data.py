@@ -385,6 +385,16 @@ def test_dataset_rejects_a_label_count_unlike_the_row_count(shape):
         Dataset(np.zeros((10, 5)), np.zeros(shape, dtype=np.int64), 2)
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 0.5, 1.0, 0.0]),
+                                    np.array([False, True, True, False])],
+                         ids=["float", "bool"])
+def test_dataset_rejects_non_integer_labels(labels):
+    # a fractional label passes the range check, and evaluation cannot index with it
+    with pytest.raises(ValueError, match=rf"^labels have dtype {labels.dtype}, "
+                                         r"expected an integer dtype$"):
+        Dataset(np.zeros((4, 3)), labels, 2)
+
+
 def test_splits_are_read_only_views_of_the_callers_arrays():
     feats = np.arange(12, dtype=np.float64).reshape(6, 2)
     labels = np.array([0, 1, 0, 1, 0, 1])
