@@ -352,7 +352,7 @@ def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: Tra
     with np.errstate(all="ignore"):
         for batch, lo in enumerate(range(0, n_train, config.batch_size)):
             idx = perms[:, lo : lo + config.batch_size]
-            losses, _ = loss_grads_logits(stack, train.features[idx], train.labels[idx])
+            losses, _ = loss_grads_logits(stack, train, idx)
             if not np.isfinite(losses).all():
                 for s in np.flatnonzero(~np.isfinite(losses)):
                     if failures[s] is None:

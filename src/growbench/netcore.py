@@ -30,8 +30,10 @@ and a NaN in one row cannot reach another. A lone network trains as a
 stack of one, `stack_networks([net])`.
 Training and evaluation share one forward pass, which writes block outputs
 (and, for training, z > 0 as 1.0 / 0.0 masks) in place into workspace views.
-Evaluation scores a `data.Dataset`, checked when it was made, so it checks
-only that the split fits the network, and writes its logits into one buffer.
+Training and evaluation both read a `data.Dataset`, checked when it was
+made, so each checks only that the split fits the network: a training step
+gathers its batch by (S, B) row indices, and evaluation writes its logits
+into one buffer.
 
 The optimizer is SGD with momentum and weight decay folded into the
 momentum buffer, v <- mu*v + g + wd*theta; theta <- theta - lr*v, applied
@@ -251,11 +253,12 @@ def stack_networks(nets: list[Network]) -> Stack:
     return Stack(nets, params, np.zeros_like(params), momentum)
 
 
-def _check_batch(st: Stack, batch: np.ndarray) -> np.ndarray:
-    shape = (len(st.nets), st.nets[0].arch.input_dim)
-    if batch.ndim != 3 or (batch.shape[0], batch.shape[2]) != shape:
-        raise ValueError(f"batch has shape {batch.shape}, expected ({shape[0]}, B, {shape[1]})")
-    return np.asarray(batch, dtype=np.float64)
+def _check_fits(net: Network, ds: Dataset) -> None:
+    """Refuse a split whose width is not the net's input width or whose classes outnumber its."""
+    if ds.dim != net.arch.input_dim:
+        raise ValueError(f"dataset has width {ds.dim}, the net {net.arch.input_dim}")
+    if ds.num_classes > net.arch.num_classes:
+        raise ValueError(f"dataset has {ds.num_classes} classes, the net {net.arch.num_classes}")
 
 
 def _workspace(st: Stack, n: int, count: int) -> list[np.ndarray]:
@@ -293,21 +296,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_grads_logits(st: Stack, batch: np.ndarray,
-                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def loss_grads_logits(st: Stack, ds: Dataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S,) mean cross-entropy losses and the (S, B, C) logits; exact gradients go into `st.grads`.
 
-    `batch` is (S, B, K) and `labels` (S, B): row s is network s's batch.
+    `rows` is an (S, B) integer array: row s indexes network s's batch in `ds`.
     The backward pass mirrors the forward block structure and stops at the
     first block's parameter gradients. The ReLU subgradient at 0 is 0.
     """
-    labels, num_classes = np.asarray(labels), st.nets[0].arch.num_classes
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels outside [0, {num_classes})")
-    x = _check_batch(st, batch)
-    s, n = x.shape[:2]
-    if labels.shape != (s, n):
-        raise ValueError(f"labels have shape {labels.shape}, expected {(s, n)}")
+    _check_fits(st.nets[0], ds)
+    if rows.ndim != 2 or len(rows) != len(st.nets):
+        raise ValueError(f"rows have shape {rows.shape}, expected ({len(st.nets)}, B)")
+    x, labels = ds.features[rows], ds.labels[rows]
+    s, n = rows.shape
     outs, masks = st.workspace(n)
     logits = _forward(st, x, outs, masks)
 
@@ -368,15 +368,13 @@ def _eval_chunks(net: Network, ds: Dataset) -> Iterator[tuple[np.ndarray, np.nda
     EVAL_CHUNK is part of the bytes: OpenBLAS can round a row differently
     at another row count.
     """
-    if ds.num_classes > net.arch.num_classes:
-        raise ValueError(f"dataset has {ds.num_classes} classes, the net {net.arch.num_classes}")
+    _check_fits(net, ds)
     st = stack_networks([net])
-    features = _check_batch(st, ds.features[None])
     rows = min(EVAL_CHUNK, len(ds))
     outs = _workspace(st, rows, 2)
     buffer = np.empty((1, rows, net.arch.num_classes))
     for i in range(0, len(ds), EVAL_CHUNK):
-        x, y = features[:, i : i + EVAL_CHUNK], ds.labels[i : i + EVAL_CHUNK]
+        x, y = ds.features[None, i : i + EVAL_CHUNK], ds.labels[i : i + EVAL_CHUNK]
         yield _forward(st, x, outs, logits=buffer[:, : len(y)])[0], y
 
 

@@ -50,7 +50,8 @@ def solo_step(net, x, labels, lr=None):
     and momentum, so the step moves the network.
     """
     st = stack_networks([net])
-    losses, logits = loss_grads_logits(st, np.asarray(x)[None], np.asarray(labels)[None])
+    ds = Dataset(np.asarray(x), np.asarray(labels), net.arch.num_classes)
+    losses, logits = loss_grads_logits(st, ds, np.arange(len(ds))[None])
     if lr is not None:
         sgd_step(st, lr)
     return float(losses[0]), logits[0], st.grads[0]
@@ -261,9 +262,15 @@ def test_property_evaluation_equals_log_softmax_reference(n, arch, seed, ties):
     assert accuracy(net, ds) == acc
 
 
-@pytest.mark.parametrize("evaluate", (accuracy_and_loss, accuracy))
+def train_step(net, ds):
+    """One training step of a stack of one over every row of `ds`."""
+    return loss_grads_logits(stack_networks([net]), ds, np.arange(len(ds))[None])
+
+
+@pytest.mark.parametrize("evaluate", (accuracy_and_loss, accuracy, train_step))
 def test_evaluation_rejects_a_dataset_with_more_classes_than_the_net(evaluate):
-    # every label is one the net can score, but the split's classes are not the net's
+    # every label is one the net can score, but the split's classes are not the net's;
+    # training shares the check
     net = build_network(small_arch(classes=3), 0)
     ds = Dataset(np.zeros((4, 5)), np.array([0, 1, 2, 0]), 4)
     with pytest.raises(ValueError, match=r"^dataset has 4 classes, the net 3$"):
@@ -290,15 +297,17 @@ def test_uniform_logits_loss_is_log_k():
     assert loss == pytest.approx(math.log(10), abs=1e-12)
 
 
-def test_label_out_of_range_rejected():
-    net = build_network(small_arch(), 0)
-    x = np.zeros((2, 5))
-    with pytest.raises(ValueError):
-        solo_step(net, x, np.array([0, 3]))
-    with pytest.raises(ValueError):
-        solo_step(net, x, np.array([-1, 0]))
-    with pytest.raises(ValueError, match="labels have shape"):
-        solo_step(net, x, np.array([0, 1, 2]))
+def test_training_rejects_rows_or_a_split_that_do_not_fit():
+    # (2, B) rows would train a stack of one on two batches, and a narrow split would not multiply
+    stack = stack_networks([build_network(small_arch(), 0)])
+    ds = Dataset(np.zeros((4, 5)), np.array([0, 1, 2, 0]), 3)
+    with pytest.raises(ValueError, match=r"^rows have shape \(2, 2\), expected \(1, B\)$"):
+        loss_grads_logits(stack, ds, np.arange(4).reshape(2, 2))
+    with pytest.raises(ValueError, match=r"^rows have shape \(4,\), expected \(1, B\)$"):
+        loss_grads_logits(stack, ds, np.arange(4))
+    narrow = Dataset(np.zeros((4, 4)), ds.labels, 3)
+    with pytest.raises(ValueError, match=r"^dataset has width 4, the net 5$"):
+        loss_grads_logits(stack, narrow, np.arange(4)[None])
 
 
 def test_grads_match_finite_differences_two_stage():
@@ -502,7 +511,8 @@ def test_property_stacked_step_equals_solo_steps(case, seed):
     for n in (full, last):
         x = rng.normal(size=(size, n, arch.input_dim))
         labels = rng.integers(0, arch.num_classes, size=(size, n))
-        losses, _ = loss_grads_logits(stack, x, labels)
+        ds = Dataset(x.reshape(size * n, -1), labels.ravel(), arch.num_classes)
+        losses, _ = loss_grads_logits(stack, ds, np.arange(size * n).reshape(size, n))
         sgd_step(stack, lrs)
         for s, net in enumerate(solo):
             ref_loss, ref_grads = reference_step(net, x[s], labels[s])
@@ -534,7 +544,8 @@ def test_package_trains_a_lone_network_as_a_stack_of_one():
     net = growbench.build_network(small_arch(), 0)
     before = net.params.copy()
     stack = growbench.stack_networks([net])
-    growbench.loss_grads_logits(stack, np.ones((1, 4, 5)), np.zeros((1, 4), dtype=np.int64))
+    ds = Dataset(np.ones((4, 5)), np.zeros(4, dtype=np.int64), 3)
+    growbench.loss_grads_logits(stack, ds, np.arange(4)[None])
     growbench.sgd_step(stack, 0.1)
     assert not np.array_equal(net.params, before)
     assert sorted(f.name for f in fields(growbench.Network)) == ["arch", "momentum", "params"]
