@@ -125,7 +125,7 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
     Splits the pool and standardizes every split on train's mean and std,
     in the arrays set-up reads or generates: train lives in the pool's
     array, val is copied out of it and test is standardized where it is
-    read, so set-up peaks at about 1.07x the bytes it returns.
+    read, so set-up peaks near 1.07x the bytes it returns (`data` says why).
     A file-backed pool whose labels miss a class 0..K-1 (K >= 2) and a
     test label outside the pool's classes are rejected here, naming the
     label file, and a split that leaves a class no training row naming

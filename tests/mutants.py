@@ -143,7 +143,7 @@ MUTANTS = (
     Mutant("load_config opens any existing path", "src/growbench/cli.py",
            "    if os.path.isfile(source):", "    if os.path.exists(source):",
            ("tests/test_cli.py",)),
-    Mutant("_eval_chunks without the class-count refusal", "src/growbench/netcore.py",
+    Mutant("_check_fits without the class-count refusal", "src/growbench/netcore.py",
            "    if ds.num_classes > net.arch.num_classes:\n", "    if False:\n",
            ("tests/test_netcore.py",)),
     Mutant("Dataset back on len(labels) != len(features)", "src/growbench/data.py",
@@ -161,6 +161,18 @@ MUTANTS = (
            ("tests/test_data.py",)),
     Mutant("Dataset without the integer-dtype check", "src/growbench/data.py",
            "        if not np.issubdtype(self.labels.dtype, np.integer):\n", "        if False:\n",
+           ("tests/test_data.py",)),
+    Mutant("_check_fits without the width check", "src/growbench/netcore.py",
+           "    if ds.dim != net.arch.input_dim:\n", "    if False:\n",
+           ("tests/test_netcore.py",)),
+    Mutant("loss_grads_logits without its _check_fits call", "src/growbench/netcore.py",
+           "    _check_fits(st.nets[0], ds)\n", "",
+           ("tests/test_netcore.py",)),
+    Mutant("loss_grads_logits skips the rows-shape check", "src/growbench/netcore.py",
+           "    if rows.ndim != 2 or len(rows) != len(st.nets):\n", "    if False:\n",
+           ("tests/test_netcore.py",)),
+    Mutant("Dataset without the float64 check", "src/growbench/data.py",
+           "        if self.features.dtype != np.float64:\n", "        if False:\n",
            ("tests/test_data.py",)),
 )
 

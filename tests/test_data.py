@@ -395,6 +395,15 @@ def test_dataset_rejects_non_integer_labels(labels):
         Dataset(np.zeros((4, 3)), labels, 2)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.bool_, object, np.float32, np.int64])
+def test_dataset_rejects_features_that_are_not_float64(dtype):
+    # the kernels assume float64; a cast would drop a complex feature's imaginary part
+    features = np.ones((4, 3), dtype=dtype)
+    with pytest.raises(ValueError, match=rf"^features have dtype {np.dtype(dtype)}, "
+                                         r"expected float64$"):
+        Dataset(features, np.array([0, 1, 1, 0]), 2)
+
+
 def test_splits_are_read_only_views_of_the_callers_arrays():
     feats = np.arange(12, dtype=np.float64).reshape(6, 2)
     labels = np.array([0, 1, 0, 1, 0, 1])
@@ -572,8 +581,10 @@ def test_mnist_shaped_idx_split_bytes_are_pinned(tmp_path):
 def test_build_datasets_peak_memory_is_bounded(tmp_path):
     # MNIST-shaped rows: the pool and the returned splits dominate. Set-up
     # keeps the train rows in the pool's array and standardizes in place,
-    # so it peaks near 1.07x the returned bytes; a copy of the train rows
-    # peaks near 1.5x, and holding every copy at once above 3x.
+    # so it peaks near 1.07x the returned bytes: the pool's val rows stay
+    # allocated, and the test file's u8 bytes sit next to its float64 array.
+    # Run first in a process, numpy's imports lift it to 1.13-1.14x. A
+    # copy of the train rows peaks near 1.5x, and every copy at once above 3x.
     ti, tl, _ = _write_u8_idx(tmp_path, "train", 2000, 784, 10, seed=1)
     vi, vl, _ = _write_u8_idx(tmp_path, "test", 500, 784, 10, seed=2)
     cfg = DataConfig(source="idx", train_images=ti, train_labels=tl, test_images=vi,
