@@ -22,6 +22,7 @@ Every run still gets its solo run's bytes. A run's `wall_seconds` is the
 wall time of the whole `run` call; its own cost is `train_macs`, a count
 that sharing does not change. A RunResult carries the config that ran,
 and its metrics file starts with a header holding that config's echo.
+A run's end and `read_metrics` check one set of invariants, `check_result`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .arch import ArchSpec, parse_arch
 from .config import (ConfigError, DataConfig, PolicyConfig, TrainConfig, _build_config,
                      _finite_float, config_added_blocks, parse_config_text, render_config)
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized, standardize
-from .morph import GrowthEvent, MomentEnsemble, grow, next_stage
+from .morph import INIT_RULES, GrowthEvent, MomentEnsemble, grow, next_stage
 from .netcore import (
     Network,
     accuracy,
@@ -223,6 +224,47 @@ def policy_state(config: TrainConfig) -> PolicyState:
                        config_added_blocks(config), config.policy.alpha, config.policy.period_scale)
 
 
+def check_result(result: RunResult) -> tuple[int, str] | None:
+    """(k, why) for the first record that breaks a run's invariants, else None: record k
+    is epoch line k, and k = len(result.metrics) is the footer."""
+    config, metrics, events = result.config, result.metrics, result.events
+    total, footer = config.total_epochs, len(metrics)
+    for k in range(footer + 1):  # the epoch lines, then the footer
+        want = f"epoch {k}" if k < total else "the footer"
+        got = f"epoch {metrics[k].epoch}" if k < footer else "the footer"
+        if got != want:
+            return k, f"expected {want}, got {got} (total_epochs = {total})"
+    deadline = total - config.min_finetune_epochs
+    grown = [list(parse_arch(config.seed_arch, 1, 2).blocks_per_stage)]  # after each event
+    for j, e in enumerate(events):
+        blocks, after = grown[-1], events[j - 1].epoch if j else 0
+        if not after < e.epoch <= deadline:
+            return footer, (f"event {j}: epoch {e.epoch}, expected {after + 1} to {deadline}, "
+                            "the deadline")
+        if not 0 <= e.stage < len(blocks) or e.block_index != blocks[e.stage]:
+            return footer, (f"event {j}: stage {e.stage}, block_index {e.block_index}: "
+                            f"the net it grows has blocks {blocks}")
+        if e.init_rule not in INIT_RULES:
+            return footer, f"event {j}: init {e.init_rule!r}, expected one of {INIT_RULES}"
+        grown.append([b + (i == e.stage) for i, b in enumerate(blocks)])
+    n = 0  # the events by the end of epoch k
+    for k, m in enumerate(metrics):
+        grew = n < len(events) and events[n].epoch == k + 1
+        n += grew
+        if (list(m.blocks), m.grew) != (grown[n], grew):
+            return k, f"blocks {list(m.blocks)}, grew {m.grew}: the events give {grown[n]}, {grew}"
+    if metrics[-1].blocks != parse_arch(config.target_arch, 1, 2).blocks_per_stage:
+        left = config_added_blocks(config) - len(events)
+        return footer, (f"growth budget not exhausted: {left} blocks left at the end "
+                        "(deadline rule violated)" if left > 0 else
+                        "final architecture does not match the target spec")
+    for name, want in (("e_bar", average_training_epochs(events, total) if events else None),
+                       ("final_test_error", 100.0 - metrics[-1].test_acc),
+                       ("final_train_error", 100.0 - metrics[-1].train_acc)):
+        if getattr(result, name) != want:
+            return footer, f"{name} {getattr(result, name)}, the records give {want}"
+
+
 def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
     """Run each config on shared, stacked trajectories (see the module docstring)."""
     t_start = time.perf_counter()
@@ -312,25 +354,17 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
 
     wall_seconds = time.perf_counter() - t_start
     for b in branches:
-        remaining = states[b.members[0]].remaining
-        if remaining != 0:
-            fail(b.members, RuntimeError(
-                f"growth budget not exhausted: {remaining} blocks left at the end "
-                "(deadline rule violated)"
-            ))
-        elif b.net.arch.blocks_per_stage != target_arch.blocks_per_stage:
-            fail(b.members, RuntimeError("final architecture does not match the target spec"))
-        else:
-            last = b.metrics[-1]
-            seed_blocks = seed_archs[runs[b.members[0]].seed_arch].blocks_per_stage
-            trained = [seed_blocks] + [m.blocks for m in b.metrics[:-1]]
-            macs = len(train) * sum(_row_macs(target_arch, blocks) for blocks in trained)
-            for i in b.members:
-                events = states[i].events
-                e_bar = average_training_epochs(events, config.total_epochs) if events else None
-                outcomes[i] = RunResult(runs[i], list(b.metrics), events, e_bar,
-                                        100.0 - last.test_acc, 100.0 - last.train_acc, macs,
-                                        wall_seconds)
+        last = b.metrics[-1]
+        seed_blocks = seed_archs[runs[b.members[0]].seed_arch].blocks_per_stage
+        trained = [seed_blocks] + [m.blocks for m in b.metrics[:-1]]
+        macs = len(train) * sum(_row_macs(target_arch, blocks) for blocks in trained)
+        for i in b.members:
+            events = states[i].events
+            e_bar = average_training_epochs(events, config.total_epochs) if events else None
+            result = RunResult(runs[i], list(b.metrics), events, e_bar, 100.0 - last.test_acc,
+                               100.0 - last.train_acc, macs, wall_seconds)
+            problem = check_result(result)
+            outcomes[i] = result if problem is None else RuntimeError(problem[1])
     return outcomes
 
 
@@ -441,9 +475,9 @@ def read_metrics(path: str) -> RunResult:
     """Reconstruct a RunResult from a metrics file written by write_metrics.
 
     A missing header or a header config that does not parse, invalid JSON,
-    a non-finite number, a record that is no object or lacks a key, a
-    value of the wrong type, and epoch lines other than epochs 0 to
-    total_epochs - 1 in order raise ValueError("<path>:<line>: ...").
+    a non-finite number, a record that is no object or lacks a key, a value
+    of the wrong type, and a record that breaks the run invariants, the
+    ones a run's end checks too (`check_result`), raise ValueError("<path>:<line>: ...").
     """
     records = []
     try:
@@ -470,16 +504,12 @@ def read_metrics(path: str) -> RunResult:
     if not isinstance(records[-1][1], dict) or "events" not in records[-1][1]:
         raise ValueError(f"{path}: missing footer line")
     metrics = [_from_json(EpochMetrics, rec, where) for where, rec in records[1:-1]]
-    for i, (where, _) in enumerate(records[1:]):  # the epoch lines, then the footer
-        want = f"epoch {i}" if i < config.total_epochs else "the footer"
-        got = f"epoch {metrics[i].epoch}" if i < len(metrics) else "the footer"
-        if got != want:
-            raise ValueError(f"{where}: expected {want}, got {got} "
-                             f"(total_epochs = {config.total_epochs})")
     where, footer = records[-1]
     result = _from_json(RunResult, footer, where, config=config, metrics=metrics)
     result.events = [_from_json(GrowthEvent, e, f"{where}: event {i}")
                      for i, e in enumerate(result.events)]
+    if (problem := check_result(result)) is not None:
+        raise ValueError(f"{records[1 + problem[0]][0]}: {problem[1]}")
     return result
 
 

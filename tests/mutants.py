@@ -130,6 +130,34 @@ MUTANTS = (
     Mutant("read_metrics skips the epoch-sequence check", "src/growbench/harness.py",
            "        if got != want:", "        if False:",
            ("tests/test_harness.py",)),
+    Mutant("read_metrics skips check_result", "src/growbench/harness.py",
+           "    if (problem := check_result(result)) is not None:", "    if False:",
+           ("tests/test_harness.py",)),
+    Mutant("the run's end skips check_result", "src/growbench/harness.py",
+           "outcomes[i] = result if problem is None else RuntimeError(problem[1])",
+           "outcomes[i] = result",
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the e_bar check", "src/growbench/harness.py",
+           "        if getattr(result, name) != want:",
+           '        if name != "e_bar" and getattr(result, name) != want:',
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the blocks and grew check", "src/growbench/harness.py",
+           "        if (list(m.blocks), m.grew) != (grown[n], grew):", "        if False:",
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the deadline check", "src/growbench/harness.py",
+           "        if not after < e.epoch <= deadline:", "        if not after < e.epoch:",
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the event-stage check", "src/growbench/harness.py",
+           "        if not 0 <= e.stage < len(blocks) or e.block_index != blocks[e.stage]:",
+           "        if e.block_index != blocks[e.stage]:",
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the init check", "src/growbench/harness.py",
+           "        if e.init_rule not in INIT_RULES:", "        if False:",
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the final-blocks check", "src/growbench/harness.py",
+           "    if metrics[-1].blocks != parse_arch(config.target_arch, 1, 2).blocks_per_stage:",
+           "    if False:",
+           ("tests/test_harness.py",)),
     Mutant("read_idx skips the announced-length check", "src/growbench/data.py",
            "    if size != len(blob) - head:", "    if False:",
            ("tests/test_data.py",)),

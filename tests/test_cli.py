@@ -690,3 +690,18 @@ def test_plot_refuses_a_file_with_no_epoch_lines_exit_1_naming_it(metrics_file, 
     assert capsys.readouterr().err == (f"error: {bad}:2: expected epoch 0, got the footer "
                                        f"(total_epochs = 12)\n")
     assert not out.exists()
+
+
+def test_plot_refuses_a_footer_that_contradicts_its_events_exit_1_naming_it(metrics_file, tmp_path,
+                                                                            capsys):
+    path, result = metrics_file
+    lines = Path(path).read_text().splitlines()
+    footer = json.loads(lines[-1])
+    footer["e_bar"] = 99
+    bad = tmp_path / "e_bar.jsonl"
+    bad.write_text("\n".join([*lines[:-1], json.dumps(footer)]) + "\n")
+    out = tmp_path / "e_bar.svg"
+    assert main(["plot", str(bad), "--curves", "train_err", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {bad}:{len(lines)}: e_bar 99, the records give "
+                                       f"{result.e_bar}\n")
+    assert not out.exists()

@@ -8,7 +8,6 @@ import os
 import re
 import sys
 import tempfile
-import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -39,12 +38,12 @@ from growbench.harness import (
 )
 from growbench import harness
 from growbench.data import Dataset, write_idx
-from growbench.morph import GrowthEvent
+from growbench.morph import GrowthEvent, next_stage
 from growbench.netcore import EVAL_CHUNK, build_network, layers
 from growbench.presets import preset_config
 from growbench.arch import ArchSpec, StageSpec, parse_arch
 from growbench.config import ConfigError, render_config
-from growbench.timing import SHOULD_GROW, i_max, round_half_up
+from growbench.timing import SHOULD_GROW, average_training_epochs, i_max, round_half_up
 
 
 def tiny_config(**kw):
@@ -370,9 +369,9 @@ def _set_key(line, key, value):
     return json.dumps(rec)
 
 
-def _set_event_key(line, key, value):
+def _set_event_key(line, key, value, i=1):
     rec = json.loads(line)
-    rec["events"][1][key] = value
+    rec["events"][i][key] = value
     return json.dumps(rec)
 
 
@@ -421,6 +420,35 @@ def _set_event_key(line, key, value):
     (lambda ls: ls[:-1] + ls[-2:], 13, "expected the footer, got epoch 11 "),
     (lambda ls: ls[:-1] + [_set_key(ls[-2], "epoch", 12), ls[-1]], 13,
      "expected the footer, got epoch 12 "),
+    # the footer and the epoch lines must agree: the tiny run grows (stage, block_index)
+    # (0, 1) at epoch 5 and (1, 1) at epoch 8, so e_bar is 5.5 and the last line is [2, 2]
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "e_bar", 99)], 13,
+     r"e_bar 99, the records give 5\.5$"),
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "final_test_error", 0)], 13,
+     r"final_test_error 0, the records give 7\.5$"),
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "final_train_error", 0.0)], 13,
+     r"final_train_error 0\.0, the records give 4\.38"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "epoch", 3, i=0)], 3,
+     r"blocks \[1, 1\], grew False: the events give \[2, 1\], True$"),
+    (lambda ls: [ls[0], _set_key(_set_key(ls[1], "blocks", [7, 7]), "grew", True)] + ls[2:], 2,
+     r"blocks \[7, 7\], grew True: the events give \[1, 1\], False$"),
+    (lambda ls: ls[:-1] + [_set_key(ls[-1], "events", json.loads(ls[-1])["events"][:1])], 8,
+     r"blocks \[2, 2\], grew True: the events give \[2, 1\], False$"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "stage", 5)], 13,
+     r"event 1: stage 5, block_index 1: the net it grows has blocks \[2, 1\]$"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "block_index", 7)], 13,
+     r"event 1: stage 1, block_index 7: the net it grows has blocks \[2, 1\]$"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "init", "banana")], 13,
+     r"event 1: init 'banana', expected one of \('copy', 'moment', 'random'\)$"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "epoch", 5)], 13,
+     "event 1: epoch 5, expected 6 to 8, the deadline$"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "epoch", 0, i=0)], 13,
+     "event 0: epoch 0, expected 1 to 8, the deadline$"),
+    # event 1 moved to epoch 9 with epoch lines 7 and 8 to match: after the deadline 12 - 4
+    (lambda ls: ls[:7] + [_set_key(_set_key(ls[7], "blocks", [2, 1]), "grew", False),
+                          _set_key(ls[8], "grew", True)] + ls[9:-1]
+     + [_set_event_key(ls[-1], "epoch", 9)], 13,
+     "event 1: epoch 9, expected 6 to 8, the deadline$"),
 ])
 def test_read_metrics_names_path_and_line(tmp_path, edit, line, message):
     path = _corrupt(tmp_path, edit)
@@ -465,10 +493,24 @@ def tiny_result():
 def test_property_metrics_header_rebuilds_the_config(tiny_result, cfg):
     """read_metrics(write_metrics(r)) == r for any config, the presets too, with no run.
 
-    The epoch lines are copies of the tiny run's first, one per epoch of the config.
+    The epoch lines are copies of the tiny run's first, one per epoch of the config. The
+    result grows one block by `cfg.where` at the end of each epoch until the budget is
+    spent, and its blocks, grew, e_bar and final errors agree with that.
     """
-    metrics = [replace(tiny_result.metrics[0], epoch=e) for e in range(cfg.total_epochs)]
-    result = replace(tiny_result, config=cfg, metrics=metrics)
+    target = parse_arch(cfg.target_arch, 1, 2).blocks_per_stage
+    blocks, events, metrics = list(parse_arch(cfg.seed_arch, 1, 2).blocks_per_stage), [], []
+    for epoch in range(cfg.total_epochs):
+        grew = len(events) < config_added_blocks(cfg)
+        if grew:
+            stage = next_stage(cfg.where, target, tuple(blocks), events[-1].stage if events else -1)
+            events.append(GrowthEvent(epoch + 1, stage, blocks[stage], cfg.init))
+            blocks[stage] += 1
+        metrics.append(replace(tiny_result.metrics[0], epoch=epoch, blocks=tuple(blocks),
+                               grew=grew))
+    result = replace(tiny_result, config=cfg, metrics=metrics, events=events,
+                     e_bar=average_training_epochs(events, cfg.total_epochs) if events else None,
+                     final_test_error=100.0 - metrics[-1].test_acc,
+                     final_train_error=100.0 - metrics[-1].train_acc)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.jsonl")
         write_metrics(result, path)
@@ -855,6 +897,21 @@ def test_compare_isolates_a_failing_policy(monkeypatch):
     assert [_sans_wall(r) for r in shared[:2]] == [_sans_wall(r) for r in solo_runs]
 
 
+def test_a_policy_that_never_grows_fails_only_its_runs(monkeypatch):
+    """The run's end refuses a run whose events leave the budget unspent, and only that run."""
+    labeled = [(name, tiny_config(policy=PolicyConfig(name)))
+               for name in ("fragrow", "periodic", "convergent")]
+    without = compare(labeled[:2], seeds=[0, 1]).rows
+    monkeypatch.setitem(SHOULD_GROW, "convergent", lambda state, epoch, orl_pp: False)
+    message = "growth budget not exhausted: 2 blocks left at the end (deadline rule violated)"
+    table = compare(labeled, seeds=[0, 1])
+    assert table.rows[:2] == without
+    assert table.rows[2].errors == (f"seed 0: {message}", f"seed 1: {message}")
+    shared = run([cfg for _, cfg in labeled])
+    assert [type(r) for r in shared] == [RunResult, RunResult, RuntimeError]
+    assert str(shared[2]) == message
+
+
 @pytest.mark.parametrize("configs", [
     [],
     [tiny_config(), tiny_config(data=replace(tiny_config().data, data_seed=7))],
@@ -907,19 +964,23 @@ def test_benchmark_reads_only_names_the_harness_has(monkeypatch):
 
 
 def test_benchmark_tracer_accounts_for_a_short_run(monkeypatch):
-    """The benchmark's tracer sizes every policy decision and accounts for a run's wall time."""
+    """The benchmark's tracer sizes every policy decision and accounts for all of a run's span.
+
+    The self times of the spans partition the `run` span, so they add up to its duration;
+    dividing by that duration, not by a wall-time window around the call, keeps the share
+    free of descheduling outside the spans.
+    """
     spans = _perfbench_spans(monkeypatch)
     tracer = spans.Tracer()
     with tracer.installed():
-        t0 = time.perf_counter()
         outcomes = harness.run([tiny_config(policy=PolicyConfig(name))
                                 for name in ("fragrow", "periodic")])
-        wall = time.perf_counter() - t0
     assert harness.run is run and SHOULD_GROW["periodic"].__name__ == "periodic_should_grow"
     decides = [s for s in tracer.spans if s.name == "decide"]
     # each run decides at the end of every epoch up to its last growth
     assert len(decides) == sum(r.events[-1].epoch for r in outcomes)
     assert {s.size for s in decides} == {0, 1}  # periodic's second growth is deadline-forced
-    metrics, accounted = spans.layer_metrics(tracer.spans, [wall])
+    [run_span] = [s for s in tracer.spans if s.name == "run"]
+    metrics, accounted = spans.layer_metrics(tracer.spans, [run_span.dur_ns / 1e9])
     assert metrics["timing.growths_forced"] == sum(s.size for s in decides)
-    assert 98.0 <= accounted <= 102.0
+    assert accounted == pytest.approx(100.0, abs=1e-6)
