@@ -497,10 +497,10 @@ def test_property_metrics_header_rebuilds_the_config(tiny_result, cfg):
     result grows one block by `cfg.where` at the end of each epoch until the budget is
     spent, and its blocks, grew, e_bar and final errors agree with that.
     """
-    target = parse_arch(cfg.target_arch, 1, 2).blocks_per_stage
+    target, budget = parse_arch(cfg.target_arch, 1, 2).blocks_per_stage, config_added_blocks(cfg)
     blocks, events, metrics = list(parse_arch(cfg.seed_arch, 1, 2).blocks_per_stage), [], []
     for epoch in range(cfg.total_epochs):
-        grew = len(events) < config_added_blocks(cfg)
+        grew = len(events) < budget
         if grew:
             stage = next_stage(cfg.where, target, tuple(blocks), events[-1].stage if events else -1)
             events.append(GrowthEvent(epoch + 1, stage, blocks[stage], cfg.init))
