@@ -153,12 +153,6 @@ def build_datasets(cfg: DataConfig) -> tuple[Dataset, Dataset, Dataset]:
             Dataset(test_x, test_y, classes))
 
 
-def _row_macs(arch: ArchSpec, blocks: tuple[int, ...]) -> int:
-    """Weight multiply-accumulates of one row's forward pass through `arch` grown to `blocks`."""
-    stages = tuple(replace(st, blocks=n) for st, n in zip(arch.stages, blocks))
-    return sum(out * in_ for _, (out, in_) in layers(replace(arch, stages=stages)))
-
-
 def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalReport:
     """Full-pass accuracies on all three splits plus full-train loss.
 
@@ -168,29 +162,30 @@ def evaluate(net: Network, train: Dataset, val: Dataset, test: Dataset) -> EvalR
     return EvalReport(train_acc, accuracy(net, val), accuracy(net, test), train_loss)
 
 
-def _track_next(net: Network, config: TrainConfig, target: ArchSpec,
-                last: int = -1) -> MomentEnsemble | None:
-    """Under moment init, the EMA shadow of the block preceding the next growth, if square."""
-    if config.init != "moment":
-        return None
-    location = next_stage(config.where, target.blocks_per_stage, net.arch.blocks_per_stage, last)
-    return None if location is None else MomentEnsemble.track(net, location)
-
-
 @dataclass
 class _Branch:
     """One training trajectory and the runs on it (indices into the group's runs)."""
 
     seed: int
     net: Network
-    ensemble: MomentEnsemble | None
+    ensemble: MomentEnsemble | None  # under moment init, the EMA of stage next's last block
     metrics: list[EpochMetrics]
     members: list[int]
+    next: int | None = None  # the stage of the next growth, None at the target; see `aim`
+    macs: int = 0  # forward multiply-accumulates trained so far
+
+    def aim(self, config: TrainConfig, target: ArchSpec, last: int = -1) -> None:
+        """Set `next` by `config.where` after growth at stage `last` (-1: none), and the EMA."""
+        self.next = next_stage(config.where, target.blocks_per_stage,
+                               self.net.arch.blocks_per_stage, last)
+        moment = config.init == "moment" and self.next is not None
+        self.ensemble = MomentEnsemble.track(self.net, self.next) if moment else None
 
     def fork(self, members: list[int]) -> _Branch:
         """An independent copy of this trajectory for `members`."""
         ensemble = self.ensemble and replace(self.ensemble, shadow=self.ensemble.shadow.copy())
-        return _Branch(self.seed, self.net.copy(), ensemble, list(self.metrics), members)
+        return replace(self, net=self.net.copy(), ensemble=ensemble, metrics=list(self.metrics),
+                       members=members)
 
 
 def _shared_part(config: TrainConfig) -> TrainConfig:
@@ -277,14 +272,14 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
 
     try:
         train, val, test = build_datasets(config.data)
-        seed_archs = {c.seed_arch: parse_arch(c.seed_arch, train.dim, train.num_classes) for c in runs}
         target_arch = parse_arch(config.target_arch, train.dim, train.num_classes)
         keys = [(cfg.run_seed, cfg.seed_arch) for cfg in runs]
         branches = []
         for seed, arch in dict.fromkeys(keys):
-            net = build_network(seed_archs[arch], seed)
+            net = build_network(parse_arch(arch, train.dim, train.num_classes), seed)
             members = [i for i, key in enumerate(keys) if key == (seed, arch)]
-            branches.append(_Branch(seed, net, _track_next(net, config, target_arch), [], members))
+            branches.append(_Branch(seed, net, None, [], members))
+            branches[-1].aim(config, target_arch)
         states = [policy_state(cfg) for cfg in runs]
     except Exception as exc:  # noqa: BLE001 - a set-up failure fails every run alike
         fail(range(len(runs)), exc)
@@ -308,7 +303,7 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
         for i in branch.members:
             states[i].val_history.append(report.val_acc)
             try:
-                grows = (states[i].remaining > 0
+                grows = (branch.next is not None
                          and SHOULD_GROW[runs[i].policy.name](states[i], epoch, orl_pp))
             except Exception as exc:  # noqa: BLE001 - a failing policy fails only its run
                 fail([i], exc)
@@ -355,14 +350,11 @@ def _run_group(runs: list[TrainConfig]) -> list[RunResult | Exception]:
     wall_seconds = time.perf_counter() - t_start
     for b in branches:
         last = b.metrics[-1]
-        seed_blocks = seed_archs[runs[b.members[0]].seed_arch].blocks_per_stage
-        trained = [seed_blocks] + [m.blocks for m in b.metrics[:-1]]
-        macs = len(train) * sum(_row_macs(target_arch, blocks) for blocks in trained)
         for i in b.members:
             events = states[i].events
             e_bar = average_training_epochs(events, config.total_epochs) if events else None
             result = RunResult(runs[i], list(b.metrics), events, e_bar, 100.0 - last.test_acc,
-                               100.0 - last.train_acc, macs, wall_seconds)
+                               100.0 - last.train_acc, b.macs, wall_seconds)
             problem = check_result(result)
             outcomes[i] = result if problem is None else RuntimeError(problem[1])
     return outcomes
@@ -372,12 +364,16 @@ def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: Tra
                  train: Dataset) -> list[Exception | None]:
     """Train one epoch of same-shape trajectories as one stack; return each one's failure.
 
+    Each trajectory first counts the epoch's forward multiply-accumulates.
     Row s shuffles by its own seed and steps at its own learning rate. A
     row whose batch loss is not finite fails with the error its solo run
     raises; its values stay in its row, so the others train on to their
     solo bytes. The epoch stops early only when every row has failed.
     """
     n_train = len(train)
+    macs = n_train * sum(out * in_ for _, (out, in_) in layers(group[0].net.arch))
+    for b in group:
+        b.macs += macs
     stack = stack_networks([b.net for b in group])
     perms = np.stack([substream(b.seed, "shuffle", epoch).permutation(n_train) for b in group])
     lr = np.array(lrs)[:, None]
@@ -402,18 +398,13 @@ def _train_epoch(group: list[_Branch], lrs: list[float], epoch: int, config: Tra
 
 def _grow(b: _Branch, epoch: int, config: TrainConfig, target: ArchSpec,
           states: list[PolicyState]) -> None:
-    """Insert the next block on `b` and record it in the states of its runs."""
-    events = states[0].events
-    location = next_stage(config.where, target.blocks_per_stage, b.net.arch.blocks_per_stage,
-                          events[-1].stage if events else -1)
-    if location is None:
-        raise RuntimeError("policy fired with no unsaturated stage")
-    rng = substream(b.seed, "grow", len(events))
-    rule = grow(b.net, location, config.init, rng=rng, ensemble=b.ensemble)
-    event = GrowthEvent(epoch + 1, location, b.net.arch.blocks_per_stage[location] - 1, rule)
+    """Insert a block at `b.next`, record it in the states of its runs and aim `b` anew."""
+    rng = substream(b.seed, "grow", len(states[0].events))
+    rule = grow(b.net, b.next, config.init, rng=rng, ensemble=b.ensemble)
+    event = GrowthEvent(epoch + 1, b.next, b.net.arch.blocks_per_stage[b.next] - 1, rule)
     for state in states:
         state.record_growth(event)
-    b.ensemble = _track_next(b.net, config, target, location)
+    b.aim(config, target, event.stage)
 
 
 # --- metrics file I/O -------------------------------------------------------

@@ -106,9 +106,14 @@ MUTANTS = (
            "return epoch - state.last_growth_epoch >= max(1.0, needed)",
            "return epoch - state.last_growth_epoch >= max(1.0, needed) + 1",
            ("tests/test_timing.py",)),
-    Mutant("train_macs counts the net of metrics[e]", "src/growbench/harness.py",
-           "trained = [seed_blocks] + [m.blocks for m in b.metrics[:-1]]",
-           "trained = [m.blocks for m in b.metrics]",
+    Mutant("train_macs keeps only the last epoch's count", "src/growbench/harness.py",
+           "        b.macs += macs\n", "        b.macs = macs\n",
+           ("tests/test_harness.py",)),
+    Mutant("a fork forgets its macs", "src/growbench/harness.py",
+           "members=members)", "members=members, macs=0)",
+           ("tests/test_harness.py",)),
+    Mutant("aim ignores the last growth's stage", "src/growbench/harness.py",
+           "self.net.arch.blocks_per_stage, last)", "self.net.arch.blocks_per_stage)",
            ("tests/test_harness.py",)),
     Mutant("plot draws the interval at a fixed alpha 4", "src/growbench/cli.py",
            "interval(s.max_interval, s.alpha, m.orl)", "interval(s.max_interval, 4.0, m.orl)",

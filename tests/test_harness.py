@@ -26,7 +26,6 @@ from growbench.harness import (
     RunResult,
     TrainConfig,
     _Branch,
-    _track_next,
     _train_epoch,
     build_datasets,
     compare,
@@ -322,12 +321,15 @@ def test_diverged_row_fails_only_itself_quietly():
 def test_branch_fork_is_an_independent_copy():
     net = build_network(parse_arch("res:8x1-8x1", 8, 3), 0)
     config = tiny_config(init="moment", where="circulation")
-    ensemble = _track_next(net, config, parse_arch(config.target_arch, 8, 3), last=0)
-    ensemble.update(net)
+    target = parse_arch(config.target_arch, 8, 3)
     metrics = [EpochMetrics(0, 50.0, 50.0, 50.0, 1.0, 0.0, 0.05, (1, 1), False)]
-    branch = _Branch(0, net, ensemble, metrics, [0, 1, 2])
+    branch = _Branch(0, net, None, metrics, [0, 1, 2], macs=1234)
+    branch.aim(config, target, last=0)  # circulation after stage 0: stage 1 is next
+    ensemble = branch.ensemble
+    ensemble.update(net)
     fork = branch.fork([2])
     assert (fork.seed, fork.members, fork.metrics) == (0, [2], metrics)
+    assert (fork.next, fork.macs) == (branch.next, branch.macs) == (1, 1234)
     assert fork.net is not net and fork.ensemble is not ensemble
     assert not np.shares_memory(fork.ensemble.shadow, ensemble.shadow)  # its own array
     assert (fork.ensemble.stage, fork.ensemble.index) == (ensemble.stage, ensemble.index) == (1, 0)
@@ -341,6 +343,14 @@ def test_branch_fork_is_an_independent_copy():
     np.testing.assert_array_equal(fork.net.params, before[0])
     np.testing.assert_array_equal(fork.ensemble.shadow, before[1])
     assert len(fork.metrics) == 1
+    fork.macs += 10  # the fork's count and growth leave the parent's alone
+    fork.ensemble.update(fork.net)
+    harness.grow(fork.net, fork.next, config.init, ensemble=fork.ensemble)
+    fork.aim(config, target, last=1)  # circulation after stage 1: stage 0 is next
+    assert (fork.next, fork.macs, fork.net.arch.blocks_per_stage) == (0, 1244, (1, 2))
+    assert (branch.next, branch.macs, net.arch.blocks_per_stage) == (1, 1234, (1, 1))
+    assert branch.ensemble is ensemble and (ensemble.stage, ensemble.index) == (1, 0)
+    assert (fork.ensemble.stage, fork.ensemble.index, fork.ensemble.updates) == (0, 0, 0)
 
 def _corrupt(tmp_path, edit, header=True):
     """Write a tiny run's metrics file, pass its lines after the header through `edit`."""
