@@ -18,9 +18,10 @@ for all seeds. The runs of one seed and seed net share one trajectory
 until their growth decisions differ, and then it forks. Each epoch, the
 trajectories whose networks have one shape train as one `netcore.Stack`,
 so a target-size ("vanilla") run joins grown runs at the target shape.
-Every run still gets its solo run's bytes. A run's `wall_seconds` is the
-wall time of the whole `run` call; its own cost is `train_macs`, a count
-that sharing does not change. A RunResult carries the config that ran,
+Every run still gets its solo run's bytes. A trajectory holds the stage
+of its next growth and the MACs it has trained: its runs' `train_macs`,
+a count that sharing does not change. A run's `wall_seconds` is the wall
+time of the whole `run` call. A RunResult carries the config that ran,
 and its metrics file starts with a header holding that config's echo.
 A run's end and `read_metrics` check one set of invariants, `check_result`.
 """
@@ -41,7 +42,7 @@ from .arch import ArchSpec, parse_arch
 from .config import (ConfigError, DataConfig, PolicyConfig, TrainConfig, _build_config,
                      _finite_float, config_added_blocks, parse_config_text, render_config)
 from .data import Dataset, gaussian_arrays, read_csv, read_idx, split_standardized, standardize
-from .morph import INIT_RULES, GrowthEvent, MomentEnsemble, grow, next_stage
+from .morph import GrowthEvent, MomentEnsemble, grow, next_stage
 from .netcore import (
     Network,
     accuracy,
@@ -230,29 +231,33 @@ def check_result(result: RunResult) -> tuple[int, str] | None:
         if got != want:
             return k, f"expected {want}, got {got} (total_epochs = {total})"
     deadline = total - config.min_finetune_epochs
+    target = parse_arch(config.target_arch, 1, 2).blocks_per_stage
     grown = [list(parse_arch(config.seed_arch, 1, 2).blocks_per_stage)]  # after each event
     for j, e in enumerate(events):
         blocks, after = grown[-1], events[j - 1].epoch if j else 0
         if not after < e.epoch <= deadline:
             return footer, (f"event {j}: epoch {e.epoch}, expected {after + 1} to {deadline}, "
                             "the deadline")
-        if not 0 <= e.stage < len(blocks) or e.block_index != blocks[e.stage]:
+        stage = next_stage(config.where, target, tuple(blocks), events[j - 1].stage if j else -1)
+        if stage is None or (e.stage, e.block_index) != (stage, blocks[stage]):
             return footer, (f"event {j}: stage {e.stage}, block_index {e.block_index}: "
-                            f"the net it grows has blocks {blocks}")
-        if e.init_rule not in INIT_RULES:
-            return footer, f"event {j}: init {e.init_rule!r}, expected one of {INIT_RULES}"
-        grown.append([b + (i == e.stage) for i, b in enumerate(blocks)])
+                            f"{config.where} growth of {blocks} gives stage {stage}")
+        if e.init_rule not in (config.init, "random"):
+            return footer, f"event {j}: init {e.init_rule!r}, expected {config.init!r} or 'random'"
+        grown.append([b + (i == stage) for i, b in enumerate(blocks)])
     n = 0  # the events by the end of epoch k
     for k, m in enumerate(metrics):
         grew = n < len(events) and events[n].epoch == k + 1
         n += grew
         if (list(m.blocks), m.grew) != (grown[n], grew):
             return k, f"blocks {list(m.blocks)}, grew {m.grew}: the events give {grown[n]}, {grew}"
-    if metrics[-1].blocks != parse_arch(config.target_arch, 1, 2).blocks_per_stage:
-        left = config_added_blocks(config) - len(events)
+        if not all(0 <= acc <= 100 for acc in (m.train_acc, m.val_acc, m.test_acc)):
+            return k, f"accuracies {m.train_acc}, {m.val_acc}, {m.test_acc}: expected 0 to 100"
+        if m.orl != orl(m.train_acc, m.val_acc):
+            return k, f"orl {m.orl}, the accuracies give {orl(m.train_acc, m.val_acc)}"
+    if (left := config_added_blocks(config) - len(events)) > 0:  # else they reached the target
         return footer, (f"growth budget not exhausted: {left} blocks left at the end "
-                        "(deadline rule violated)" if left > 0 else
-                        "final architecture does not match the target spec")
+                        "(deadline rule violated)")
     for name, want in (("e_bar", average_training_epochs(events, total) if events else None),
                        ("final_test_error", 100.0 - metrics[-1].test_acc),
                        ("final_train_error", 100.0 - metrics[-1].train_acc)):

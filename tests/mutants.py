@@ -153,15 +153,21 @@ MUTANTS = (
            "        if not after < e.epoch <= deadline:", "        if not after < e.epoch:",
            ("tests/test_harness.py",)),
     Mutant("check_result skips the event-stage check", "src/growbench/harness.py",
-           "        if not 0 <= e.stage < len(blocks) or e.block_index != blocks[e.stage]:",
-           "        if e.block_index != blocks[e.stage]:",
+           "        if stage is None or (e.stage, e.block_index) != (stage, blocks[stage]):",
+           "        if stage is None or e.block_index != blocks[stage]:",
            ("tests/test_harness.py",)),
     Mutant("check_result skips the init check", "src/growbench/harness.py",
-           "        if e.init_rule not in INIT_RULES:", "        if False:",
+           '        if e.init_rule not in (config.init, "random"):', "        if False:",
            ("tests/test_harness.py",)),
-    Mutant("check_result skips the final-blocks check", "src/growbench/harness.py",
-           "    if metrics[-1].blocks != parse_arch(config.target_arch, 1, 2).blocks_per_stage:",
-           "    if False:",
+    Mutant("check_result skips the growth-budget check", "src/growbench/harness.py",
+           "    if (left := config_added_blocks(config) - len(events)) > 0:", "    if False:",
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the accuracy range check", "src/growbench/harness.py",
+           "        if not all(0 <= acc <= 100 for acc in (m.train_acc, m.val_acc, m.test_acc)):",
+           "        if False:",
+           ("tests/test_harness.py",)),
+    Mutant("check_result skips the orl check", "src/growbench/harness.py",
+           "        if m.orl != orl(m.train_acc, m.val_acc):", "        if False:",
            ("tests/test_harness.py",)),
     Mutant("read_idx skips the announced-length check", "src/growbench/data.py",
            "    if size != len(blob) - head:", "    if False:",

@@ -705,3 +705,19 @@ def test_plot_refuses_a_footer_that_contradicts_its_events_exit_1_naming_it(metr
     assert capsys.readouterr().err == (f"error: {bad}:{len(lines)}: e_bar 99, the records give "
                                        f"{result.e_bar}\n")
     assert not out.exists()
+
+
+def test_plot_refuses_an_orl_that_contradicts_its_accuracies_exit_1_naming_it(metrics_file,
+                                                                              tmp_path, capsys):
+    path, result = metrics_file
+    lines = Path(path).read_text().splitlines()
+    epoch_2 = json.loads(lines[3])
+    epoch_2["orl"] = 50.0
+    bad = tmp_path / "orl.jsonl"
+    bad.write_text("\n".join([*lines[:3], json.dumps(epoch_2), *lines[4:]]) + "\n")
+    out = tmp_path / "orl.svg"
+    assert main(["plot", str(bad), "--curves", "interval", "--out", str(out)]) == 1
+    m = result.metrics[2]
+    assert capsys.readouterr().err == (f"error: {bad}:4: orl 50.0, the accuracies give "
+                                       f"{m.train_acc - m.val_acc}\n")
+    assert not out.exists()

@@ -445,11 +445,23 @@ def _set_event_key(line, key, value, i=1):
     (lambda ls: ls[:-1] + [_set_key(ls[-1], "events", json.loads(ls[-1])["events"][:1])], 8,
      r"blocks \[2, 2\], grew True: the events give \[2, 1\], False$"),
     (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "stage", 5)], 13,
-     r"event 1: stage 5, block_index 1: the net it grows has blocks \[2, 1\]$"),
+     r"event 1: stage 5, block_index 1: sequential growth of \[2, 1\] gives stage 1$"),
     (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "block_index", 7)], 13,
-     r"event 1: stage 1, block_index 7: the net it grows has blocks \[2, 1\]$"),
+     r"event 1: stage 1, block_index 7: sequential growth of \[2, 1\] gives stage 1$"),
     (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "init", "banana")], 13,
-     r"event 1: init 'banana', expected one of \('copy', 'moment', 'random'\)$"),
+     r"event 1: init 'banana', expected 'copy' or 'random'$"),
+    # stage 1 grown before stage 0, with epoch lines 4 to 6 to match: sequential fills stage 0
+    (lambda ls: ls[:4] + [_set_key(line, "blocks", [1, 2]) for line in ls[4:7]] + ls[7:-1]
+     + [_set_event_key(_set_event_key(ls[-1], "stage", 1, i=0), "stage", 0)], 13,
+     r"event 0: stage 1, block_index 1: sequential growth of \[1, 1\] gives stage 0$"),
+    (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "init", "moment", i=0)], 13,
+     r"event 0: init 'moment', expected 'copy' or 'random'$"),
+    # epoch lines hold percentages, and orl is exactly train_acc - val_acc
+    (lambda ls: ls[:2] + [_set_key(ls[2], "orl", 50.0)] + ls[3:], 3,
+     r"orl 50\.0, the accuracies give -7\.89"),
+    (lambda ls: ls[:2] + [_set_key(_set_key(ls[2], "train_acc", 150), "orl",
+                                   150 - json.loads(ls[2])["val_acc"])] + ls[3:], 3,
+     r"accuracies 150, [\d.]+, [\d.]+: expected 0 to 100$"),
     (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "epoch", 5)], 13,
      "event 1: epoch 5, expected 6 to 8, the deadline$"),
     (lambda ls: ls[:-1] + [_set_event_key(ls[-1], "epoch", 0, i=0)], 13,
